@@ -3,23 +3,12 @@
 // sampling, and planning. Not a paper table; quantifies DESIGN.md §5's
 // claims (partial re-execution speedup, masked short-circuit).
 //
-// Besides the google-benchmark suite, `bench_perf --engine-json PATH`
-// runs an end-to-end census throughput measurement on a fixed fixture and
-// writes a small JSON report (BENCH_engine.json) with faults/second,
-// inferences/fault and wall seconds next to the pre-refactor baseline —
-// the regression check CI runs as a smoke step (capped via --faults).
-//
-// `bench_perf --shard-json PATH [--statfi BIN]` measures the scale-out
-// path: the same census run single-process in-process, then sharded via
-// `statfi shard run-all` subprocesses at --jobs 2 and 4, with the merged
-// result checked bit-identical against the single-process table
-// (BENCH_shard.json).
-//
-// `bench_perf --telemetry-json PATH` measures the telemetry subsystem's
-// overhead: the engine-report census with telemetry off vs on (metrics +
-// tracing), alternating reps, best-of wall per mode, outcomes checked
-// bit-identical. Fails when the enabled run costs more than 3% — the
-// "observability is near-free" claim in DESIGN.md §5.12 (BENCH_telemetry.json).
+// Besides the google-benchmark suite, `bench_perf --telemetry-json PATH`
+// measures the telemetry subsystem's overhead: the engine census with
+// telemetry off vs on (metrics + tracing), alternating reps, best-of wall
+// per mode, outcomes checked bit-identical. Fails when the enabled run
+// costs more than 3% — the "observability is near-free" claim in DESIGN.md
+// §5.12 (BENCH_telemetry.json).
 //
 // `bench_perf --observatory-json PATH` extends that gate to the FULL
 // observatory of DESIGN.md §5.13: metrics + tracing + JSONL event log on
@@ -86,9 +75,7 @@
 #include "report/json_parse.hpp"
 #include "service/daemon.hpp"
 #include "service/recipe_json.hpp"
-#include "shard/driver.hpp"
 #include "shard/fixture.hpp"
-#include "shard/merge.hpp"
 #include "stats/sampling.hpp"
 #include "telemetry/eventlog.hpp"
 #include "telemetry/http.hpp"
@@ -166,7 +153,7 @@ void BM_MaskedShortCircuit(benchmark::State& state) {
     f.weight_index = 5;
     f.bit = 30;
     f.model = fault::FaultModel::StuckAt0;
-    for (auto _ : state) benchmark::DoNotOptimize(engine.evaluate(f));
+    for (auto _ : state) benchmark::DoNotOptimize(engine.core().evaluate(f));
 }
 BENCHMARK(BM_MaskedShortCircuit);
 
@@ -180,7 +167,7 @@ void BM_FaultEvaluation(benchmark::State& state) {
     f.weight_index = 5;
     f.bit = 12;
     f.model = fault::FaultModel::BitFlip;
-    for (auto _ : state) benchmark::DoNotOptimize(engine.evaluate(f));
+    for (auto _ : state) benchmark::DoNotOptimize(engine.core().evaluate(f));
 }
 BENCHMARK(BM_FaultEvaluation);
 
@@ -211,104 +198,21 @@ void BM_AnalyzeWeights(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeWeights);
 
-// --- end-to-end engine throughput (--engine-json) -------------------------
-
-/// Pre-refactor numbers for the same fixture, measured at commit 51af8be
-/// (CampaignExecutor serial census, best of two runs) on the reference
-/// single-core builder. Kept in the report so every BENCH_engine.json is a
-/// self-contained before/after comparison.
-constexpr double kBaselineFaultsPerSecond = 14172.6;
-constexpr double kBaselineInferencesPerFault = 1.96632;
-constexpr double kBaselineWallSeconds = 9.49213;
-constexpr const char* kBaselineCommit = "51af8be";
-
-/// Census throughput on a fixed fixture: micronet, Kaiming init with
-/// Rng(424242), 4 synthetic "test" images, GoldenMismatch policy. The
-/// fixture matches the pre-refactor baseline measurement exactly, so
-/// critical_rate doubles as an empirical bit-identity check against the
-/// retired serial executor (expected 0.011663 on the full universe).
-int run_engine_report(const std::string& json_path, std::uint64_t max_faults,
-                      std::size_t threads) {
-    auto net = models::build_model("micronet");
-    stats::Rng rng(424242);
-    nn::init_network_kaiming(net, rng);
-    const auto eval = data::make_synthetic({}, 4, "test");
-    const auto universe = fault::FaultUniverse::stuck_at(net);
-
-    core::ExecutorConfig config;
-    config.policy = core::ClassificationPolicy::GoldenMismatch;
-    core::CampaignEngine engine(net, eval, config, threads);
-
-    const std::uint64_t total = universe.total();
-    const std::uint64_t faults =
-        max_faults == 0 ? total : std::min(max_faults, total);
-
-    std::uint64_t critical = 0;
-    const auto start = std::chrono::steady_clock::now();
-    if (faults == total) {
-        const auto outcomes = engine.run_exhaustive(universe);
-        critical = outcomes.critical_count(0, total);
-    } else {
-        // Capped smoke run: same ascending-index walk as the census chunk,
-        // on worker 0 only (keeps the cap deterministic across thread counts).
-        for (std::uint64_t i = 0; i < faults; ++i)
-            critical += engine.evaluate(universe.decode(i)) ==
-                        core::FaultOutcome::Critical;
-    }
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-
-    const double fps = wall > 0 ? static_cast<double>(faults) / wall : 0.0;
-    const double ipf =
-        static_cast<double>(engine.inference_count()) /
-        static_cast<double>(faults);
-    const double crit_rate =
-        static_cast<double>(critical) / static_cast<double>(faults);
-
-    std::ofstream out(json_path);
-    if (!out) {
-        std::cerr << "bench_perf: cannot write " << json_path << "\n";
-        return 1;
-    }
-    out << "{\n"
-        << "  \"fixture\": \"micronet kaiming(424242), 4 synthetic test "
-           "images, GoldenMismatch, stuck-at universe\",\n"
-        << "  \"universe\": " << total << ",\n"
-        << "  \"faults\": " << faults << ",\n"
-        << "  \"full_census\": " << (faults == total ? "true" : "false")
-        << ",\n"
-        << "  \"workers\": " << engine.worker_count() << ",\n"
-        << "  \"wall_seconds\": " << wall << ",\n"
-        << "  \"faults_per_second\": " << fps << ",\n"
-        << "  \"inferences\": " << engine.inference_count() << ",\n"
-        << "  \"inferences_per_fault\": " << ipf << ",\n"
-        << "  \"critical_rate\": " << crit_rate << ",\n"
-        << "  \"baseline\": {\n"
-        << "    \"commit\": \"" << kBaselineCommit << "\",\n"
-        << "    \"faults_per_second\": " << kBaselineFaultsPerSecond << ",\n"
-        << "    \"inferences_per_fault\": " << kBaselineInferencesPerFault
-        << ",\n"
-        << "    \"wall_seconds\": " << kBaselineWallSeconds << "\n"
-        << "  }\n"
-        << "}\n";
-    std::cout << "engine throughput: " << fps << " faults/s (" << faults
-              << " faults, " << wall << " s, " << ipf
-              << " inferences/fault, critical_rate " << crit_rate
-              << "); baseline " << kBaselineFaultsPerSecond
-              << " faults/s @ " << kBaselineCommit << "\n"
-              << "report written to " << json_path << "\n";
-    return 0;
-}
-
 // --- kernel dispatch + ensemble forward (--kernels-json) ------------------
 
-/// One engine-report census under a forced kernel backend and ensemble
+/// Pre-kernel census throughput on the same fixture, measured at commit
+/// 51af8be (CampaignExecutor serial census, best of two runs) on the
+/// reference single-core builder: the baseline of the kernel speedup gate.
+constexpr double kBaselineFaultsPerSecond = 14172.6;
+constexpr const char* kBaselineCommit = "51af8be";
+
+/// One engine census under a forced kernel backend and ensemble
 /// width. A fresh engine per configuration: the golden cache must be built
 /// by the same backend that classifies (one process never mixes backends).
 struct KernelsConfigResult {
     std::string kernels;
     std::size_t width = 1;
+    std::uint64_t faults = 0;  ///< classified prefix of the census
     double wall = 0.0;
     double fps = 0.0;
     core::ExhaustiveOutcomes outcomes;
@@ -330,45 +234,21 @@ KernelsConfigResult run_kernels_config(const std::string& backend,
     config.ensemble_width = width;
     core::CampaignEngine engine(net, eval, config, threads);
 
-    const std::uint64_t total = universe.total();
-    const std::uint64_t faults =
-        max_faults == 0 ? total : std::min(max_faults, total);
+    // A capped smoke run classifies the census prefix [0, max_faults).
+    core::DurabilityOptions durability;
+    durability.range_end = std::min(max_faults, universe.total());
 
     KernelsConfigResult r;
     r.kernels = kernels::active().name;
     r.width = width;
+    r.faults = durability.range_end == 0 ? universe.total()
+                                         : durability.range_end;
     const auto start = std::chrono::steady_clock::now();
-    if (faults == total) {
-        r.outcomes = engine.run_exhaustive(universe);
-    } else {
-        // Capped smoke run: grouped exactly like the engine's census chunk,
-        // on worker 0 (deterministic across thread counts).
-        r.outcomes = core::ExhaustiveOutcomes(faults);
-        core::ClassificationCore& core0 = engine.core(0);
-        std::vector<fault::Fault> group;
-        std::vector<core::FaultOutcome> out;
-        for (std::uint64_t i = 0; i < faults;) {
-            group.clear();
-            const fault::Fault first = universe.decode(i);
-            const std::uint64_t lo = i;
-            while (i < faults && group.size() < width) {
-                const fault::Fault f = universe.decode(i);
-                if (f.layer != first.layer ||
-                    !fault::same_ensemble_family(f.model, first.model))
-                    break;
-                group.push_back(f);
-                ++i;
-            }
-            out.assign(group.size(), core::FaultOutcome::NonCritical);
-            core0.evaluate_group(group, out.data());
-            for (std::size_t b = 0; b < out.size(); ++b)
-                r.outcomes.set(lo + b, out[b]);
-        }
-    }
+    r.outcomes = engine.run_exhaustive_durable(universe, durability).outcomes;
     r.wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    r.fps = r.wall > 0 ? static_cast<double>(faults) / r.wall : 0.0;
+    r.fps = r.wall > 0 ? static_cast<double>(r.faults) / r.wall : 0.0;
     std::cout << "  " << r.kernels << " width=" << width << ": " << r.fps
               << " faults/s (" << r.wall << " s)\n";
     return r;
@@ -391,7 +271,7 @@ int run_kernels_report(const std::string& json_path, std::uint64_t max_faults,
     }
     kernels::select("auto");
 
-    const std::uint64_t n = runs.front().outcomes.size();
+    const std::uint64_t n = runs.front().faults;
     bool identical = true;
     for (std::size_t c = 1; c < runs.size(); ++c)
         for (std::uint64_t i = 0; i < n; ++i)
@@ -620,126 +500,6 @@ int run_formats_report(const std::string& json_path, std::uint64_t max_faults,
     return 0;
 }
 
-// --- sharded census throughput (--shard-json) -----------------------------
-
-/// Sharded census on the shard fixture (micronet recipe, 4 images,
-/// GoldenMismatch, seed 424242): a single-process in-process census as the
-/// baseline, then `statfi shard run-all` at --jobs 2 and 4, merged and
-/// checked bit-identical against the baseline table. Reported per jobs
-/// count: wall seconds, faults/second and speedup over single-process.
-int run_shard_report(const std::string& json_path,
-                     const std::string& statfi_binary) {
-    shard::CampaignRecipe recipe;
-    recipe.model = "micronet";
-    recipe.approach = core::Approach::Exhaustive;
-    recipe.images = 4;
-    recipe.policy = core::ClassificationPolicy::GoldenMismatch;
-    recipe.seed = 424242;
-
-    const auto dir =
-        std::filesystem::temp_directory_path() / "statfi_shard_bench";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    const std::string manifest_path = (dir / "bench.sfim").string();
-
-    // Single-process baseline (also the bit-identity reference).
-    auto fx = shard::build_fixture(recipe);
-    core::CampaignEngine engine(fx.net, fx.eval, fx.config);
-    const auto single_start = std::chrono::steady_clock::now();
-    const auto reference =
-        engine.run_exhaustive_durable(fx.universe, {}).outcomes;
-    const double single_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      single_start)
-            .count();
-    const std::uint64_t total = fx.universe.total();
-    const double single_fps = static_cast<double>(total) / single_wall;
-
-    shard::ShardManifest manifest;
-    manifest.recipe = recipe;
-    manifest.fingerprint = engine.fingerprint(fx.universe, recipe.model);
-    manifest.layer_count = static_cast<std::uint32_t>(fx.universe.layer_count());
-    manifest.plan.approach = core::Approach::Exhaustive;
-    manifest.item_count = total;
-    manifest.shards = shard::partition_items(total, 4);
-    manifest.save(manifest_path);
-
-    struct ShardRun {
-        std::size_t jobs;
-        double wall;
-        double fps;
-        bool identical;
-    };
-    std::vector<ShardRun> runs;
-    for (const std::size_t jobs : {std::size_t{2}, std::size_t{4}}) {
-        for (std::uint32_t k = 0; k < manifest.shards.size(); ++k)
-            std::filesystem::remove(shard::shard_result_path(manifest_path, k));
-        shard::DriveOptions drive;
-        drive.jobs = jobs;
-        drive.threads = 1;
-        drive.statfi_binary = statfi_binary;
-        const auto start = std::chrono::steady_clock::now();
-        const auto report =
-            shard::run_all_shards(manifest, manifest_path, drive);
-        if (!report.ok()) {
-            std::cerr << "bench_perf: shard run-all failed at jobs=" << jobs
-                      << "\n";
-            return 1;
-        }
-        const auto merged = shard::merge_shards(manifest, manifest_path);
-        const double wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-        bool identical = merged.outcomes.size() == reference.size();
-        for (std::uint64_t i = 0; identical && i < total; ++i)
-            identical = merged.outcomes.at(i) == reference.at(i);
-        runs.push_back(
-            {jobs, wall, static_cast<double>(total) / wall, identical});
-    }
-    std::filesystem::remove_all(dir);
-
-    std::ofstream out(json_path);
-    if (!out) {
-        std::cerr << "bench_perf: cannot write " << json_path << "\n";
-        return 1;
-    }
-    out << "{\n"
-        << "  \"fixture\": \"micronet recipe seed 424242, 4 synthetic test "
-           "images, GoldenMismatch, stuck-at census, 4 shards\",\n"
-        << "  \"universe\": " << total << ",\n"
-        << "  \"shards\": " << manifest.shards.size() << ",\n"
-        << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
-        << ",\n"
-        << "  \"single_process\": {\n"
-        << "    \"wall_seconds\": " << single_wall << ",\n"
-        << "    \"faults_per_second\": " << single_fps << "\n"
-        << "  },\n"
-        << "  \"run_all\": [\n";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const auto& r = runs[i];
-        out << "    {\n"
-            << "      \"jobs\": " << r.jobs << ",\n"
-            << "      \"wall_seconds\": " << r.wall << ",\n"
-            << "      \"faults_per_second\": " << r.fps << ",\n"
-            << "      \"speedup\": " << r.fps / single_fps << ",\n"
-            << "      \"bit_identical\": " << (r.identical ? "true" : "false")
-            << "\n    }" << (i + 1 < runs.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-
-    bool all_identical = true;
-    for (const auto& r : runs) {
-        std::cout << "shard run-all jobs=" << r.jobs << ": " << r.fps
-                  << " faults/s (" << r.wall << " s, speedup "
-                  << r.fps / single_fps << "x, bit_identical "
-                  << (r.identical ? "yes" : "NO") << ")\n";
-        all_identical = all_identical && r.identical;
-    }
-    std::cout << "single-process: " << single_fps << " faults/s ("
-              << single_wall << " s)\nreport written to " << json_path << "\n";
-    return all_identical ? 0 : 1;
-}
-
 // --- telemetry overhead (--telemetry-json) --------------------------------
 
 /// The gate DESIGN.md §5.12 promises: a fully instrumented census (metrics
@@ -747,7 +507,7 @@ int run_shard_report(const std::string& json_path,
 constexpr double kMaxTelemetryOverheadPct = 3.0;
 constexpr int kTelemetryReps = 3;
 
-/// Telemetry off vs on over the engine-report fixture, reps alternating so
+/// Telemetry off vs on over the kernel-gate census fixture, reps alternating so
 /// thermal/frequency drift hits both modes equally; best-of wall per mode.
 /// Every run's outcome table must match the first run's bit for bit
 /// (telemetry only observes), and the enabled runs' statfi_faults_total
@@ -849,7 +609,7 @@ int run_telemetry_report(const std::string& json_path,
 
 std::string service_http(std::uint16_t port, const std::string& request);
 
-/// The engine-report census bare vs under the full observatory: metrics,
+/// The kernel-gate census bare vs under the full observatory: metrics,
 /// tracing, the JSONL event log streamed to disk, and a live StatusServer
 /// on an ephemeral loopback port that a client thread actually polls
 /// (/status and /metrics every ~50 ms) — an idle server would measure
@@ -1331,27 +1091,20 @@ int run_fleet_report(const std::string& json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    std::string json_path;
     std::string formats_json_path;
     std::string kernels_json_path;
-    std::string shard_json_path;
     std::string telemetry_json_path;
     std::string observatory_json_path;
     std::string service_json_path;
     std::string fleet_json_path;
-    std::string statfi_binary;
     std::uint64_t max_faults = 0;  // 0 = full census
     std::size_t threads = 1;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--engine-json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (arg == "--formats-json" && i + 1 < argc) {
+        if (arg == "--formats-json" && i + 1 < argc) {
             formats_json_path = argv[++i];
         } else if (arg == "--kernels-json" && i + 1 < argc) {
             kernels_json_path = argv[++i];
-        } else if (arg == "--shard-json" && i + 1 < argc) {
-            shard_json_path = argv[++i];
         } else if (arg == "--telemetry-json" && i + 1 < argc) {
             telemetry_json_path = argv[++i];
         } else if (arg == "--observatory-json" && i + 1 < argc) {
@@ -1360,8 +1113,6 @@ int main(int argc, char** argv) {
             service_json_path = argv[++i];
         } else if (arg == "--fleet-json" && i + 1 < argc) {
             fleet_json_path = argv[++i];
-        } else if (arg == "--statfi" && i + 1 < argc) {
-            statfi_binary = argv[++i];
         } else if (arg == "--faults" && i + 1 < argc) {
             max_faults = std::stoull(argv[++i]);
         } else if (arg == "--threads" && i + 1 < argc) {
@@ -1375,18 +1126,10 @@ int main(int argc, char** argv) {
         return run_observatory_report(observatory_json_path, max_faults);
     if (!telemetry_json_path.empty())
         return run_telemetry_report(telemetry_json_path, max_faults);
-    if (!shard_json_path.empty()) {
-        if (statfi_binary.empty())
-            statfi_binary = (std::filesystem::path(argv[0]).parent_path() /
-                             ".." / "tools" / "statfi")
-                                .string();
-        return run_shard_report(shard_json_path, statfi_binary);
-    }
     if (!formats_json_path.empty())
         return run_formats_report(formats_json_path, max_faults, threads);
     if (!kernels_json_path.empty())
         return run_kernels_report(kernels_json_path, max_faults, threads);
-    if (!json_path.empty()) return run_engine_report(json_path, max_faults, threads);
 
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

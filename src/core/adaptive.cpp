@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <utility>
 
 #include "stats/sampling.hpp"
 
@@ -9,89 +10,85 @@ namespace statfi::core {
 
 namespace {
 
-/// Shared two-phase logic; @p classify maps a subpopulation-local index to
-/// an outcome (live injection or ground-truth lookup).
-AdaptiveResult run_two_phase(
-    const fault::FaultUniverse& universe, const AdaptiveConfig& config,
-    stats::Rng rng,
-    const std::function<FaultOutcome(int layer, int bit, std::uint64_t local)>&
-        classify) {
+/// Classifies a batch of drawn stratum items (live injection or
+/// ground-truth lookup): one FaultOutcome per item.
+using Classify = std::function<std::vector<std::uint8_t>(
+    const CampaignPlan& strata, const std::vector<DrawnFault>& items)>;
+
+/// Shared two-phase logic over every (layer, bit) stratum, layer-major — the
+/// stratum index is its RNG stream id. Phase 1 classifies every pilot as one
+/// batch; phase 2 re-plans each stratum at its measured rate and classifies
+/// all refinement draws as a second batch.
+AdaptiveResult run_two_phase(const fault::FaultUniverse& universe,
+                             const AdaptiveConfig& config, stats::Rng rng,
+                             const Classify& classify) {
+    CampaignPlan strata = plan_exhaustive(universe);
+    strata.approach = Approach::DataAware;  // closest family
+    strata.spec = config.spec;
     AdaptiveResult result;
-    result.combined.approach = Approach::DataAware;  // closest family
-    result.combined.spec = config.spec;
+    result.combined = make_empty_result(
+        static_cast<std::size_t>(universe.layer_count()), strata);
+    std::vector<SubpopResult>& tallies = result.combined.subpops;
 
-    std::uint64_t subpop_index = 0;
-    for (int l = 0; l < universe.layer_count(); ++l) {
-        for (int bit = 0; bit < universe.bits(); ++bit) {
-            const std::uint64_t population = universe.bit_population(l);
-            auto pilot_rng = rng.fork(subpop_index);
-            auto refine_rng = rng.fork(subpop_index + 0x100000);
-            ++subpop_index;
+    std::vector<DrawnFault> items;
+    const auto draw = [&](std::size_t s, std::uint64_t local) {
+        const SubpopPlan& sp = strata.subpops[s];
+        items.push_back(
+            DrawnFault{s, universe.decode_in_subpop(sp.layer, sp.bit, local)});
+    };
+    // Classify and tally the drawn batch; returns its size.
+    const auto classify_items = [&] {
+        const std::vector<std::uint8_t> outcomes = classify(strata, items);
+        for (std::size_t k = 0; k < items.size(); ++k)
+            accumulate_outcome(tallies[items[k].subpop], items[k].fault.layer,
+                               static_cast<FaultOutcome>(outcomes[k]));
+        return std::exchange(items, {}).size();
+    };
 
-            // Phase 1: pilot.
-            const std::uint64_t n_pilot =
-                std::min(config.pilot_size, population);
-            auto indices =
-                stats::sample_indices(population, n_pilot, pilot_rng);
-            std::uint64_t pilot_critical = 0;
-            std::vector<std::pair<std::uint64_t, FaultOutcome>> evaluated;
-            evaluated.reserve(indices.size());
-            for (const auto local : indices) {
-                const FaultOutcome outcome = classify(l, bit, local);
-                pilot_critical += outcome == FaultOutcome::Critical;
-                evaluated.emplace_back(local, outcome);
-            }
-            result.pilot_injected += n_pilot;
-
-            // Phase 2: re-plan Eq. 1 at the measured rate.
-            const double p_hat =
-                n_pilot ? static_cast<double>(pilot_critical) /
-                              static_cast<double>(n_pilot)
-                        : config.p_ceiling;
-            stats::SampleSpec spec = config.spec;
-            spec.p = std::clamp(p_hat, config.p_floor, config.p_ceiling);
-            const std::uint64_t n_final = stats::sample_size(population, spec);
-
-            if (n_final > n_pilot) {
-                auto extra =
-                    stats::sample_indices(population, n_final, refine_rng);
-                for (const auto local : extra) {
-                    // Deduplicate against the pilot (indices are sorted).
-                    const auto it = std::lower_bound(indices.begin(),
-                                                     indices.end(), local);
-                    if (it != indices.end() && *it == local) continue;
-                    evaluated.emplace_back(local, classify(l, bit, local));
-                    ++result.refinement_injected;
-                }
-            }
-
-            SubpopResult tally;
-            tally.plan.layer = l;
-            tally.plan.bit = bit;
-            tally.plan.population = population;
-            tally.plan.p = spec.p;
-            tally.plan.sample_size = evaluated.size();
-            for (const auto& [local, outcome] : evaluated) {
-                ++tally.injected;
-                if (outcome == FaultOutcome::Critical) ++tally.critical;
-                if (outcome == FaultOutcome::Masked) ++tally.masked;
-            }
-            result.combined.subpops.push_back(std::move(tally));
-        }
+    // Phase 1: pilot.
+    std::vector<std::vector<std::uint64_t>> pilots(tallies.size());
+    for (std::size_t s = 0; s < tallies.size(); ++s) {
+        auto pilot_rng = rng.fork(s);
+        const std::uint64_t population = strata.subpops[s].population;
+        pilots[s] = stats::sample_indices(
+            population, std::min(config.pilot_size, population), pilot_rng);
+        for (const auto local : pilots[s]) draw(s, local);
     }
+    result.pilot_injected = classify_items();
+
+    // Phase 2: re-plan Eq. 1 at the measured rate.
+    for (std::size_t s = 0; s < tallies.size(); ++s) {
+        SubpopPlan& sp = tallies[s].plan;
+        const std::uint64_t n_pilot = pilots[s].size();
+        const double p_hat =
+            n_pilot ? static_cast<double>(tallies[s].critical) /
+                          static_cast<double>(n_pilot)
+                    : config.p_ceiling;
+        stats::SampleSpec spec = config.spec;
+        spec.p = sp.p = std::clamp(p_hat, config.p_floor, config.p_ceiling);
+        const std::uint64_t n_final = stats::sample_size(sp.population, spec);
+        if (n_final <= n_pilot) continue;
+        auto refine_rng = rng.fork(s + 0x100000);
+        for (const auto local :
+             stats::sample_indices(sp.population, n_final, refine_rng))
+            // Deduplicate against the pilot (indices are sorted).
+            if (!std::binary_search(pilots[s].begin(), pilots[s].end(), local))
+                draw(s, local);
+    }
+    result.refinement_injected = classify_items();
+    for (SubpopResult& t : tallies) t.plan.sample_size = t.injected;
     return result;
 }
 
 }  // namespace
 
-AdaptiveResult run_adaptive(ClassificationCore& core,
+AdaptiveResult run_adaptive(CampaignEngine& engine,
                             const fault::FaultUniverse& universe,
                             const AdaptiveConfig& config, stats::Rng rng) {
     return run_two_phase(
         universe, config, rng,
-        [&](int layer, int bit, std::uint64_t local) {
-            return core.evaluate(
-                universe.decode_in_subpop(layer, bit, local));
+        [&](const CampaignPlan& strata, const std::vector<DrawnFault>& items) {
+            return engine.run_durable(universe, strata, items, {}).outcomes;
         });
 }
 
@@ -102,8 +99,12 @@ AdaptiveResult replay_adaptive(const fault::FaultUniverse& universe,
         throw std::invalid_argument("replay_adaptive: outcome table mismatch");
     return run_two_phase(
         universe, config, rng,
-        [&](int layer, int bit, std::uint64_t local) {
-            return truth.at(universe.subpop_offset(layer, bit) + local);
+        [&](const CampaignPlan&, const std::vector<DrawnFault>& items) {
+            std::vector<std::uint8_t> outcomes;
+            for (const DrawnFault& item : items)
+                outcomes.push_back(static_cast<std::uint8_t>(
+                    truth.at(universe.encode(item.fault))));
+            return outcomes;
         });
 }
 

@@ -11,7 +11,7 @@
 // otherwise unrealizable (the variances are not known up front), at the
 // cost of one extra planning round trip.
 
-#include "core/classification_core.hpp"
+#include "core/engine.hpp"
 
 namespace statfi::core {
 
@@ -34,8 +34,10 @@ struct AdaptiveResult {
 
 /// Runs the two-phase campaign over every (bit, layer) subpopulation of
 /// @p universe. Phase-2 samples are drawn independently and merged with the
-/// pilot (duplicates evaluated once); tallies count distinct faults.
-AdaptiveResult run_adaptive(ClassificationCore& core,
+/// pilot (duplicates evaluated once); tallies count distinct faults. Each
+/// phase's draws run through @p engine as one sample, so tallies equal
+/// replay_adaptive() over the engine's census for any worker count.
+AdaptiveResult run_adaptive(CampaignEngine& engine,
                             const fault::FaultUniverse& universe,
                             const AdaptiveConfig& config, stats::Rng rng);
 

@@ -76,21 +76,6 @@ void emit_plan_event(EventLog& log, const fault::FaultUniverse& universe,
                  .raw("layers", layers_json(universe)));
 }
 
-void emit_plan_event_census(EventLog& log,
-                            const fault::FaultUniverse& universe) {
-    const std::uint64_t strata =
-        static_cast<std::uint64_t>(universe.layer_count()) *
-        static_cast<std::uint64_t>(universe.bits());
-    log.emit(Event("plan")
-                 .field("approach", "exhaustive")
-                 .field("fault_model", universe_fault_model(universe))
-                 .field("universe", universe.total())
-                 .field("planned", universe.total())
-                 .field("strata", strata)
-                 .field("bits", universe.bits())
-                 .raw("layers", layers_json(universe)));
-}
-
 namespace {
 
 void emit_stratum(EventLog& log, std::uint64_t stratum, int layer, int bit,

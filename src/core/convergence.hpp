@@ -62,17 +62,13 @@ struct CampaignHeaderInfo {
 void emit_campaign_header(telemetry::EventLog& log,
                           const CampaignHeaderInfo& info);
 
-/// Emit the `plan` event for a statistical campaign: universe size, planned
-/// injections, stratum count, bit width, and the layer table (name +
-/// population per layer) the report keys its heatmap rows on.
+/// Emit the `plan` event: universe size, planned injections, stratum
+/// count, bit width, and the layer table (name + population per layer) the
+/// report keys its heatmap rows on. A census passes plan_exhaustive():
+/// planned == universe, one stratum per (layer, bit) cell.
 void emit_plan_event(telemetry::EventLog& log,
                      const fault::FaultUniverse& universe,
                      const CampaignPlan& plan);
-
-/// Emit the `plan` event for an exhaustive census: planned == universe,
-/// one stratum per (layer, bit) cell.
-void emit_plan_event_census(telemetry::EventLog& log,
-                            const fault::FaultUniverse& universe);
 
 /// Emit one estimator update for stratum @p stratum: running p_hat plus the
 /// Wilson and Wald-FPC intervals at @p confidence, given @p done injections

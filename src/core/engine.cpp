@@ -4,25 +4,15 @@
 #include <atomic>
 #include <chrono>
 #include <iostream>
-#include <limits>
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <utility>
 
 #include "core/convergence.hpp"
 #include "stats/sampling.hpp"
 
 namespace statfi::core {
-
-/// One worker: a private network clone and a per-clone classification core.
-struct CampaignEngine::Worker {
-    nn::Network net;
-    ClassificationCore core;
-
-    Worker(const nn::Network& source, const data::Dataset& eval,
-           const ExecutorConfig& config)
-        : net(source.clone()), core(net, eval, config) {}
-};
 
 CampaignEngine::CampaignEngine(const nn::Network& net,
                                const data::Dataset& eval,
@@ -50,10 +40,6 @@ CampaignEngine::CampaignEngine(const nn::Network& net,
     }
 }
 
-CampaignEngine::~CampaignEngine() = default;
-CampaignEngine::CampaignEngine(CampaignEngine&&) noexcept = default;
-CampaignEngine& CampaignEngine::operator=(CampaignEngine&&) noexcept = default;
-
 std::size_t CampaignEngine::worker_count() const noexcept {
     return workers_.size();
 }
@@ -78,10 +64,6 @@ std::uint64_t CampaignEngine::inference_count() const {
 
 ClassificationCore& CampaignEngine::core(std::size_t worker) {
     return workers_.at(worker)->core;
-}
-
-FaultOutcome CampaignEngine::evaluate(const fault::Fault& fault) {
-    return workers_.front()->core.evaluate(fault);
 }
 
 CampaignFingerprint CampaignEngine::fingerprint(
@@ -146,126 +128,15 @@ std::vector<DrawnFault> draw_plan(const fault::FaultUniverse& universe,
     // the drawn faults are a function of (plan, rng) alone — never of the
     // worker count or the partitioning.
     std::vector<DrawnFault> items;
-    std::uint64_t subpop_index = 0;
     for (std::size_t s = 0; s < plan.subpops.size(); ++s) {
         const auto& sp = plan.subpops[s];
-        auto stream = rng.fork(subpop_index++);
+        auto stream = rng.fork(s);
+        const std::uint64_t base = subpop_base(universe, sp);
         for (const std::uint64_t local :
-             stats::sample_indices(sp.population, sp.sample_size, stream)) {
-            fault::Fault fault;
-            if (sp.layer >= 0 && sp.bit >= 0)
-                fault = universe.decode_in_subpop(sp.layer, sp.bit, local);
-            else if (sp.layer >= 0)
-                fault = universe.decode(universe.subpop_offset(sp.layer, 0) +
-                                        local);
-            else
-                fault = universe.decode(local);
-            items.push_back(DrawnFault{s, fault});
-        }
+             stats::sample_indices(sp.population, sp.sample_size, stream))
+            items.push_back(DrawnFault{s, universe.decode(base + local)});
     }
     return items;
-}
-
-CampaignResult CampaignEngine::run(const fault::FaultUniverse& universe,
-                                   const CampaignPlan& plan, stats::Rng rng,
-                                   const CancellationToken* cancel) {
-    telemetry::PhaseScope scope(telemetry_, "classify");
-    const auto start = std::chrono::steady_clock::now();
-    CampaignResult result = make_empty_result(
-        static_cast<std::size_t>(universe.layer_count()), plan);
-    const std::vector<DrawnFault> items =
-        draw_plan(universe, plan, std::move(rng));
-
-    // Classify; outcomes are deterministic per fault AND per group (the
-    // ensemble forward is bit-identical to the per-fault loop), so neither
-    // the partitioning nor the grouping can change the tallies.
-    std::vector<std::uint8_t> outcomes(items.size());
-    std::vector<std::uint8_t> evaluated(items.size(), 0);
-    const std::size_t workers = workers_.size();
-    const std::size_t width = std::max<std::size_t>(1, config().ensemble_width);
-
-    // Group boundaries: runs of consecutive items sharing (layer, model),
-    // capped at ensemble_width. draw_plan emits subpopulations in plan
-    // order, so same-layer items are adjacent and groups fill naturally.
-    std::vector<std::pair<std::size_t, std::size_t>> groups;
-    {
-        std::size_t i = 0;
-        while (i < items.size()) {
-            std::size_t j = i + 1;
-            while (j < items.size() && j - i < width &&
-                   items[j].fault.layer == items[i].fault.layer &&
-                   fault::same_ensemble_family(items[j].fault.model,
-                                               items[i].fault.model))
-                ++j;
-            groups.emplace_back(i, j);
-            i = j;
-        }
-    }
-
-    const auto work = [&](std::size_t w) {
-        std::vector<fault::Fault> batch;
-        std::vector<FaultOutcome> outs;
-        for (std::size_t g = w; g < groups.size(); g += workers) {
-            if (cancel && cancel->stop_requested()) return;
-            const auto [lo, hi] = groups[g];
-            batch.clear();
-            for (std::size_t i = lo; i < hi; ++i)
-                batch.push_back(items[i].fault);
-            outs.assign(batch.size(), FaultOutcome::NonCritical);
-            workers_[w]->core.evaluate_group(batch, outs.data());
-            for (std::size_t i = lo; i < hi; ++i) {
-                outcomes[i] = static_cast<std::uint8_t>(outs[i - lo]);
-                evaluated[i] = 1;
-            }
-        }
-    };
-    if (workers == 1) {
-        work(0);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(work, w);
-        for (auto& t : threads) t.join();
-    }
-
-    // The accumulation loop runs serially in canonical item order, so the
-    // estimator updates emitted here are a function of (plan, rng, model)
-    // alone — byte-identical across worker counts. Cadence: one update per
-    // stratum at each power-of-two done count, plus the final point below.
-    telemetry::EventLog* log = telemetry_ ? telemetry_->events() : nullptr;
-    std::vector<std::uint64_t> last_emit;
-    if (log)
-        last_emit.assign(plan.subpops.size(),
-                         std::numeric_limits<std::uint64_t>::max());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (!evaluated[i]) {
-            result.interrupted = true;
-            continue;
-        }
-        const std::size_t s = items[i].subpop;
-        SubpopResult& tally = result.subpops[s];
-        accumulate_outcome(tally, items[i].fault.layer,
-                           static_cast<FaultOutcome>(outcomes[i]));
-        if (log && (tally.injected & (tally.injected - 1)) == 0) {
-            emit_stratum_update(*log, s, tally.plan, tally.injected,
-                                tally.critical, plan.spec.confidence);
-            last_emit[s] = tally.injected;
-        }
-    }
-    if (log) {
-        // Final point per stratum — also the only point for strata an
-        // interruption left untouched (done = 0).
-        for (std::size_t s = 0; s < result.subpops.size(); ++s) {
-            const SubpopResult& sub = result.subpops[s];
-            if (last_emit[s] != sub.injected)
-                emit_stratum_update(*log, s, sub.plan, sub.injected,
-                                    sub.critical, plan.spec.confidence);
-        }
-    }
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return result;
 }
 
 CampaignFingerprint item_space_fingerprint(CampaignFingerprint fp,
@@ -275,6 +146,231 @@ CampaignFingerprint item_space_fingerprint(CampaignFingerprint fp,
     return fp;
 }
 
+namespace {
+
+/// Outcome slot of a drawn item neither replayed nor classified (cancelled
+/// run); only run_durable's tally has to tell those apart.
+constexpr std::uint8_t kPending = 0xFF;
+
+/// Heartbeat stride: about 64 beats per span, capped at 4096 (a power of
+/// two, as ProgressReporter requires).
+std::uint64_t heartbeat_stride(std::uint64_t span) {
+    std::uint64_t stride = 1;
+    while (stride * 64 < span && stride < 4096) stride <<= 1;
+    return stride;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+}
+
+bool power_of_two(std::uint64_t n) { return n && !(n & (n - 1)); }
+
+/// Tally the drawn items [lo, lo + outcomes.size()) serially in canonical
+/// item order, so tallies and the estimator updates emitted to @p log are a
+/// function of (plan, rng, model) alone — byte-identical across worker
+/// counts and resume points. Cadence: one stratum_update per stratum at
+/// each power-of-two done count, plus a final point per stratum unless its
+/// count already was one (done = 0 for strata an interruption left
+/// untouched).
+CampaignResult tally_items(const fault::FaultUniverse& universe,
+                           const CampaignPlan& plan,
+                           const std::vector<DrawnFault>& items,
+                           std::uint64_t lo,
+                           const std::vector<std::uint8_t>& outcomes,
+                           telemetry::EventLog* log) {
+    CampaignResult result = make_empty_result(
+        static_cast<std::size_t>(universe.layer_count()), plan);
+    for (std::uint64_t k = 0; k < outcomes.size(); ++k) {
+        if (outcomes[k] == kPending) continue;
+        const DrawnFault& item = items[lo + k];
+        SubpopResult& tally = result.subpops[item.subpop];
+        accumulate_outcome(tally, item.fault.layer,
+                           static_cast<FaultOutcome>(outcomes[k]));
+        if (log && power_of_two(tally.injected))
+            emit_stratum_update(*log, item.subpop, tally.plan, tally.injected,
+                                tally.critical, plan.spec.confidence);
+    }
+    for (std::size_t s = 0; log && s < result.subpops.size(); ++s) {
+        const SubpopResult& sub = result.subpops[s];
+        if (!power_of_two(sub.injected))
+            emit_stratum_update(*log, s, sub.plan, sub.injected, sub.critical,
+                                plan.spec.confidence);
+    }
+    return result;
+}
+
+/// The slice [lo, hi) of a @p total-item stream that @p options select (the
+/// shard runner's hook); every count and heartbeat is relative to it.
+std::pair<std::uint64_t, std::uint64_t> item_range(
+    std::uint64_t total, const DurabilityOptions& options) {
+    const std::uint64_t lo = options.range_begin;
+    const std::uint64_t hi = options.range_end == 0 ? total : options.range_end;
+    if (lo > hi || hi > total || (lo == hi && total > 0))
+        throw std::invalid_argument(
+            "CampaignEngine: item range [" + std::to_string(lo) + ", " +
+            std::to_string(hi) + ") is empty or exceeds the " +
+            std::to_string(total) + "-item stream");
+    return {lo, hi};
+}
+
+}  // namespace
+
+RunStatus CampaignEngine::execute(const fault::FaultUniverse& universe,
+                                  const std::vector<DrawnFault>* items,
+                                  const DurabilityOptions& options,
+                                  const ProgressFn& progress,
+                                  std::span<std::uint8_t> out) {
+    const std::uint64_t lo = options.range_begin;
+    const std::uint64_t span = out.size();
+    RunStatus run;
+
+    // Resume: replay every journaled record, then classify the remainder.
+    std::optional<CampaignJournal> journal;
+    std::vector<bool> replayed;  // read-only once the workers start
+    if (!options.journal_path.empty()) {
+        telemetry::PhaseScope replay_scope(telemetry_, "resume_replay");
+        CampaignFingerprint fp = fingerprint(universe, options.model_id);
+        if (items) fp = item_space_fingerprint(std::move(fp), items->size());
+        const auto recovery =
+            CampaignJournal::recover(options.journal_path, fp);
+        telemetry::EventLog* log = telemetry_ ? telemetry_->events() : nullptr;
+        if (!recovery.note.empty()) {
+            std::cerr << "statfi: " << recovery.note << "\n";
+            if (log)
+                log->emit(telemetry::Event("journal_recovered")
+                              .field("valid_bytes", recovery.valid_bytes)
+                              .field("tail_dropped", recovery.tail_dropped)
+                              .field("note", recovery.note));
+        }
+        replayed.assign(span, false);
+        for (const JournalRecord& rec : recovery.records) {
+            // Out-of-range records are defensive no-ops: an index past the
+            // stream would be corruption (CRC passed, so unlikely), one
+            // outside the range a journal shared across shards.
+            if (rec.fault_index < lo || rec.fault_index - lo >= span) continue;
+            const std::uint64_t k = rec.fault_index - lo;
+            if (!replayed[k]) ++run.resumed;
+            replayed[k] = true;
+            out[k] = rec.outcome;
+        }
+        journal.emplace(CampaignJournal::open(options.journal_path, fp,
+                                              recovery.valid_bytes));
+        if (telemetry_)
+            telemetry_->metrics().inc(
+                0, telemetry_->ids().journal_resumed_total, run.resumed);
+        if (run.resumed && log)
+            log->emit(
+                telemetry::Event("resume").field("replayed", run.resumed));
+    }
+
+    // Sink-side telemetry (journal appends, flushes) happens under
+    // sink_mutex, so it is serialized into worker 0's slot regardless of
+    // which worker reached the sink — the mutex provides the single-writer
+    // guarantee the registry's relaxed load+store increments need.
+    const telemetry::MetricIds* ids = telemetry_ ? &telemetry_->ids() : nullptr;
+    const auto flush = [&] {
+        const auto t0 = std::chrono::steady_clock::now();
+        journal->flush();
+        if (!telemetry_) return;
+        telemetry_->metrics().observe(0, ids->flush_seconds, seconds_since(t0));
+        telemetry_->metrics().inc(0, ids->checkpoint_flushes_total);
+    };
+    const std::uint64_t stride = heartbeat_stride(span);
+    telemetry::ProgressReporter reporter(progress, span, run.resumed, stride);
+    std::atomic<std::uint64_t> classified{0};
+    std::atomic<bool> cancelled{false};
+    std::mutex sink_mutex;  // guards journal appends + progress callback
+    std::uint64_t since_flush = 0;
+
+    // Per-worker contiguous chunks of the span, walked in ascending order;
+    // each outcome slot is written by exactly one worker, so only the
+    // journal/progress sink needs the lock.
+    const std::size_t workers = workers_.size();
+    const std::uint64_t chunk = (span + workers - 1) / workers;
+    const std::size_t width = std::max<std::size_t>(1, config().ensemble_width);
+    const auto work = [&](std::size_t w) {
+        const std::uint64_t end = std::min((w + 1) * chunk, span);
+        std::vector<fault::Fault> batch;
+        std::vector<std::uint64_t> idx;  // local item index per batch member
+        std::vector<FaultOutcome> outs;
+        for (std::uint64_t i = w * chunk; i < end;) {
+            // Gather consecutive pending items sharing (layer, model). Both
+            // streams run layer-slowest, so whole-width groups are the
+            // common case; resumed items inside the window are stepped over.
+            batch.clear();
+            idx.clear();
+            for (; i < end && batch.size() < width; ++i) {
+                if (!replayed.empty() && replayed[i]) continue;
+                const fault::Fault f =
+                    items ? (*items)[lo + i].fault : universe.decode(lo + i);
+                const fault::Fault& first = batch.empty() ? f : batch.front();
+                if (f.layer != first.layer ||
+                    !fault::same_ensemble_family(f.model, first.model))
+                    break;
+                batch.push_back(f);
+                idx.push_back(i);
+            }
+            if (batch.empty()) return;  // the rest of the chunk was resumed
+            if (cancelled.load(std::memory_order_relaxed) ||
+                (options.cancel && options.cancel->stop_requested())) {
+                cancelled.store(true, std::memory_order_relaxed);
+                return;
+            }
+            outs.assign(batch.size(), FaultOutcome::NonCritical);
+            workers_[w]->core.evaluate_group(batch, outs.data());
+            for (std::size_t b = 0; b < batch.size(); ++b)
+                out[idx[b]] = static_cast<std::uint8_t>(outs[b]);
+            const std::uint64_t n =
+                classified.fetch_add(batch.size(),
+                                     std::memory_order_relaxed) +
+                batch.size();
+            // A group advances the count by its size, so a heartbeat is due
+            // when the jump crossed a stride boundary.
+            const std::uint64_t done = run.resumed + n;
+            const bool beat =
+                reporter && done / stride != (done - batch.size()) / stride;
+            if (!journal && !beat) continue;
+            std::lock_guard<std::mutex> lock(sink_mutex);
+            for (std::size_t b = 0; journal && b < batch.size(); ++b) {
+                journal->append(lo + idx[b],
+                                static_cast<std::uint8_t>(outs[b]));
+                if (telemetry_)
+                    telemetry_->metrics().inc(0, ids->journal_records_total);
+                if (++since_flush >= options.flush_interval) {
+                    flush();
+                    since_flush = 0;
+                }
+            }
+            if (beat) reporter.report(done);
+        }
+    };
+    {
+        // jthread joins on scope exit, also when worker 0 throws.
+        std::vector<std::jthread> threads;
+        for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(work, w);
+        work(0);  // worker 0 runs on the calling thread
+    }
+
+    run.classified = classified.load();
+    run.complete = !cancelled.load();
+    if (journal) flush();
+    if (run.complete) reporter.finish(run.classified);
+    return run;
+}
+
+CampaignResult CampaignEngine::run(const fault::FaultUniverse& universe,
+                                   const CampaignPlan& plan, stats::Rng rng,
+                                   const CancellationToken* cancel) {
+    DurabilityOptions options;
+    options.cancel = cancel;
+    return run_durable(universe, plan,
+                       draw_plan(universe, plan, std::move(rng)), options)
+        .result;
+}
+
 StatisticalRun CampaignEngine::run_durable(const fault::FaultUniverse& universe,
                                            const CampaignPlan& plan,
                                            const std::vector<DrawnFault>& items,
@@ -282,196 +378,21 @@ StatisticalRun CampaignEngine::run_durable(const fault::FaultUniverse& universe,
                                            const ProgressFn& progress) {
     telemetry::PhaseScope scope(telemetry_, "classify");
     const auto start = std::chrono::steady_clock::now();
+    const auto [lo, hi] = item_range(items.size(), options);
     StatisticalRun run;
-    const auto total = static_cast<std::uint64_t>(items.size());
-    const std::uint64_t lo_all = options.range_begin;
-    const std::uint64_t hi_all =
-        options.range_end == 0 ? total : options.range_end;
-    if (lo_all >= hi_all || hi_all > total)
-        throw std::invalid_argument(
-            "run_durable: item range [" + std::to_string(lo_all) + ", " +
-            std::to_string(hi_all) + ") is empty or exceeds the " +
-            std::to_string(total) + "-item sample");
-    const std::uint64_t span = hi_all - lo_all;
-    run.outcomes.assign(span, 0);
-    // done[i] == 1: the outcome of item lo_all + i is known (journal replay
-    // or fresh classification). Each slot is owned by exactly one worker.
-    std::vector<std::uint8_t> done(span, 0);
-
-    std::optional<CampaignJournal> journal;
-    if (!options.journal_path.empty()) {
-        telemetry::PhaseScope replay_scope(telemetry_, "resume_replay");
-        const CampaignFingerprint fp = item_space_fingerprint(
-            fingerprint(universe, options.model_id), total);
-        auto recovery = CampaignJournal::recover(options.journal_path, fp);
-        if (!recovery.note.empty())
-            std::cerr << "statfi: " << recovery.note << "\n";
-        for (const JournalRecord& rec : recovery.records) {
-            if (rec.fault_index < lo_all || rec.fault_index >= hi_all) continue;
-            const std::uint64_t local = rec.fault_index - lo_all;
-            run.outcomes[local] = rec.outcome;
-            if (!done[local]) {
-                done[local] = 1;
-                ++run.resumed;
-            }
-        }
-        journal.emplace(CampaignJournal::open(options.journal_path, fp,
-                                              recovery.valid_bytes));
-        if (telemetry_) {
-            telemetry_->metrics().inc(
-                0, telemetry_->ids().journal_resumed_total, run.resumed);
-            if (run.resumed && telemetry_->events())
-                telemetry_->events()->emit(
-                    telemetry::Event("resume").field("replayed", run.resumed));
-        }
-    }
-
-    const telemetry::MetricIds* ids = telemetry_ ? &telemetry_->ids() : nullptr;
-    // Statistical samples are often a few hundred items — far below the
-    // census default stride of 4096 — so scale the heartbeat to ~64 beats
-    // per run (stride must stay a power of two).
-    std::uint64_t stride = 1;
-    while (stride * 64 < span) stride <<= 1;
-    telemetry::ProgressReporter reporter(progress, span, run.resumed, stride);
-    std::atomic<std::uint64_t> classified{0};
-    std::atomic<bool> cancelled{false};
-    std::mutex sink_mutex;  // guards journal appends + progress callback
-    std::uint64_t since_flush = 0;
-
-    const std::size_t workers = workers_.size();
-    const std::uint64_t chunk = (span + workers - 1) / workers;
-    const std::size_t width = std::max<std::size_t>(1, config().ensemble_width);
-    const auto work = [&](std::size_t w) {
-        const std::uint64_t lo = w * chunk;
-        const std::uint64_t hi = std::min(lo + chunk, span);
-        std::vector<fault::Fault> batch;
-        std::vector<std::uint64_t> idx;  // local item index per batch member
-        std::vector<FaultOutcome> outs;
-        std::uint64_t i = lo;
-        while (i < hi) {
-            if (done[i]) {
-                ++i;
-                continue;
-            }
-            if (cancelled.load(std::memory_order_relaxed)) return;
-            if (options.cancel && options.cancel->stop_requested()) {
-                cancelled.store(true, std::memory_order_relaxed);
-                return;
-            }
-            // Gather consecutive pending items sharing (layer, model) —
-            // resumed (done) items inside the window are stepped over, they
-            // cost nothing either way.
-            batch.clear();
-            idx.clear();
-            const fault::Fault& first = items[lo_all + i].fault;
-            std::uint64_t j = i;
-            while (j < hi && batch.size() < width) {
-                if (done[j]) {
-                    ++j;
-                    continue;
-                }
-                const fault::Fault& f = items[lo_all + j].fault;
-                if (f.layer != first.layer ||
-                    !fault::same_ensemble_family(f.model, first.model))
-                    break;
-                batch.push_back(f);
-                idx.push_back(j);
-                ++j;
-            }
-            i = j;
-            outs.assign(batch.size(), FaultOutcome::NonCritical);
-            workers_[w]->core.evaluate_group(batch, outs.data());
-            for (std::size_t b = 0; b < batch.size(); ++b) {
-                run.outcomes[idx[b]] = static_cast<std::uint8_t>(outs[b]);
-                done[idx[b]] = 1;
-            }
-            const std::uint64_t n =
-                classified.fetch_add(batch.size(),
-                                     std::memory_order_relaxed) +
-                batch.size();
-            // A group advances the count by its size, so a heartbeat is due
-            // when any stride boundary inside the jump was crossed.
-            bool beat = false;
-            for (std::uint64_t m = n - batch.size() + 1;
-                 m <= n && !beat; ++m)
-                beat = reporter.due(run.resumed + m);
-            if (journal || beat) {
-                std::lock_guard<std::mutex> lock(sink_mutex);
-                if (journal) {
-                    for (std::size_t b = 0; b < batch.size(); ++b) {
-                        journal->append(lo_all + idx[b],
-                                        static_cast<std::uint8_t>(outs[b]));
-                        if (telemetry_)
-                            telemetry_->metrics().inc(
-                                0, ids->journal_records_total);
-                        if (++since_flush >= options.flush_interval) {
-                            journal->flush();
-                            if (telemetry_)
-                                telemetry_->metrics().inc(
-                                    0, ids->checkpoint_flushes_total);
-                            since_flush = 0;
-                        }
-                    }
-                }
-                if (beat) reporter.report(run.resumed + n);
-            }
-        }
-    };
-    if (workers == 1) {
-        work(0);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(work, w);
-        for (auto& t : threads) t.join();
-    }
-
-    run.classified = classified.load();
-    run.complete = !cancelled.load();
-    if (journal) {
-        journal->flush();
-        if (telemetry_)
-            telemetry_->metrics().inc(0, ids->checkpoint_flushes_total);
-    }
-    if (run.complete) reporter.finish(run.classified);
-
-    // Serial accumulation in canonical item order — identical to run()'s,
-    // so resumed/sharded tallies are byte-identical to an uninterrupted
-    // single-process run. Only full-range runs emit estimator updates: a
-    // shard's slice is not a population.
-    run.result = make_empty_result(
-        static_cast<std::size_t>(universe.layer_count()), plan);
+    run.outcomes.assign(hi - lo, kPending);
+    static_cast<RunStatus&>(run) =
+        execute(universe, &items, options, progress, run.outcomes);
+    // Only full-range runs emit estimator updates: a shard's slice is not a
+    // population.
+    const bool full_range = hi - lo == items.size();
+    run.result = tally_items(
+        universe, plan, items, lo, run.outcomes,
+        (telemetry_ && full_range) ? telemetry_->events() : nullptr);
     run.result.interrupted = !run.complete;
-    const bool full_range = lo_all == 0 && hi_all == total;
-    telemetry::EventLog* log =
-        (telemetry_ && full_range) ? telemetry_->events() : nullptr;
-    std::vector<std::uint64_t> last_emit;
-    if (log)
-        last_emit.assign(plan.subpops.size(),
-                         std::numeric_limits<std::uint64_t>::max());
-    for (std::uint64_t i = lo_all; i < hi_all; ++i) {
-        if (!done[i - lo_all]) continue;
-        const std::size_t s = items[i].subpop;
-        SubpopResult& tally = run.result.subpops[s];
-        accumulate_outcome(tally, items[i].fault.layer,
-                           static_cast<FaultOutcome>(run.outcomes[i - lo_all]));
-        if (log && (tally.injected & (tally.injected - 1)) == 0) {
-            emit_stratum_update(*log, s, tally.plan, tally.injected,
-                                tally.critical, plan.spec.confidence);
-            last_emit[s] = tally.injected;
-        }
-    }
-    if (log) {
-        for (std::size_t s = 0; s < run.result.subpops.size(); ++s) {
-            const SubpopResult& sub = run.result.subpops[s];
-            if (last_emit[s] != sub.injected)
-                emit_stratum_update(*log, s, sub.plan, sub.injected,
-                                    sub.critical, plan.spec.confidence);
-        }
-    }
-    run.result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+    run.result.wall_seconds = seconds_since(start);
+    std::replace(run.outcomes.begin(), run.outcomes.end(), kPending,
+                 static_cast<std::uint8_t>(FaultOutcome::NonCritical));
     return run;
 }
 
@@ -492,174 +413,14 @@ ExhaustiveRun CampaignEngine::run_exhaustive_durable(
     const fault::FaultUniverse& universe, const DurabilityOptions& options,
     const ProgressFn& progress) {
     telemetry::PhaseScope census_scope(telemetry_, "census");
+    const auto [lo, hi] = item_range(universe.total(), options);
     ExhaustiveRun run;
     run.outcomes = ExhaustiveOutcomes(universe.total());
-    const std::uint64_t total = universe.total();
-    // Range restriction (shard runner hook): the run covers [lo_all, hi_all)
-    // and every count/heartbeat below is relative to that span.
-    const std::uint64_t lo_all = options.range_begin;
-    const std::uint64_t hi_all =
-        options.range_end == 0 ? total : options.range_end;
-    if (lo_all >= hi_all || hi_all > total)
-        throw std::invalid_argument(
-            "run_exhaustive_durable: fault range [" + std::to_string(lo_all) +
-            ", " + std::to_string(hi_all) + ") is empty or exceeds the " +
-            std::to_string(total) + "-fault universe");
-    const std::uint64_t span = hi_all - lo_all;
-
-    // Resume: replay every journaled record, then classify the remainder.
-    std::vector<std::uint8_t> already_done;
-    std::optional<CampaignJournal> journal;
-    if (!options.journal_path.empty()) {
-        telemetry::PhaseScope replay_scope(telemetry_, "resume_replay");
-        const CampaignFingerprint fp = fingerprint(universe, options.model_id);
-        auto recovery = CampaignJournal::recover(options.journal_path, fp);
-        if (!recovery.note.empty())
-            std::cerr << "statfi: " << recovery.note << "\n";
-        already_done.assign(total, 0);
-        for (const JournalRecord& rec : recovery.records) {
-            // Out-of-range records are defensive no-ops: a universe-sized
-            // index would be corruption (CRC passed, so unlikely), one
-            // outside [lo_all, hi_all) a journal shared across shards.
-            if (rec.fault_index < lo_all || rec.fault_index >= hi_all) continue;
-            run.outcomes.set(rec.fault_index,
-                             static_cast<FaultOutcome>(rec.outcome));
-            if (!already_done[rec.fault_index]) {
-                already_done[rec.fault_index] = 1;
-                ++run.resumed;
-            }
-        }
-        journal.emplace(CampaignJournal::open(options.journal_path, fp,
-                                              recovery.valid_bytes));
-        if (telemetry_) {
-            telemetry_->metrics().inc(
-                0, telemetry_->ids().journal_resumed_total, run.resumed);
-            if (run.resumed && telemetry_->events())
-                telemetry_->events()->emit(
-                    telemetry::Event("resume").field("replayed", run.resumed));
-        }
-    }
-
-    // Sink-side telemetry (journal appends, flushes) happens under
-    // sink_mutex, so it is serialized into worker 0's slot regardless of
-    // which worker reached the sink — the mutex provides the single-writer
-    // guarantee the registry's relaxed load+store increments need.
-    const telemetry::MetricIds* ids =
-        telemetry_ ? &telemetry_->ids() : nullptr;
-    telemetry::ProgressReporter reporter(progress, span, run.resumed);
-    std::atomic<std::uint64_t> classified{0};
-    std::atomic<bool> cancelled{false};
-    std::mutex sink_mutex;  // guards journal appends + progress callback
-    std::uint64_t since_flush = 0;
-
-    // Per-worker contiguous global-index ranges; ascending index order
-    // within a chunk matches the universe's nested (layer, bit, local)
-    // enumeration, and each table slot is written by exactly one worker,
-    // so only the journal/progress sink needs the lock.
-    const std::size_t workers = workers_.size();
-    const std::uint64_t chunk = (span + workers - 1) / workers;
-    const std::size_t width = std::max<std::size_t>(1, config().ensemble_width);
-    const auto work = [&](std::size_t w) {
-        const std::uint64_t lo = lo_all + w * chunk;
-        const std::uint64_t hi = std::min(lo + chunk, hi_all);
-        std::vector<fault::Fault> batch;
-        std::vector<std::uint64_t> idx;  // global fault index per member
-        std::vector<FaultOutcome> outs;
-        std::uint64_t i = lo;
-        while (i < hi) {
-            if (!already_done.empty() && already_done[i]) {
-                ++i;
-                continue;
-            }
-            if (cancelled.load(std::memory_order_relaxed)) return;
-            if (options.cancel && options.cancel->stop_requested()) {
-                cancelled.store(true, std::memory_order_relaxed);
-                return;
-            }
-            // Gather consecutive pending indices sharing (layer, model).
-            // The universe enumerates layer-slowest, so whole-width groups
-            // are the common case; layer boundaries just end a group early.
-            batch.clear();
-            idx.clear();
-            std::uint64_t j = i;
-            while (j < hi && batch.size() < width) {
-                if (!already_done.empty() && already_done[j]) {
-                    ++j;
-                    continue;
-                }
-                const fault::Fault f = universe.decode(j);
-                if (!batch.empty() &&
-                    (f.layer != batch.front().layer ||
-                     !fault::same_ensemble_family(f.model, batch.front().model)))
-                    break;
-                batch.push_back(f);
-                idx.push_back(j);
-                ++j;
-            }
-            i = j;
-            outs.assign(batch.size(), FaultOutcome::NonCritical);
-            workers_[w]->core.evaluate_group(batch, outs.data());
-            for (std::size_t b = 0; b < batch.size(); ++b)
-                run.outcomes.set(idx[b], outs[b]);
-            const std::uint64_t n =
-                classified.fetch_add(batch.size(),
-                                     std::memory_order_relaxed) +
-                batch.size();
-            bool beat = false;
-            for (std::uint64_t m = n - batch.size() + 1;
-                 m <= n && !beat; ++m)
-                beat = reporter.due(run.resumed + m);
-            if (journal || beat) {
-                std::lock_guard<std::mutex> lock(sink_mutex);
-                if (journal) {
-                    for (std::size_t b = 0; b < batch.size(); ++b) {
-                        journal->append(idx[b],
-                                        static_cast<std::uint8_t>(outs[b]));
-                        if (telemetry_)
-                            telemetry_->metrics().inc(
-                                0, ids->journal_records_total);
-                        if (++since_flush >= options.flush_interval) {
-                            if (telemetry_) {
-                                const auto t0 =
-                                    std::chrono::steady_clock::now();
-                                journal->flush();
-                                telemetry_->metrics().observe(
-                                    0, ids->flush_seconds,
-                                    std::chrono::duration<double>(
-                                        std::chrono::steady_clock::now() - t0)
-                                        .count());
-                                telemetry_->metrics().inc(
-                                    0, ids->checkpoint_flushes_total);
-                            } else {
-                                journal->flush();
-                            }
-                            since_flush = 0;
-                        }
-                    }
-                }
-                if (beat) reporter.report(run.resumed + n);
-            }
-        }
-    };
-    if (workers == 1) {
-        work(0);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(work, w);
-        for (auto& t : threads) t.join();
-    }
-
-    run.classified = classified.load();
-    run.complete = !cancelled.load();
-    if (journal) {
-        journal->flush();
-        if (telemetry_)
-            telemetry_->metrics().inc(0, ids->checkpoint_flushes_total);
-    }
-    if (run.complete) reporter.finish(run.classified);
-    if (telemetry_ && telemetry_->events() && run.complete && lo_all == 0 &&
-        hi_all == total) {
+    static_cast<RunStatus&>(run) =
+        execute(universe, nullptr, options, progress,
+                run.outcomes.bytes().subspan(lo, hi - lo));
+    if (telemetry_ && telemetry_->events() && run.complete &&
+        hi - lo == universe.total()) {
         // Exact per-(layer, bit) strata of a full census. Range-restricted
         // (shard) runs skip this — their slice is not a population, the
         // merger emits strata once all shards are pooled.

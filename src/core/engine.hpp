@@ -1,18 +1,22 @@
 #pragma once
 // CampaignEngine: the single execution facade for fault-injection
 // campaigns. CampaignSpec -> plan -> execute -> CampaignResult, with the
-// worker count a runtime knob instead of a class choice — serial execution
-// is simply the 1-worker case, so the statistical `run`, the durable
-// census, cancellation, and progress/ETA logic each exist exactly once.
+// worker count a runtime knob — serial execution is the 1-worker case.
+//
+// Every run is an item stream [lo, hi) through ONE private executor. Item i
+// decodes lazily to a fault: universe.decode(i) for a census (never
+// materialized), items[i].fault for a drawn sample. Only the executor
+// groups items for the ensemble pass, fans out over workers, polls
+// cancellation, journals and reports progress; the public run* methods are
+// thin adapters, and a non-durable run is one without a journal.
 //
 // Determinism contract: results are bit-identical across worker counts and
 // across interrupt/resume points.
-//  * Statistical runs draw every sample up front with the same per-subpop
-//    RNG stream layout regardless of workers; classification of a fault is
-//    a deterministic function of (network, eval set, fault), so the
-//    work partitioning cannot change the tallies.
-//  * The census walks global fault indices in ascending order (contiguous
-//    per-worker chunks); each table slot is written by exactly one worker.
+//  * Samples are drawn up front from per-subpop RNG streams that never see
+//    the worker count; classifying a fault is a deterministic function of
+//    (network, eval set, fault), so partitioning cannot change tallies.
+//  * Each worker walks one contiguous chunk in ascending order and owns its
+//    outcome slots; tallies are accumulated serially in item order.
 //  * Worker count never enters the campaign fingerprint.
 // tests/core/engine_test.cpp and durability_test.cpp assert all of this.
 
@@ -67,9 +71,6 @@ public:
     CampaignEngine(const nn::Network& net, const data::Dataset& eval,
                    ExecutorConfig config = {}, std::size_t threads = 1,
                    telemetry::Session* telemetry = nullptr);
-    ~CampaignEngine();
-    CampaignEngine(CampaignEngine&&) noexcept;
-    CampaignEngine& operator=(CampaignEngine&&) noexcept;
 
     [[nodiscard]] std::size_t worker_count() const noexcept;
     [[nodiscard]] const ExecutorConfig& config() const noexcept;
@@ -79,11 +80,8 @@ public:
     [[nodiscard]] std::uint64_t inference_count() const;
 
     /// Direct access to a worker's kernel (worker 0 by default) — for
-    /// single-fault probes and the adaptive refinement loop.
+    /// single-fault probes.
     [[nodiscard]] ClassificationCore& core(std::size_t worker = 0);
-
-    /// Classify one fault on worker 0.
-    FaultOutcome evaluate(const fault::Fault& fault);
 
     /// See ClassificationCore::fingerprint.
     [[nodiscard]] CampaignFingerprint fingerprint(
@@ -95,10 +93,9 @@ public:
     [[nodiscard]] CampaignPlan plan(const fault::FaultUniverse& universe,
                                     const CampaignSpec& spec);
 
-    /// Execute a statistical plan: per subpopulation, draw the planned
-    /// number of faults without replacement (independent sub-streams of
-    /// @p rng) and classify each. @p cancel (optional) stops between
-    /// faults; the partial result is marked interrupted.
+    /// Execute a statistical plan: draw_plan() + run_durable() with no
+    /// journal. @p cancel (optional) stops between groups; the partial
+    /// result is marked interrupted.
     CampaignResult run(const fault::FaultUniverse& universe,
                        const CampaignPlan& plan, stats::Rng rng,
                        const CancellationToken* cancel = nullptr);
@@ -110,19 +107,19 @@ public:
                                 const CampaignSpec& spec, stats::Rng rng,
                                 const CancellationToken* cancel = nullptr);
 
-    /// Classify every fault in the universe. @p progress (optional) is
-    /// invoked every few thousand faults with rate/ETA heartbeat.
+    /// Classify every fault in the universe. @p progress (optional) gets a
+    /// rate/ETA heartbeat about 64 times per run, at most every 4096 faults
+    /// (the stride every run* entry point shares).
     ExhaustiveOutcomes run_exhaustive(const fault::FaultUniverse& universe,
                                       const ProgressFn& progress = {});
 
-    /// run() with durability — the statistical twin of
-    /// run_exhaustive_durable, shared by the shard runner and the CLI's
-    /// resumable campaigns. Classifies the drawn items of
-    /// [options.range_begin, options.range_end) (whole sample when
-    /// range_end == 0), journaling absolute ITEM indices under the
-    /// item-space fingerprint. Full-range runs emit the same canonical
-    /// stratum_update cadence as run(); range-restricted (shard) runs skip
-    /// emission — their slice is not a population.
+    /// Statistical run with durability, shared by run(), the shard runner,
+    /// the CLI's resumable campaigns and run_adaptive(). Classifies the
+    /// drawn items of [options.range_begin, options.range_end) (whole
+    /// sample when range_end == 0), journaling absolute ITEM indices under
+    /// the item-space fingerprint. Full-range runs emit the canonical
+    /// stratum_update cadence; range-restricted (shard) runs skip emission —
+    /// their slice is not a population.
     StatisticalRun run_durable(const fault::FaultUniverse& universe,
                                const CampaignPlan& plan,
                                const std::vector<DrawnFault>& items,
@@ -144,7 +141,25 @@ public:
     }
 
 private:
-    struct Worker;
+    /// A private network clone and the classification core bound to it.
+    struct Worker {
+        nn::Network net;
+        ClassificationCore core;
+        Worker(const nn::Network& source, const data::Dataset& eval,
+               const ExecutorConfig& config)
+            : net(source.clone()), core(net, eval, config) {}
+    };
+
+    /// The executor behind every run* method: classifies the items
+    /// [options.range_begin, + out.size()) of @p items (a drawn sample) or,
+    /// when null, of the universe (a census), writing each outcome to its
+    /// slot in @p out. Slots neither replayed nor classified (a cancelled
+    /// run) keep what the caller put there.
+    RunStatus execute(const fault::FaultUniverse& universe,
+                      const std::vector<DrawnFault>* items,
+                      const DurabilityOptions& options,
+                      const ProgressFn& progress, std::span<std::uint8_t> out);
+
     std::vector<std::unique_ptr<Worker>> workers_;
     telemetry::Session* telemetry_ = nullptr;
 };

@@ -1,5 +1,6 @@
 #include "core/outcome.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -213,6 +214,12 @@ ExhaustiveOutcomes ExhaustiveOutcomes::load(const std::string& path) {
 
 // ----------------------------------------------------------------- replay --
 
+std::uint64_t subpop_base(const fault::FaultUniverse& universe,
+                          const SubpopPlan& sp) {
+    return sp.layer < 0 ? 0
+                        : universe.subpop_offset(sp.layer, std::max(sp.bit, 0));
+}
+
 CampaignResult replay(const fault::FaultUniverse& universe,
                       const CampaignPlan& plan,
                       const ExhaustiveOutcomes& outcomes, stats::Rng rng) {
@@ -220,26 +227,18 @@ CampaignResult replay(const fault::FaultUniverse& universe,
         throw std::invalid_argument("replay: outcome table size mismatch");
     CampaignResult result = make_empty_result(
         static_cast<std::size_t>(universe.layer_count()), plan);
-
-    std::uint64_t subpop_index = 0;
     for (std::size_t s = 0; s < plan.subpops.size(); ++s) {
         const auto& sp = plan.subpops[s];
-        auto& tally = result.subpops[s];
-        auto stream = rng.fork(subpop_index++);
-        const auto indices =
-            stats::sample_indices(sp.population, sp.sample_size, stream);
-        std::uint64_t base = 0;
-        if (sp.layer >= 0 && sp.bit >= 0)
-            base = universe.subpop_offset(sp.layer, sp.bit);
-        else if (sp.layer >= 0)
-            base = universe.subpop_offset(sp.layer, 0);
-        for (const std::uint64_t local : indices) {
-            const std::uint64_t global = base + local;
+        auto stream = rng.fork(s);
+        const std::uint64_t base = subpop_base(universe, sp);
+        for (const std::uint64_t local :
+             stats::sample_indices(sp.population, sp.sample_size, stream)) {
             // Only spanning subpopulations need the (costlier) decode to
             // attribute the fault to a layer.
             const int layer =
-                sp.layer >= 0 ? sp.layer : universe.decode(global).layer;
-            accumulate_outcome(tally, layer, outcomes.at(global));
+                sp.layer >= 0 ? sp.layer : universe.decode(base + local).layer;
+            accumulate_outcome(result.subpops[s], layer,
+                               outcomes.at(base + local));
         }
     }
     return result;

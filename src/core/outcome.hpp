@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -139,6 +140,12 @@ public:
         outcomes_.at(index) = static_cast<std::uint8_t>(outcome);
         index_stale_.store(true, std::memory_order_relaxed);
     }
+    /// Raw outcome bytes for bulk writers (the engine classifies a census
+    /// straight into them); marks the index stale, like set().
+    [[nodiscard]] std::span<std::uint8_t> bytes() noexcept {
+        index_stale_.store(true, std::memory_order_relaxed);
+        return outcomes_;
+    }
 
     /// Exact critical rate of an index range [begin, end).
     [[nodiscard]] double critical_rate(std::uint64_t begin,
@@ -176,7 +183,7 @@ private:
 using ProgressInfo = telemetry::ProgressInfo;
 using ProgressFn = telemetry::ProgressFn;
 
-/// Durability knobs for long-running exhaustive campaigns.
+/// Durability knobs shared by every CampaignEngine run.
 struct DurabilityOptions {
     /// Append-only checkpoint journal; empty disables journaling. When the
     /// file already holds a journal with a matching fingerprint, the run
@@ -185,33 +192,38 @@ struct DurabilityOptions {
     std::string model_id = "campaign";  ///< fingerprint component
     std::uint64_t flush_interval = 4096;  ///< journal flush every K records
     const CancellationToken* cancel = nullptr;  ///< optional cooperative stop
-    /// Restrict the census to global fault indices [range_begin, range_end)
-    /// — the shard runner's hook. range_end == 0 means the whole universe.
+    /// Restrict the run to items [range_begin, range_end) of its stream —
+    /// the shard runner's hook. range_end == 0 means the whole stream.
     /// Outcome slots outside the range are left NonCritical; journal records
     /// outside the range are ignored on resume. Progress/ETA cover the range
-    /// only, and `complete` means the range (not the universe) is done.
+    /// only, and `complete` means the range (not the stream) is done.
     std::uint64_t range_begin = 0;
     std::uint64_t range_end = 0;
 };
 
-/// Outcome of a durable exhaustive run.
-struct ExhaustiveRun {
-    ExhaustiveOutcomes outcomes;
+/// How far a durable run got; shared by both run kinds below.
+struct RunStatus {
     bool complete = true;  ///< false: cancelled — journal holds progress
-    std::uint64_t classified = 0;  ///< faults classified by this run
+    std::uint64_t classified = 0;  ///< items classified by this run
     std::uint64_t resumed = 0;     ///< outcomes replayed from the journal
+};
+
+/// Outcome of a durable exhaustive run.
+struct ExhaustiveRun : RunStatus {
+    ExhaustiveOutcomes outcomes;
 };
 
 /// Outcome of a durable statistical run (CampaignEngine::run_durable): the
 /// canonical tallies plus the raw per-item outcomes of the classified item
 /// range (what shard results persist).
-struct StatisticalRun {
+struct StatisticalRun : RunStatus {
     CampaignResult result;
     std::vector<std::uint8_t> outcomes;  ///< FaultOutcome per item in range
-    bool complete = true;  ///< false: cancelled — journal holds progress
-    std::uint64_t classified = 0;  ///< items classified by this run
-    std::uint64_t resumed = 0;     ///< outcomes replayed from the journal
 };
+
+/// Global index of @p sp's first fault (0 for a layer-spanning subpop).
+std::uint64_t subpop_base(const fault::FaultUniverse& universe,
+                          const SubpopPlan& sp);
 
 /// Replay a statistical plan against exhaustive ground truth: sampling is
 /// real, classification is a table lookup. Deterministic faults on a fixed

@@ -1,6 +1,8 @@
 #include "nn/gemm.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "kernels/registry.hpp"
 
@@ -23,8 +25,10 @@ void gemm(std::size_t M, std::size_t N, std::size_t K, const float* A,
 
 // The gradient-side GEMMs below reduce along non-contiguous axes (a
 // horizontal dot product per element in gemm_a_bt_accumulate); SIMD-ing a
-// reduction reassociates the additions, so they stay scalar on every
-// backend. They are training-only paths, never in the campaign hot loop.
+// reduction reassociates the additions, so each element's sum stays one
+// sequential chain on every backend — only independent elements advance
+// side by side. They are training-only paths, never in the campaign hot
+// loop.
 
 void gemm_at_b(std::size_t M, std::size_t N, std::size_t K, const float* A,
                const float* B, float* C) {
@@ -44,16 +48,25 @@ void gemm_at_b(std::size_t M, std::size_t N, std::size_t K, const float* A,
 
 void gemm_a_bt_accumulate(std::size_t M, std::size_t N, std::size_t K,
                           const float* A, const float* B, float* C) {
-    // C[i,j] += sum_k A[i,k] * B[j,k]
+    // C[i,j] += sum_k A[i,k] * B[j,k]. Over a transposed copy of B, each k
+    // step updates a whole row of per-column sums: N independent lanes
+    // instead of one latency-bound chain. Every sum still starts at 0.0f and
+    // adds its terms in ascending k, so the result is that of the plain dot
+    // product loop, bit for bit.
+    std::vector<float> bt(K * N);
+    for (std::size_t j = 0; j < N; ++j)
+        for (std::size_t k = 0; k < K; ++k) bt[k * N + j] = B[j * K + k];
+    std::vector<float> acc(N);
     for (std::size_t i = 0; i < M; ++i) {
         const float* arow = A + i * K;
-        float* crow = C + i * N;
-        for (std::size_t j = 0; j < N; ++j) {
-            const float* brow = B + j * K;
-            float acc = 0.0f;
-            for (std::size_t k = 0; k < K; ++k) acc += arow[k] * brow[k];
-            crow[j] += acc;
+        std::fill(acc.begin(), acc.end(), 0.0f);
+        for (std::size_t k = 0; k < K; ++k) {
+            const float a = arow[k];
+            const float* brow = bt.data() + k * N;
+            for (std::size_t j = 0; j < N; ++j) acc[j] += a * brow[j];
         }
+        float* crow = C + i * N;
+        for (std::size_t j = 0; j < N; ++j) crow[j] += acc[j];
     }
 }
 

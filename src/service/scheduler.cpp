@@ -432,7 +432,8 @@ void Scheduler::run_job(Job job, std::size_t worker) {
             if (fleet) events.set_trace(job_ctx);
             core::emit_campaign_header(events, header_of(job.recipe));
             if (manifest.kind() == shard::CampaignKind::Census)
-                core::emit_plan_event_census(events, fx.universe);
+                core::emit_plan_event(events, fx.universe,
+                                      core::plan_exhaustive(fx.universe));
             else
                 core::emit_plan_event(events, fx.universe, manifest.plan);
 

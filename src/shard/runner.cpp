@@ -57,7 +57,8 @@ ShardRunReport run_shard(const ShardManifest& manifest,
 
     if (log) {
         if (manifest.kind() == CampaignKind::Census)
-            core::emit_plan_event_census(*log, fx.universe);
+            core::emit_plan_event(*log, fx.universe,
+                                  core::plan_exhaustive(fx.universe));
         else
             core::emit_plan_event(*log, fx.universe, manifest.plan);
     }

@@ -121,7 +121,10 @@ TEST(Adaptive, RejectsMismatchedTruth) {
 }
 
 TEST(Adaptive, LiveExecutionAgreesWithPolicy) {
-    // Smoke test of the injecting variant on a trained network.
+    // The injecting variant on a trained network must reproduce the replay
+    // over the same fixture's census stratum for stratum, for any worker
+    // count: both draw identical indices, and the engine's outcomes are
+    // deterministic per fault.
     auto net = models::make_micronet();
     stats::Rng rng(31);
     nn::init_network_kaiming(net, rng);
@@ -131,16 +134,33 @@ TEST(Adaptive, LiveExecutionAgreesWithPolicy) {
     nn::train_classifier(net, train.images, train.labels, 3, 32, {}, rng);
     auto eval = data::make_synthetic(spec, 3, "test");
     auto universe = fault::FaultUniverse::stuck_at(net);
-    ClassificationCore core(net, eval);
 
     AdaptiveConfig config;
     config.pilot_size = 10;
     config.spec.error_margin = 0.05;
-    const auto result = run_adaptive(core, universe, config, stats::Rng(5));
-    EXPECT_GT(result.total_injected(), 0u);
-    const auto network = estimate_network(universe, result.combined);
-    EXPECT_GE(network.rate, 0.0);
-    EXPECT_LE(network.rate, 1.0);
+    CampaignEngine census(net, eval, {}, 3);  // the census is most of the cost
+    const auto replayed = replay_adaptive(
+        universe, census.run_exhaustive(universe), config, stats::Rng(5));
+    for (const std::size_t workers : {1u, 3u}) {
+        CampaignEngine engine(net, eval, {}, workers);
+        const auto result =
+            run_adaptive(engine, universe, config, stats::Rng(5));
+        EXPECT_GT(result.total_injected(), 0u);
+        EXPECT_EQ(result.pilot_injected, replayed.pilot_injected);
+        EXPECT_EQ(result.refinement_injected, replayed.refinement_injected);
+        ASSERT_EQ(result.combined.subpops.size(),
+                  replayed.combined.subpops.size());
+        for (std::size_t s = 0; s < result.combined.subpops.size(); ++s) {
+            const auto& got = result.combined.subpops[s];
+            const auto& want = replayed.combined.subpops[s];
+            EXPECT_EQ(got.injected, want.injected) << workers << "w, " << s;
+            EXPECT_EQ(got.critical, want.critical) << workers << "w, " << s;
+            EXPECT_EQ(got.masked, want.masked) << workers << "w, " << s;
+        }
+        const auto network = estimate_network(universe, result.combined);
+        EXPECT_GE(network.rate, 0.0);
+        EXPECT_LE(network.rate, 1.0);
+    }
 }
 
 }  // namespace

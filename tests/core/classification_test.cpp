@@ -146,9 +146,12 @@ TEST(Classification, PoliciesOrderedByStrictness) {
     int any_crit = 0, golden_crit = 0, drop_crit = 0;
     for (int trial = 0; trial < 300; ++trial) {
         const auto f = fx.universe.decode(rng.uniform_below(fx.universe.total()));
-        any_crit += any_engine.evaluate(f) == FaultOutcome::Critical;
-        golden_crit += golden_engine.evaluate(f) == FaultOutcome::Critical;
-        drop_crit += drop_engine.evaluate(f) == FaultOutcome::Critical;
+        const auto critical = [&](CampaignEngine& engine) {
+            return engine.core().evaluate(f) == FaultOutcome::Critical;
+        };
+        any_crit += critical(any_engine);
+        golden_crit += critical(golden_engine);
+        drop_crit += critical(drop_engine);
     }
     EXPECT_GE(golden_crit, any_crit);
     EXPECT_GE(any_crit, drop_crit);

@@ -115,5 +115,28 @@ TEST(GemmABt, AccumulatesTransposedProduct) {
         }
 }
 
+TEST(GemmABt, BitIdenticalToSequentialDotProducts) {
+    // Training determinism: each C[i,j] gains one dot product summed from
+    // 0.0f in ascending k, whatever loop order the kernel walks.
+    stats::Rng rng(9);
+    for (const GemmCase& c : {GemmCase{1, 1, 1}, GemmCase{3, 7, 4},
+                              GemmCase{16, 27, 1024}, GemmCase{65, 17, 300}}) {
+        const auto A = random_matrix(c.M * c.K, rng);
+        const auto B = random_matrix(c.N * c.K, rng);
+        std::vector<float> C(c.M * c.N, 0.5f), ref(c.M * c.N, 0.5f);
+        gemm_a_bt_accumulate(c.M, c.N, c.K, A.data(), B.data(), C.data());
+        for (std::size_t i = 0; i < c.M; ++i)
+            for (std::size_t j = 0; j < c.N; ++j) {
+                float acc = 0.0f;
+                for (std::size_t k = 0; k < c.K; ++k)
+                    acc += A[i * c.K + k] * B[j * c.K + k];
+                ref[i * c.N + j] += acc;
+            }
+        for (std::size_t e = 0; e < C.size(); ++e)
+            ASSERT_EQ(C[e], ref[e])
+                << c.M << "x" << c.N << "x" << c.K << ", element " << e;
+    }
+}
+
 }  // namespace
 }  // namespace statfi::nn

@@ -72,6 +72,10 @@ REQUIRED = {
     "phase_begin": {"phase": str},
     "phase_end": {"phase": str, "seconds": NUM},
     "resume": {"replayed": NUM},
+    # A checkpoint journal that could not be resumed as-is: missing, torn
+    # tail dropped, or discarded for a fingerprint mismatch; `note` names
+    # which.
+    "journal_recovered": {"valid_bytes": NUM, "tail_dropped": bool, "note": str},
     "stratum_update": {
         "stratum": NUM,
         "layer": NUM,

@@ -937,7 +937,8 @@ int cmd_exhaustive(const Options& opt) {
     }();
     if (opt.ensemble) fx.config.ensemble_width = opt.ensemble;
     if (telemetry::EventLog* log = obs.events())
-        core::emit_plan_event_census(*log, fx.universe);
+        core::emit_plan_event(*log, fx.universe,
+                              core::plan_exhaustive(fx.universe));
     obs.stamp_plan(fx.universe.total(), fx.universe.total(),
                    static_cast<std::uint64_t>(fx.universe.layer_count()) *
                        static_cast<std::uint64_t>(fx.universe.bits()));
@@ -1271,7 +1272,8 @@ int cmd_shard_merge(const Options& opt) {
         // direct run would have written, so `statfi report` treats both
         // identically.
         if (merged.kind == shard::CampaignKind::Census) {
-            core::emit_plan_event_census(*log, fx.universe);
+            core::emit_plan_event(*log, fx.universe,
+                                  core::plan_exhaustive(fx.universe));
             core::emit_census_strata(*log, fx.universe, merged.outcomes,
                                      manifest.recipe.confidence);
         } else {
@@ -1338,7 +1340,8 @@ report::ObservatoryModel model_from_manifest(const Options& opt) {
     core::emit_campaign_header(log, header_from(manifest.recipe, "shard-merge"));
     std::uint64_t critical = 0;
     if (merged.kind == shard::CampaignKind::Census) {
-        core::emit_plan_event_census(log, fx.universe);
+        core::emit_plan_event(log, fx.universe,
+                              core::plan_exhaustive(fx.universe));
         core::emit_census_strata(log, fx.universe, merged.outcomes,
                                  manifest.recipe.confidence);
         critical = merged.outcomes.critical_count(0, fx.universe.total());
