@@ -58,6 +58,10 @@ struct Kernels {
     /// C[M,N] += A[M,K] * B[K,N] (row-major). Ascending-k accumulation per
     /// element; rows of A equal to zero are skipped identically on every
     /// backend. Backs conv2d (im2col lowering) and batched GEMM callers.
+    /// Backends may tile i and j freely (avx2 runs 6x16 register tiles over
+    /// packed 16-column panels of B when M >= 2): tiling changes which
+    /// elements advance together, never the order of one element's k-sum.
+    /// Allocates nothing.
     void (*gemm_accumulate)(std::size_t M, std::size_t N, std::size_t K,
                             const float* A, const float* B, float* C);
 

@@ -10,7 +10,10 @@
 // N (the blocking never reorders a single element's additions). Rows of C
 // are therefore computed identically whether A arrives as one batched
 // matrix or row-by-row — which is why the batched golden pass in
-// core/classification_core.cpp is bit-identical to per-image passes.
+// core/classification_core.cpp is bit-identical to per-image passes. The
+// same holds for the AVX2 backend's register tiles: a 6x16 tile of C (M >=
+// 2) and a single row (M == 1, Conv2d::forward_row) both give each element
+// one mul then one add per k, in ascending k.
 
 #include <cstddef>
 
