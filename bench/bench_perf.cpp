@@ -18,7 +18,7 @@
 //
 // `bench_perf --kernels-json PATH` measures the kernel-dispatch layer and
 // the fault-batched ensemble forward (DESIGN.md decision 15): the engine
-// census in {generic, native} x {ungrouped, grouped} configurations, every
+// census in {generic, native} x {width 1, width 8} configurations, every
 // outcome table checked bit-identical, with a >= 4x faults/s gate for the
 // best configuration against the pre-kernel baseline (BENCH_kernels.json).
 //
@@ -153,7 +153,11 @@ void BM_MaskedShortCircuit(benchmark::State& state) {
     f.weight_index = 5;
     f.bit = 30;
     f.model = fault::FaultModel::StuckAt0;
-    for (auto _ : state) benchmark::DoNotOptimize(engine.core().evaluate(f));
+    core::FaultOutcome out;
+    for (auto _ : state) {
+        engine.core().evaluate_group({&f, 1}, &out);
+        benchmark::DoNotOptimize(out);
+    }
 }
 BENCHMARK(BM_MaskedShortCircuit);
 
@@ -167,7 +171,11 @@ void BM_FaultEvaluation(benchmark::State& state) {
     f.weight_index = 5;
     f.bit = 12;
     f.model = fault::FaultModel::BitFlip;
-    for (auto _ : state) benchmark::DoNotOptimize(engine.core().evaluate(f));
+    core::FaultOutcome out;
+    for (auto _ : state) {
+        engine.core().evaluate_group({&f, 1}, &out);
+        benchmark::DoNotOptimize(out);
+    }
 }
 BENCHMARK(BM_FaultEvaluation);
 

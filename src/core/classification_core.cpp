@@ -84,11 +84,6 @@ ClassificationCore::ClassificationCore(nn::Network& net,
       mitigation_(deploy_mitigation(config_.mitigation, net)),
       injector_(net, config_.dtype, config_.layer_quant),
       golden_(build_golden_cache(net, eval)) {
-    // Warm the scratch arena (and each conv's im2col workspace) at
-    // single-image shapes so the hot loop never allocates. Not an injected
-    // inference, so it stays out of inference_count().
-    net_->forward_from(0, golden_.images[0], golden_.acts[0], scratch_);
-
     // Precompute, for every potential dirty node d, which golden entries
     // the ensemble suffix forward_from(d + 1) dereferences: producers
     // p < d read by some node > d (the frontier d itself is built fresh
@@ -118,24 +113,29 @@ ClassificationCore::ClassificationCore(nn::Network& net,
 }
 
 namespace {
-/// Top-1 prediction; -1 when the winning logit is not finite (numerically
-/// exploded network counts as a misprediction).
-int predict(const Tensor& logits) {
-    const int best = nn::argmax_row(logits, 0);
-    const float v = logits[static_cast<std::size_t>(best)];
-    if (!std::isfinite(v)) return -1;
-    return best;
-}
-
-/// predict() for one lane of a lane-stacked (F, classes) logits tensor —
-/// same argmax and finiteness rule, so per-lane decisions match the
-/// per-fault path exactly.
+/// Top-1 prediction of one lane of a lane-stacked (F, classes) logits
+/// tensor; -1 when the winning logit is not finite (a numerically exploded
+/// network counts as a misprediction).
 int predict_row(const Tensor& logits, std::int64_t row) {
     const int best = nn::argmax_row(logits, row);
     const float v = logits[static_cast<std::size_t>(
         row * logits.shape()[1] + best)];
     if (!std::isfinite(v)) return -1;
     return best;
+}
+
+/// The single-image verdict both fault families share: does a lane that
+/// predicts @p prediction on image @p i trip @p policy? AnyMisprediction
+/// needs a golden-correct image turned wrong; the other policies any change
+/// of the golden top-1 — for AccuracyDrop that is the verdict on an
+/// activation fault's single inference (weight lanes count AccuracyDrop
+/// hits across images instead).
+bool trips(ClassificationPolicy policy, const GoldenCache& golden,
+           std::size_t i, int prediction) {
+    if (policy == ClassificationPolicy::AnyMisprediction)
+        return golden.preds[i] == golden.labels[i] &&
+               prediction != golden.labels[i];
+    return prediction != golden.preds[i];
 }
 
 /// @p src's shape with the leading (batch) dimension replaced by @p lanes.
@@ -154,158 +154,6 @@ void stack_lanes(const Tensor& src, std::size_t lanes, Tensor& dst) {
 }
 }  // namespace
 
-FaultOutcome ClassificationCore::classify_active_fault(int first_dirty_node) {
-    const auto count = golden_.images.size();
-    switch (config_.policy) {
-        case ClassificationPolicy::AnyMisprediction: {
-            for (std::size_t k = 0; k < count; ++k) {
-                const std::size_t i = golden_.correct_order[k];
-                if (golden_.preds[i] != golden_.labels[i])
-                    break;  // incorrect tail
-                const Tensor& logits =
-                    net_->forward_from(first_dirty_node, golden_.images[i],
-                                       golden_.acts[i], scratch_);
-                ++inferences_;
-                if (predict(logits) != golden_.labels[i])
-                    return FaultOutcome::Critical;
-            }
-            return FaultOutcome::NonCritical;
-        }
-        case ClassificationPolicy::GoldenMismatch: {
-            for (std::size_t i = 0; i < count; ++i) {
-                const Tensor& logits =
-                    net_->forward_from(first_dirty_node, golden_.images[i],
-                                       golden_.acts[i], scratch_);
-                ++inferences_;
-                if (predict(logits) != golden_.preds[i])
-                    return FaultOutcome::Critical;
-            }
-            return FaultOutcome::NonCritical;
-        }
-        case ClassificationPolicy::AccuracyDrop: {
-            const double threshold =
-                config_.accuracy_drop_threshold * static_cast<double>(count);
-            std::uint64_t faulty_correct = 0;
-            for (std::size_t i = 0; i < count; ++i) {
-                const Tensor& logits =
-                    net_->forward_from(first_dirty_node, golden_.images[i],
-                                       golden_.acts[i], scratch_);
-                ++inferences_;
-                if (predict(logits) == golden_.labels[i]) ++faulty_correct;
-                // Even if every remaining image is correct, is the drop
-                // already unavoidable?
-                const std::uint64_t remaining = count - 1 - i;
-                const double best_case =
-                    static_cast<double>(golden_.correct) -
-                    static_cast<double>(faulty_correct + remaining);
-                if (best_case > threshold) return FaultOutcome::Critical;
-            }
-            const double drop = static_cast<double>(golden_.correct) -
-                                static_cast<double>(faulty_correct);
-            return drop > threshold ? FaultOutcome::Critical
-                                    : FaultOutcome::NonCritical;
-        }
-    }
-    return FaultOutcome::NonCritical;
-}
-
-FaultOutcome ClassificationCore::evaluate_activation(const fault::Fault& fault) {
-    // A transient fault lives in ONE inference: pick the target image,
-    // corrupt one element of one node's golden activation, re-run only the
-    // downstream sub-graph, restore. fault.layer is the graph-node id and
-    // fault.weight_index the element within its batch-1 output.
-    const std::size_t images = golden_.images.size();
-    const auto i = static_cast<std::size_t>(
-        (fault.weight_index + static_cast<std::uint64_t>(fault.bit)) % images);
-    auto& acts = golden_.acts[i];
-    Tensor& act = acts.at(static_cast<std::size_t>(fault.layer));
-    if (fault.weight_index >= static_cast<std::uint64_t>(act.numel()))
-        throw std::out_of_range(
-            "ClassificationCore: activation element index out of range");
-    const auto element = static_cast<std::size_t>(fault.weight_index);
-    const float saved = act[element];
-    act[element] = fault::apply_bit_flip(saved, fault.bit, config_.dtype);
-    // Only nodes AFTER the corrupted one re-run; when the corrupted node is
-    // the last one, forward_from returns the (corrupted) golden output.
-    const Tensor& logits =
-        net_->forward_from(fault.layer + 1, golden_.images[i], acts, scratch_);
-    ++inferences_;
-    const int prediction = predict(logits);
-    act[element] = saved;
-
-    switch (config_.policy) {
-        case ClassificationPolicy::AnyMisprediction:
-            return (golden_.preds[i] == golden_.labels[i] &&
-                    prediction != golden_.labels[i])
-                       ? FaultOutcome::Critical
-                       : FaultOutcome::NonCritical;
-        case ClassificationPolicy::GoldenMismatch:
-        case ClassificationPolicy::AccuracyDrop:  // single-inference fault:
-                                                  // drop == one flip
-            return prediction != golden_.preds[i] ? FaultOutcome::Critical
-                                                  : FaultOutcome::NonCritical;
-    }
-    return FaultOutcome::NonCritical;
-}
-
-FaultOutcome ClassificationCore::evaluate(const fault::Fault& fault) {
-    if (!telemetry_) {
-        if (fault.model == fault::FaultModel::ActivationFlip)
-            return evaluate_activation(fault);
-        if (mitigation_.tmr_protects(fault.layer) || injector_.masked(fault))
-            return FaultOutcome::Masked;
-        fault::WeightInjector::Scoped guard(injector_, fault);
-        return classify_active_fault(injector_.node_of_layer(fault.layer));
-    }
-    return evaluate_instrumented(fault);
-}
-
-FaultOutcome ClassificationCore::evaluate_instrumented(
-    const fault::Fault& fault) {
-    using clock = std::chrono::steady_clock;
-    const auto ns_between = [](clock::time_point a, clock::time_point b) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
-                .count());
-    };
-    auto& reg = telemetry_->metrics();
-    const telemetry::MetricIds& ids = telemetry_->ids();
-    const std::uint64_t inferences_before = inferences_;
-    const auto t0 = clock::now();
-
-    FaultOutcome outcome;
-    if (fault.model == fault::FaultModel::ActivationFlip) {
-        outcome = evaluate_activation(fault);
-        // One corrupted inference: the whole evaluation is forward time.
-        reg.inc(worker_, ids.forward_ns_total, ns_between(t0, clock::now()));
-    } else if (mitigation_.tmr_protects(fault.layer) ||
-               injector_.masked(fault)) {
-        outcome = FaultOutcome::Masked;
-        reg.inc(worker_, ids.masked_total);
-    } else {
-        clock::time_point applied, classified;
-        {
-            fault::WeightInjector::Scoped guard(injector_, fault);
-            applied = clock::now();
-            outcome =
-                classify_active_fault(injector_.node_of_layer(fault.layer));
-            classified = clock::now();
-        }
-        const auto restored = clock::now();
-        reg.inc(worker_, ids.inject_ns_total, ns_between(t0, applied));
-        reg.inc(worker_, ids.forward_ns_total, ns_between(applied, classified));
-        reg.inc(worker_, ids.restore_ns_total,
-                ns_between(classified, restored));
-    }
-    reg.inc(worker_, ids.faults_total);
-    if (outcome == FaultOutcome::Critical)
-        reg.inc(worker_, ids.critical_total);
-    reg.inc(worker_, ids.inferences_total, inferences_ - inferences_before);
-    reg.observe(worker_, ids.evaluate_seconds,
-                std::chrono::duration<double>(clock::now() - t0).count());
-    return outcome;
-}
-
 // ------------------------------------------- fault-batched group evaluation
 
 void ClassificationCore::evaluate_group(std::span<const fault::Fault> faults,
@@ -318,23 +166,19 @@ void ClassificationCore::evaluate_group(std::span<const fault::Fault> faults,
                 "ClassificationCore::evaluate_group: faults must share one "
                 "layer and one ensemble family (weight models may mix; "
                 "activation faults group only with activation faults)");
-    if (faults.size() == 1) {
-        // Degenerate group: per-fault path with full instrumentation.
-        out[0] = evaluate(faults.front());
-        return;
-    }
-    if (!telemetry_) {
-        evaluate_group_plain(faults, out);
-        return;
-    }
 
     using clock = std::chrono::steady_clock;
+    const std::uint64_t inferences_before = inferences_;
+    const auto t0 = telemetry_ ? clock::now() : clock::time_point{};
+    if (faults.front().model == fault::FaultModel::ActivationFlip)
+        evaluate_activation_group(faults, out);
+    else
+        evaluate_weight_group(faults, out);
+    if (!telemetry_) return;
+
+    const auto t1 = clock::now();
     auto& reg = telemetry_->metrics();
     const telemetry::MetricIds& ids = telemetry_->ids();
-    const std::uint64_t inferences_before = inferences_;
-    const auto t0 = clock::now();
-    evaluate_group_plain(faults, out);
-    const auto t1 = clock::now();
     // Group-granularity accounting: the blocked pass interleaves injection,
     // forward, and restore per lane, so the whole pass is booked as forward
     // time and evaluate_seconds observes one sample per group.
@@ -353,14 +197,6 @@ void ClassificationCore::evaluate_group(std::span<const fault::Fault> faults,
     reg.inc(worker_, ids.inferences_total, inferences_ - inferences_before);
     reg.observe(worker_, ids.evaluate_seconds,
                 std::chrono::duration<double>(t1 - t0).count());
-}
-
-void ClassificationCore::evaluate_group_plain(
-    std::span<const fault::Fault> faults, FaultOutcome* out) {
-    if (faults.front().model == fault::FaultModel::ActivationFlip)
-        evaluate_activation_group(faults, out);
-    else
-        evaluate_weight_group(faults, out);
 }
 
 const Tensor& ClassificationCore::ensemble_weight_step(
@@ -398,10 +234,10 @@ const Tensor& ClassificationCore::ensemble_weight_step(
         std::memcpy(frontier.data() + l * lane_sz, lane_buf_.data(),
                     lane_sz * sizeof(float));
     }
-    // The per-fault path recomputes node d in full and runs the clip hook on
-    // the result; here the hook's clamp is re-applied to the whole stacked
-    // tensor — idempotent on the already-clamped golden rows, identical on
-    // the recomputed one (NaN passes std::clamp both times).
+    // A full recompute of node d would run the clip hook on its output;
+    // here the hook's clamp is re-applied to the whole stacked tensor —
+    // idempotent on the already-clamped golden rows, identical on the
+    // recomputed one (NaN passes std::clamp both times).
     if (mitigation_.any_clip) {
         const auto& range = mitigation_.node_clips[d];
         if (range)
@@ -416,14 +252,13 @@ const Tensor& ClassificationCore::ensemble_weight_step(
         stack_lanes(golden_.images[image], F, ensemble_input_);
 
     if (node + 1 >= net_->node_count()) return frontier;
-    return net_->forward_ensemble(node + 1, ensemble_input_, ensemble_golden_,
-                                  ensemble_scratch_);
+    return net_->forward_from(node + 1, ensemble_input_, ensemble_golden_,
+                              ensemble_scratch_);
 }
 
 void ClassificationCore::evaluate_weight_group(
     std::span<const fault::Fault> faults, FaultOutcome* out) {
-    // Masked / TMR-outvoted lanes are decided without inference, exactly as
-    // in evaluate().
+    // Masked / TMR-outvoted lanes are decided without inference.
     active_.clear();
     for (std::size_t f = 0; f < faults.size(); ++f) {
         if (mitigation_.tmr_protects(faults[f].layer) ||
@@ -432,94 +267,51 @@ void ClassificationCore::evaluate_weight_group(
         else
             active_.push_back(f);
     }
-    if (active_.empty()) return;
-    if (active_.size() == 1) {
-        // One live lane left: the per-fault path IS the blocked pass.
-        const fault::Fault& fault = faults[active_.front()];
-        fault::WeightInjector::Scoped guard(injector_, fault);
-        out[active_.front()] =
-            classify_active_fault(injector_.node_of_layer(fault.layer));
-        return;
-    }
 
     const int node = injector_.node_of_layer(faults.front().layer);
     const std::size_t count = golden_.images.size();
-
-    // Per-image loops mirror classify_active_fault: same image order, same
-    // decision expressions, and inferences_ advances by the live lane count
-    // per step — a lane decided at image k consumed images 0..k, exactly
-    // like the per-fault early exit.
-    switch (config_.policy) {
-        case ClassificationPolicy::AnyMisprediction: {
-            for (std::size_t k = 0; k < count && !active_.empty(); ++k) {
-                const std::size_t i = golden_.correct_order[k];
-                if (golden_.preds[i] != golden_.labels[i])
-                    break;  // incorrect tail
-                const Tensor& logits = ensemble_weight_step(faults, node, i);
-                inferences_ += active_.size();
-                std::size_t w = 0;
-                for (std::size_t l = 0; l < active_.size(); ++l) {
-                    if (predict_row(logits, static_cast<std::int64_t>(l)) !=
-                        golden_.labels[i])
-                        out[active_[l]] = FaultOutcome::Critical;
-                    else
-                        active_[w++] = active_[l];
-                }
-                active_.resize(w);
+    const ClassificationPolicy policy = config_.policy;
+    // AnyMisprediction visits the golden-correct images first and stops at
+    // the incorrect tail, where no lane can trip; the other policies visit
+    // every image in index order.
+    const bool correct_first = policy == ClassificationPolicy::AnyMisprediction;
+    const double threshold =
+        config_.accuracy_drop_threshold * static_cast<double>(count);
+    lane_correct_.assign(active_.size(), 0);
+    // inferences_ advances by the live lane count per image: a lane decided
+    // at image k consumed exactly images 0..k of the order.
+    for (std::size_t k = 0; k < count && !active_.empty(); ++k) {
+        const std::size_t i = correct_first ? golden_.correct_order[k] : k;
+        if (correct_first && golden_.preds[i] != golden_.labels[i]) break;
+        const Tensor& logits = ensemble_weight_step(faults, node, i);
+        inferences_ += active_.size();
+        std::size_t w = 0;
+        for (std::size_t l = 0; l < active_.size(); ++l) {
+            const int prediction =
+                predict_row(logits, static_cast<std::int64_t>(l));
+            bool critical;
+            if (policy == ClassificationPolicy::AccuracyDrop) {
+                // Critical once the drop is unavoidable: even with every
+                // remaining image correct, it exceeds the threshold. On the
+                // last image this is the final drop itself.
+                if (prediction == golden_.labels[i]) ++lane_correct_[l];
+                const double best_case =
+                    static_cast<double>(golden_.correct) -
+                    static_cast<double>(lane_correct_[l] + (count - 1 - k));
+                critical = best_case > threshold;
+            } else {
+                critical = trips(policy, golden_, i, prediction);
             }
-            break;
+            if (critical) {
+                out[active_[l]] = FaultOutcome::Critical;
+            } else {
+                active_[w] = active_[l];
+                lane_correct_[w] = lane_correct_[l];
+                ++w;
+            }
         }
-        case ClassificationPolicy::GoldenMismatch: {
-            for (std::size_t i = 0; i < count && !active_.empty(); ++i) {
-                const Tensor& logits = ensemble_weight_step(faults, node, i);
-                inferences_ += active_.size();
-                std::size_t w = 0;
-                for (std::size_t l = 0; l < active_.size(); ++l) {
-                    if (predict_row(logits, static_cast<std::int64_t>(l)) !=
-                        golden_.preds[i])
-                        out[active_[l]] = FaultOutcome::Critical;
-                    else
-                        active_[w++] = active_[l];
-                }
-                active_.resize(w);
-            }
-            break;
-        }
-        case ClassificationPolicy::AccuracyDrop: {
-            const double threshold =
-                config_.accuracy_drop_threshold * static_cast<double>(count);
-            lane_correct_.assign(active_.size(), 0);
-            for (std::size_t i = 0; i < count && !active_.empty(); ++i) {
-                const Tensor& logits = ensemble_weight_step(faults, node, i);
-                inferences_ += active_.size();
-                std::size_t w = 0;
-                for (std::size_t l = 0; l < active_.size(); ++l) {
-                    if (predict_row(logits, static_cast<std::int64_t>(l)) ==
-                        golden_.labels[i])
-                        ++lane_correct_[l];
-                    const std::uint64_t remaining = count - 1 - i;
-                    const double best_case =
-                        static_cast<double>(golden_.correct) -
-                        static_cast<double>(lane_correct_[l] + remaining);
-                    if (best_case > threshold) {
-                        out[active_[l]] = FaultOutcome::Critical;
-                    } else {
-                        active_[w] = active_[l];
-                        lane_correct_[w] = lane_correct_[l];
-                        ++w;
-                    }
-                }
-                active_.resize(w);
-                lane_correct_.resize(w);
-            }
-            for (std::size_t l = 0; l < active_.size(); ++l) {
-                const double drop = static_cast<double>(golden_.correct) -
-                                    static_cast<double>(lane_correct_[l]);
-                out[active_[l]] = drop > threshold ? FaultOutcome::Critical
-                                                   : FaultOutcome::NonCritical;
-            }
-            return;
-        }
+        active_.resize(w);
+        lane_correct_.resize(w);
     }
     for (const std::size_t f : active_) out[f] = FaultOutcome::NonCritical;
 }
@@ -532,11 +324,11 @@ void ClassificationCore::evaluate_activation_group(
     const auto d = static_cast<std::size_t>(node);
 
     // Each lane's target image is a pure function of its fault (see
-    // evaluate_activation), so lanes in one group generally corrupt
-    // DIFFERENT images: suffix dependencies and the input are gathered per
-    // lane rather than replicated.
+    // evaluate_group), so lanes in one group generally corrupt DIFFERENT
+    // images: suffix dependencies and the input are gathered per lane
+    // rather than replicated.
     lane_images_.resize(F);
-    const Tensor& shape_ref = golden_.acts[0][d];
+    const Tensor& shape_ref = golden_.acts[0].at(d);
     const std::size_t lane_sz = shape_ref.numel();
     Tensor& frontier = ensemble_golden_[d];
     nn::ensure_shape(frontier, lane_shape(shape_ref.shape(), F));
@@ -551,8 +343,8 @@ void ClassificationCore::evaluate_activation_group(
             throw std::out_of_range(
                 "ClassificationCore: activation element index out of range");
         // Lane = post-hook golden activation with one element flipped. No
-        // re-clamp: the per-fault path corrupts the cached (already
-        // clipped) activation and re-runs only nodes after it.
+        // re-clamp: the fault strikes the node's (already clipped) output,
+        // and only the nodes after it re-run.
         float* lane = frontier.data() + l * lane_sz;
         std::memcpy(lane, act.data(), lane_sz * sizeof(float));
         const auto element = static_cast<std::size_t>(fault.weight_index);
@@ -584,30 +376,15 @@ void ClassificationCore::evaluate_activation_group(
     const Tensor& logits =
         node + 1 >= net_->node_count()
             ? frontier
-            : net_->forward_ensemble(node + 1, ensemble_input_,
-                                     ensemble_golden_, ensemble_scratch_);
+            : net_->forward_from(node + 1, ensemble_input_, ensemble_golden_,
+                                 ensemble_scratch_);
     inferences_ += F;
 
-    for (std::size_t l = 0; l < F; ++l) {
-        const std::size_t i = lane_images_[l];
-        const int prediction =
-            predict_row(logits, static_cast<std::int64_t>(l));
-        switch (config_.policy) {
-            case ClassificationPolicy::AnyMisprediction:
-                out[l] = (golden_.preds[i] == golden_.labels[i] &&
-                          prediction != golden_.labels[i])
-                             ? FaultOutcome::Critical
-                             : FaultOutcome::NonCritical;
-                break;
-            case ClassificationPolicy::GoldenMismatch:
-            case ClassificationPolicy::AccuracyDrop:  // single-inference
-                                                      // fault: drop == flip
-                out[l] = prediction != golden_.preds[i]
-                             ? FaultOutcome::Critical
-                             : FaultOutcome::NonCritical;
-                break;
-        }
-    }
+    for (std::size_t l = 0; l < F; ++l)
+        out[l] = trips(config_.policy, golden_, lane_images_[l],
+                       predict_row(logits, static_cast<std::int64_t>(l)))
+                     ? FaultOutcome::Critical
+                     : FaultOutcome::NonCritical;
 }
 
 std::size_t ClassificationCore::ensemble_bytes() const noexcept {

@@ -1,23 +1,34 @@
 #pragma once
 // ClassificationCore: the fault -> outcome kernel. One core = one network's
-// weight storage + one golden-activation cache + one scratch arena; the
-// CampaignEngine owns one core per worker and everything above this layer
-// (sampling, journaling, progress, fan-out) is core-count agnostic.
+// weight storage + one golden-activation cache + one ensemble workspace;
+// the CampaignEngine owns one core per worker and everything above this
+// layer (sampling, journaling, progress, fan-out) is core-count agnostic.
 //
-// Performance model (what makes exhaustive validation feasible on a CPU):
+// Every fault is classified as one lane of a fault-batched ensemble pass
+// (evaluate_group), whatever the group size — a lone fault is a group of
+// one. Performance model (what makes exhaustive validation feasible on a
+// CPU):
 //  * the golden activations of every node are cached once, via a SINGLE
 //    batched forward_all over the whole (N,C,H,W) evaluation tensor, then
 //    split back into per-image rows (bit-identical to per-image passes:
 //    every layer computes batch rows independently — see nn/gemm.hpp);
-//  * a weight fault in graph node k only dirties nodes >= k, so each faulty
-//    inference re-runs only the downstream sub-graph (Network::forward_from);
+//  * a weight fault in graph node k only dirties nodes >= k, and inside
+//    node k only the one output row its corrupted word feeds: a lane is
+//    the golden output of k with that row recomputed (from a cached golden
+//    im2col matrix), and all lanes re-run the downstream sub-graph
+//    together as one batch (Network::forward_from);
 //  * a stuck-at equal to the golden bit is masked by construction and is
 //    classified Non-critical without any inference (half of a stuck-at
 //    universe on average);
-//  * per-image early exit: a fault is Critical as soon as one image trips
-//    the policy, so critical faults rarely scan the whole evaluation set;
-//  * the scratch arena (and each Conv2d's im2col workspace) is preallocated
-//    by a warm-up pass, so the ~10^5-fault hot loop never allocates.
+//  * per-image early exit: a lane is Critical as soon as one image trips
+//    the policy and leaves the batch, so critical faults rarely scan the
+//    whole evaluation set;
+//  * the workspace is grow-only, so the ~10^5-fault hot loop stops
+//    allocating once the widest group has run.
+//
+// tests/support/reference_classifier.hpp restates the classification one
+// fault and one image at a time, as the oracle the ensemble is checked
+// against.
 
 #include <span>
 #include <string>
@@ -55,8 +66,7 @@ public:
     /// Clones nothing: operates directly on @p net's weights (restoring
     /// them after every fault). Resolves and deploys the config's
     /// mitigations on @p net (clip rules install a node hook, so the golden
-    /// pass measures the hardened network), caches golden activations, and
-    /// warms the scratch arena with one (uncounted) full-depth forward_from.
+    /// pass measures the hardened network) and caches golden activations.
     ClassificationCore(nn::Network& net, const data::Dataset& eval,
                        ExecutorConfig config = {});
 
@@ -74,29 +84,32 @@ public:
         return inferences_;
     }
 
-    /// Classify one fault (weights or activations are corrupted and
-    /// restored internally). Dispatches on fault.model: weight faults
-    /// corrupt stored weight words and re-run the downstream sub-graph per
-    /// image; ActivationFlip faults corrupt one element of one node's
-    /// golden activation during ONE inference whose image is a pure
-    /// function of the fault — (element + bit) mod |eval| — so transient
-    /// campaigns stay bit-identical across worker counts, shard splits, and
-    /// interrupt/resume points. Weight/multi-bit faults in a TMR-protected
-    /// layer are outvoted and Masked without inference.
-    FaultOutcome evaluate(const fault::Fault& fault);
-
     /// Classify a batch of faults sharing one layer and one ensemble family
     /// (fault::same_ensemble_family — weight-resident models mix freely, a
     /// lane applies its own corruption; activation faults group apart) in a
-    /// single blocked pass, writing one outcome per fault into @p out. Each
-    /// fault becomes a "lane": its dirty node's output is reconstructed by
-    /// copying the golden activation and recomputing only the one output row
-    /// the corrupted weight word feeds (Layer::forward_row), then all lanes
-    /// run the downstream sub-graph together as one fault-batched ensemble
-    /// forward (Network::forward_ensemble). Outcomes and inference counts
-    /// are bit-identical to calling evaluate() per fault — grouping is a
-    /// throughput knob, like the worker count, never a semantic one.
+    /// single blocked pass, writing one outcome per fault into @p out. Any
+    /// group size, one included, takes the same path.
+    ///
+    /// Weight faults: a fault in a TMR-protected layer is outvoted, and a
+    /// stuck-at equal to the stored bit changes nothing; both are Masked
+    /// without inference. Every other fault becomes a "lane": its dirty
+    /// node's output is the golden activation with only the output row the
+    /// corrupted weight word feeds recomputed (Layer::forward_row_cached),
+    /// then all lanes run the downstream sub-graph together per image, in
+    /// the policy's image order, and a lane leaves the batch once decided.
+    ///
+    /// ActivationFlip faults corrupt one element of one node's golden
+    /// activation during ONE inference whose image is a pure function of
+    /// the fault — (element + bit) mod |eval| — so transient campaigns stay
+    /// bit-identical across worker counts, shard splits, and
+    /// interrupt/resume points.
+    ///
+    /// Outcomes and inference counts depend on the faults alone, never on
+    /// how they are grouped: grouping is a throughput knob, like the worker
+    /// count, never a semantic one.
     /// @throws std::invalid_argument when faults mix layers or families.
+    /// @throws std::out_of_range on an activation node or element outside
+    ///         the network.
     void evaluate_group(std::span<const fault::Fault> faults,
                         FaultOutcome* out);
 
@@ -106,8 +119,9 @@ public:
     /// Attach telemetry: this core reports into @p session's per-worker
     /// slot @p worker (each engine worker owns exactly one slot — the
     /// lock-free single-writer contract). nullptr detaches; the detached
-    /// hot path costs one pointer compare and never reads a clock, and
-    /// outcomes are identical either way (telemetry only observes).
+    /// hot path costs two pointer compares per group and never reads a
+    /// clock, and outcomes are identical either way (telemetry only
+    /// observes).
     void set_telemetry(telemetry::Session* session,
                        std::size_t worker) noexcept {
         telemetry_ = session;
@@ -122,12 +136,6 @@ public:
         const fault::FaultUniverse& universe, std::string model_id) const;
 
 private:
-    FaultOutcome classify_active_fault(int first_dirty_node);
-    FaultOutcome evaluate_activation(const fault::Fault& fault);
-    FaultOutcome evaluate_instrumented(const fault::Fault& fault);
-
-    void evaluate_group_plain(std::span<const fault::Fault> faults,
-                              FaultOutcome* out);
     void evaluate_weight_group(std::span<const fault::Fault> faults,
                                FaultOutcome* out);
     void evaluate_activation_group(std::span<const fault::Fault> faults,
@@ -147,7 +155,6 @@ private:
     fault::WeightInjector injector_;
     GoldenCache golden_;
     std::uint64_t inferences_ = 0;
-    std::vector<Tensor> scratch_;
     telemetry::Session* telemetry_ = nullptr;
     std::size_t worker_ = 0;
 

@@ -61,10 +61,11 @@ struct ExecutorConfig {
     /// Empty = derive from current weights (legacy fp32 path).
     std::vector<fault::QuantParams> layer_quant;
     /// Max faults evaluated per blocked ensemble pass (engine groups
-    /// consecutive plan items sharing a layer and fault model). 1 disables
-    /// grouping. Like the worker count, this is a throughput knob that
-    /// CANNOT change outcomes (the ensemble forward is bit-identical to the
-    /// per-fault loop), so it never enters the campaign fingerprint.
+    /// consecutive plan items sharing a layer and fault model). 1 = one
+    /// fault per pass, same path. Like the worker count, this is a
+    /// throughput knob that CANNOT change outcomes (a fault's lane never
+    /// depends on the other lanes), so it never enters the campaign
+    /// fingerprint.
     std::size_t ensemble_width = 8;
 };
 

@@ -144,51 +144,9 @@ void Conv2d::forward(std::span<const Tensor* const> inputs, Tensor& out) const {
     }
 }
 
-void Conv2d::forward_row(std::span<const Tensor* const> inputs,
-                         std::uint64_t weight_index, Tensor& out) const {
-    const Tensor& x = *inputs[0];
-    const auto& in = x.shape();
-    const Shape out_shape = output_shape(std::array{in});
-    ensure_shape(out, out_shape);
-
-    const std::int64_t N = in[0], H = in[2], W = in[3];
-    const std::int64_t OH = out_shape[2], OW = out_shape[3];
-    const std::size_t col_rows =
-        static_cast<std::size_t>(in_channels_ * kernel_ * kernel_);
-    const std::size_t out_plane = static_cast<std::size_t>(OH * OW);
-    const std::size_t co = static_cast<std::size_t>(row_of_weight(weight_index));
-
-    const bool pointwise = kernel_ == 1 && stride_ == 1 && padding_ == 0;
-    float* cols = pointwise ? nullptr : arena_.floats(col_rows * out_plane);
-
-    const std::size_t in_image = static_cast<std::size_t>(in_channels_ * H * W);
-    const std::size_t out_image =
-        static_cast<std::size_t>(out_channels_) * out_plane;
-    const float* wrow = weight_.data() + co * col_rows;
-    for (std::int64_t n = 0; n < N; ++n) {
-        const float* src = x.data() + static_cast<std::size_t>(n) * in_image;
-        const float* b = src;
-        if (!pointwise) {
-            im2col(src, in_channels_, H, W, kernel_, stride_, padding_, cols);
-            b = cols;
-        }
-        // One-row GEMM: per-element additions stay in ascending-k order, so
-        // the row is bit-identical to what the full Cout-row gemm produces.
-        gemm(1, out_plane, col_rows, wrow, b,
-             out.data() + static_cast<std::size_t>(n) * out_image +
-                 co * out_plane);
-    }
-}
-
 void Conv2d::forward_row_cached(std::span<const Tensor* const> inputs,
                                 std::uint64_t weight_index, Tensor& cache,
                                 Tensor& out) const {
-    const bool pointwise = kernel_ == 1 && stride_ == 1 && padding_ == 0;
-    if (pointwise) {
-        // Pointwise convs read the input as-is — nothing to cache.
-        forward_row(inputs, weight_index, out);
-        return;
-    }
     const Tensor& x = *inputs[0];
     const auto& in = x.shape();
     const Shape out_shape = output_shape(std::array{in});
@@ -201,27 +159,35 @@ void Conv2d::forward_row_cached(std::span<const Tensor* const> inputs,
     const std::size_t out_plane = static_cast<std::size_t>(OH * OW);
     const std::size_t co = static_cast<std::size_t>(row_of_weight(weight_index));
 
-    // Fill the cache with every image's im2col matrix on first use; the
+    // B per image, as forward() feeds it: the input itself for a pointwise
+    // conv, else the im2col matrix — built into the cache on first use. The
     // caller guarantees the inputs are unchanged on subsequent calls, so a
     // matching shape means the contents are already valid.
-    const Shape cache_shape{N, static_cast<std::int64_t>(col_rows),
-                            static_cast<std::int64_t>(OH * OW)};
     const std::size_t per_image = col_rows * out_plane;
-    const std::size_t in_image = static_cast<std::size_t>(in_channels_ * H * W);
-    if (cache.shape() != cache_shape) {
-        ensure_shape(cache, cache_shape);
-        for (std::int64_t n = 0; n < N; ++n)
-            im2col(x.data() + static_cast<std::size_t>(n) * in_image,
-                   in_channels_, H, W, kernel_, stride_, padding_,
-                   cache.data() + static_cast<std::size_t>(n) * per_image);
+    const float* b = x.data();
+    if (!(kernel_ == 1 && stride_ == 1 && padding_ == 0)) {
+        const Shape cache_shape{N, static_cast<std::int64_t>(col_rows),
+                                static_cast<std::int64_t>(OH * OW)};
+        const std::size_t in_image =
+            static_cast<std::size_t>(in_channels_ * H * W);
+        if (cache.shape() != cache_shape) {
+            ensure_shape(cache, cache_shape);
+            for (std::int64_t n = 0; n < N; ++n)
+                im2col(x.data() + static_cast<std::size_t>(n) * in_image,
+                       in_channels_, H, W, kernel_, stride_, padding_,
+                       cache.data() + static_cast<std::size_t>(n) * per_image);
+        }
+        b = cache.data();
     }
 
+    // One-row GEMM: per-element additions stay in ascending-k order, so the
+    // row is bit-identical to what the full Cout-row gemm produces.
     const std::size_t out_image =
         static_cast<std::size_t>(out_channels_) * out_plane;
     const float* wrow = weight_.data() + co * col_rows;
     for (std::int64_t n = 0; n < N; ++n)
         gemm(1, out_plane, col_rows, wrow,
-             cache.data() + static_cast<std::size_t>(n) * per_image,
+             b + static_cast<std::size_t>(n) * per_image,
              out.data() + static_cast<std::size_t>(n) * out_image +
                  co * out_plane);
 }
@@ -293,6 +259,29 @@ Shape DepthwiseConv2d::output_shape(std::span<const Shape> inputs) const {
                  conv_out_size(in[3], kernel_, stride_, padding_)};
 }
 
+void DepthwiseConv2d::forward_plane(std::int64_t c, const float* src,
+                                    std::int64_t H, std::int64_t W,
+                                    float* dst, std::int64_t OH,
+                                    std::int64_t OW) const {
+    const float* k =
+        weight_.data() + static_cast<std::size_t>(c * kernel_ * kernel_);
+    for (std::int64_t y = 0; y < OH; ++y) {
+        for (std::int64_t x2 = 0; x2 < OW; ++x2) {
+            float acc = 0.0f;
+            for (std::int64_t kh = 0; kh < kernel_; ++kh) {
+                const std::int64_t in_y = y * stride_ + kh - padding_;
+                if (in_y < 0 || in_y >= H) continue;
+                for (std::int64_t kw = 0; kw < kernel_; ++kw) {
+                    const std::int64_t in_x = x2 * stride_ + kw - padding_;
+                    if (in_x < 0 || in_x >= W) continue;
+                    acc += src[in_y * W + in_x] * k[kh * kernel_ + kw];
+                }
+            }
+            dst[y * OW + x2] = acc;
+        }
+    }
+}
+
 void DepthwiseConv2d::forward(std::span<const Tensor* const> inputs,
                               Tensor& out) const {
     const Tensor& x = *inputs[0];
@@ -302,36 +291,18 @@ void DepthwiseConv2d::forward(std::span<const Tensor* const> inputs,
 
     const std::int64_t N = in[0], H = in[2], W = in[3];
     const std::int64_t OH = out_shape[2], OW = out_shape[3];
-    for (std::int64_t n = 0; n < N; ++n) {
+    for (std::int64_t n = 0; n < N; ++n)
         for (std::int64_t c = 0; c < channels_; ++c) {
-            const float* plane =
-                x.data() + static_cast<std::size_t>((n * channels_ + c) * H * W);
-            const float* k =
-                weight_.data() + static_cast<std::size_t>(c * kernel_ * kernel_);
-            float* dst = out.data() +
-                         static_cast<std::size_t>((n * channels_ + c) * OH * OW);
-            for (std::int64_t y = 0; y < OH; ++y) {
-                for (std::int64_t x2 = 0; x2 < OW; ++x2) {
-                    float acc = 0.0f;
-                    for (std::int64_t kh = 0; kh < kernel_; ++kh) {
-                        const std::int64_t in_y = y * stride_ + kh - padding_;
-                        if (in_y < 0 || in_y >= H) continue;
-                        for (std::int64_t kw = 0; kw < kernel_; ++kw) {
-                            const std::int64_t in_x = x2 * stride_ + kw - padding_;
-                            if (in_x < 0 || in_x >= W) continue;
-                            acc += plane[in_y * W + in_x] * k[kh * kernel_ + kw];
-                        }
-                    }
-                    dst[y * OW + x2] = acc;
-                }
-            }
+            const auto p = static_cast<std::size_t>(n * channels_ + c);
+            forward_plane(c, x.data() + p * static_cast<std::size_t>(H * W), H,
+                          W, out.data() + p * static_cast<std::size_t>(OH * OW),
+                          OH, OW);
         }
-    }
 }
 
-void DepthwiseConv2d::forward_row(std::span<const Tensor* const> inputs,
-                                  std::uint64_t weight_index,
-                                  Tensor& out) const {
+void DepthwiseConv2d::forward_row_cached(std::span<const Tensor* const> inputs,
+                                         std::uint64_t weight_index, Tensor&,
+                                         Tensor& out) const {
     const Tensor& x = *inputs[0];
     const auto& in = x.shape();
     const Shape out_shape = output_shape(std::array{in});
@@ -340,28 +311,11 @@ void DepthwiseConv2d::forward_row(std::span<const Tensor* const> inputs,
     const std::int64_t N = in[0], H = in[2], W = in[3];
     const std::int64_t OH = out_shape[2], OW = out_shape[3];
     const std::int64_t c = row_of_weight(weight_index);
-    const float* k =
-        weight_.data() + static_cast<std::size_t>(c * kernel_ * kernel_);
     for (std::int64_t n = 0; n < N; ++n) {
-        const float* plane =
-            x.data() + static_cast<std::size_t>((n * channels_ + c) * H * W);
-        float* dst = out.data() +
-                     static_cast<std::size_t>((n * channels_ + c) * OH * OW);
-        for (std::int64_t y = 0; y < OH; ++y) {
-            for (std::int64_t x2 = 0; x2 < OW; ++x2) {
-                float acc = 0.0f;
-                for (std::int64_t kh = 0; kh < kernel_; ++kh) {
-                    const std::int64_t in_y = y * stride_ + kh - padding_;
-                    if (in_y < 0 || in_y >= H) continue;
-                    for (std::int64_t kw = 0; kw < kernel_; ++kw) {
-                        const std::int64_t in_x = x2 * stride_ + kw - padding_;
-                        if (in_x < 0 || in_x >= W) continue;
-                        acc += plane[in_y * W + in_x] * k[kh * kernel_ + kw];
-                    }
-                }
-                dst[y * OW + x2] = acc;
-            }
-        }
+        const auto p = static_cast<std::size_t>(n * channels_ + c);
+        forward_plane(c, x.data() + p * static_cast<std::size_t>(H * W), H, W,
+                      out.data() + p * static_cast<std::size_t>(OH * OW), OH,
+                      OW);
     }
 }
 

@@ -52,8 +52,8 @@ public:
         return static_cast<std::int64_t>(weight_index) /
                (in_channels_ * kernel_ * kernel_);
     }
-    void forward_row(std::span<const Tensor* const> inputs,
-                     std::uint64_t weight_index, Tensor& out) const override;
+    /// Caches every image's im2col matrix; a pointwise conv reads its
+    /// input as-is and leaves @p cache untouched.
     void forward_row_cached(std::span<const Tensor* const> inputs,
                             std::uint64_t weight_index, Tensor& cache,
                             Tensor& out) const override;
@@ -108,8 +108,10 @@ public:
         std::uint64_t weight_index) const override {
         return static_cast<std::int64_t>(weight_index) / (kernel_ * kernel_);
     }
-    void forward_row(std::span<const Tensor* const> inputs,
-                     std::uint64_t weight_index, Tensor& out) const override;
+    /// Recomputes one channel plane per image; nothing to cache.
+    void forward_row_cached(std::span<const Tensor* const> inputs,
+                            std::uint64_t weight_index, Tensor& cache,
+                            Tensor& out) const override;
 
     [[nodiscard]] bool supports_backward() const override { return true; }
     void backward(std::span<const Tensor* const> inputs, const Tensor& output,
@@ -124,6 +126,13 @@ public:
     [[nodiscard]] std::int64_t padding() const { return padding_; }
 
 private:
+    /// Channel @p c's output plane @p dst (OH x OW) from its input plane
+    /// @p src (H x W): the one loop nest forward() and forward_row_cached()
+    /// share, so a recomputed row matches the full forward by construction.
+    void forward_plane(std::int64_t c, const float* src, std::int64_t H,
+                       std::int64_t W, float* dst, std::int64_t OH,
+                       std::int64_t OW) const;
+
     std::int64_t channels_, kernel_, stride_, padding_;
     Tensor weight_;       // (C, 1, K, K)
     Tensor weight_grad_;  // same shape

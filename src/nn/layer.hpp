@@ -4,8 +4,9 @@
 // Layers are value-ish objects owned by a Network. They compute forward
 // passes into caller-provided output tensors (so campaign executors can
 // reuse buffers), optionally expose an injectable weight tensor (conv / FC
-// weights — the fault targets of the paper), and optionally support
-// backward passes for the built-in SGD trainer.
+// weights — the fault targets of the paper) with forward_row_cached(), the
+// one-slice recompute that builds each fault's ensemble lane, and
+// optionally support backward passes for the built-in SGD trainer.
 
 #include <cstdint>
 #include <memory>
@@ -57,12 +58,12 @@ public:
         return nullptr;
     }
 
-    /// True if forward_row() recomputes less than the full output. The key
-    /// observation behind the fault-batched ensemble forward: one corrupted
-    /// weight word affects exactly one output slice (conv: the output
-    /// channel Cout the word belongs to; linear: one output feature), so a
-    /// single-word fault needs only that slice recomputed — the remaining
-    /// rows are byte-identical to the golden output.
+    /// True if forward_row_cached() recomputes less than the full output.
+    /// The key observation behind the fault-batched ensemble forward: one
+    /// corrupted weight word affects exactly one output slice (conv: the
+    /// output channel Cout the word belongs to; linear: one output
+    /// feature), so a single-word fault needs only that slice recomputed —
+    /// the remaining rows are byte-identical to the golden output.
     [[nodiscard]] virtual bool supports_row_update() const { return false; }
 
     /// The output slice index a fault at flat weight word @p weight_index
@@ -77,26 +78,21 @@ public:
     /// Recompute only the output slice affected by weight word
     /// @p weight_index, in the exact arithmetic order forward() uses for
     /// that slice. @p out must already hold this layer's full output for
-    /// @p inputs (golden rows stay untouched). The default recomputes
-    /// everything — correct for any layer, just without the speedup.
-    virtual void forward_row(std::span<const Tensor* const> inputs,
-                             std::uint64_t weight_index, Tensor& out) const {
-        (void)weight_index;
-        forward(inputs, out);
-    }
-
-    /// forward_row() that may stash input-derived scratch in @p cache and
-    /// reuse it on later calls with the SAME inputs — a conv caches its
-    /// im2col matrix here, which the fault-batched ensemble would otherwise
-    /// rebuild per lane from an input that never changes (the golden
-    /// activation). The caller owns one cache per (layer, input) pair and
-    /// must reset it (Tensor{}) whenever the inputs change. Default: ignore
-    /// the cache — correct for every layer, just without the reuse.
+    /// @p inputs (golden rows stay untouched). A layer may stash
+    /// input-derived scratch in @p cache and reuse it on later calls with
+    /// the SAME inputs — a conv caches its im2col matrix here, which the
+    /// fault-batched ensemble would otherwise rebuild per lane from an
+    /// input that never changes (the golden activation). The caller owns
+    /// one cache per (layer, input) pair and must reset it (Tensor{})
+    /// whenever the inputs change. The default ignores the cache and
+    /// recomputes everything — correct for any layer, just without the
+    /// speedup.
     virtual void forward_row_cached(std::span<const Tensor* const> inputs,
                                     std::uint64_t weight_index, Tensor& cache,
                                     Tensor& out) const {
+        (void)weight_index;
         (void)cache;
-        forward_row(inputs, weight_index, out);
+        forward(inputs, out);
     }
 
     // -- training surface --------------------------------------------------

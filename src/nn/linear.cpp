@@ -27,6 +27,13 @@ Shape Linear::output_shape(std::span<const Shape> inputs) const {
     return Shape{inputs[0][0], out_features_};
 }
 
+float Linear::feature(const float* xr, std::int64_t o) const {
+    const float* wr = weight_.data() + static_cast<std::size_t>(o * in_features_);
+    float acc = with_bias_ ? bias_[static_cast<std::size_t>(o)] : 0.0f;
+    for (std::int64_t i = 0; i < in_features_; ++i) acc += xr[i] * wr[i];
+    return acc;
+}
+
 void Linear::forward(std::span<const Tensor* const> inputs, Tensor& out) const {
     const Tensor& x = *inputs[0];
     const Shape out_shape = output_shape(std::array{x.shape()});
@@ -36,32 +43,22 @@ void Linear::forward(std::span<const Tensor* const> inputs, Tensor& out) const {
     for (std::size_t n = 0; n < N; ++n) {
         const float* xr = x.data() + n * static_cast<std::size_t>(in_features_);
         float* yr = out.data() + n * static_cast<std::size_t>(out_features_);
-        for (std::int64_t o = 0; o < out_features_; ++o) {
-            const float* wr =
-                weight_.data() + static_cast<std::size_t>(o * in_features_);
-            float acc = with_bias_ ? bias_[static_cast<std::size_t>(o)] : 0.0f;
-            for (std::int64_t i = 0; i < in_features_; ++i) acc += xr[i] * wr[i];
-            yr[o] = acc;
-        }
+        for (std::int64_t o = 0; o < out_features_; ++o) yr[o] = feature(xr, o);
     }
 }
 
-void Linear::forward_row(std::span<const Tensor* const> inputs,
-                         std::uint64_t weight_index, Tensor& out) const {
+void Linear::forward_row_cached(std::span<const Tensor* const> inputs,
+                                std::uint64_t weight_index, Tensor&,
+                                Tensor& out) const {
     const Tensor& x = *inputs[0];
     const Shape out_shape = output_shape(std::array{x.shape()});
     ensure_shape(out, out_shape);
     const auto N = static_cast<std::size_t>(x.shape()[0]);
     const std::int64_t o = row_of_weight(weight_index);
-    const float* wr = weight_.data() + static_cast<std::size_t>(o * in_features_);
-    for (std::size_t n = 0; n < N; ++n) {
-        const float* xr = x.data() + n * static_cast<std::size_t>(in_features_);
-        float* yr = out.data() + n * static_cast<std::size_t>(out_features_);
-        // Same accumulation order as forward() for feature o.
-        float acc = with_bias_ ? bias_[static_cast<std::size_t>(o)] : 0.0f;
-        for (std::int64_t i = 0; i < in_features_; ++i) acc += xr[i] * wr[i];
-        yr[o] = acc;
-    }
+    for (std::size_t n = 0; n < N; ++n)
+        out[n * static_cast<std::size_t>(out_features_) +
+            static_cast<std::size_t>(o)] =
+            feature(x.data() + n * static_cast<std::size_t>(in_features_), o);
 }
 
 std::unique_ptr<Layer> Linear::clone() const {

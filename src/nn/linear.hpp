@@ -30,8 +30,11 @@ public:
         std::uint64_t weight_index) const override {
         return static_cast<std::int64_t>(weight_index) / in_features_;
     }
-    void forward_row(std::span<const Tensor* const> inputs,
-                     std::uint64_t weight_index, Tensor& out) const override;
+    /// Recomputes output feature row_of_weight(weight_index) per batch
+    /// row; nothing to cache.
+    void forward_row_cached(std::span<const Tensor* const> inputs,
+                            std::uint64_t weight_index, Tensor& cache,
+                            Tensor& out) const override;
 
     [[nodiscard]] bool supports_backward() const override { return true; }
     void backward(std::span<const Tensor* const> inputs, const Tensor& output,
@@ -47,6 +50,11 @@ public:
     [[nodiscard]] std::int64_t out_features() const { return out_features_; }
 
 private:
+    /// Output feature @p o for input row @p xr: the one dot product
+    /// forward() and forward_row_cached() share, so a recomputed feature
+    /// matches the full forward by construction.
+    [[nodiscard]] float feature(const float* xr, std::int64_t o) const;
+
     std::int64_t in_features_, out_features_;
     bool with_bias_;
     Tensor weight_;  // (out, in)

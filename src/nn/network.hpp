@@ -12,6 +12,10 @@
 //  * forward_from(k): recomputes only nodes >= k, reading the golden cache
 //    for anything older — a permanent fault in node k's weights cannot
 //    change nodes < k, which is what makes exhaustive campaigns tractable.
+//    The classification core calls it with F faults stacked as lanes in the
+//    batch dimension (the fault-batched ensemble forward); every layer
+//    computes batch rows independently, so the lanes are bit-identical to F
+//    single-fault passes.
 
 #include <functional>
 #include <memory>
@@ -72,26 +76,11 @@ public:
     /// @p golden for older inputs; recomputed outputs land in @p scratch
     /// (resized to node_count(); entries < first_dirty are untouched).
     /// Returns the final output (scratch.back(), or golden.back() when
-    /// first_dirty is past the end).
+    /// first_dirty is past the end). @p input and the @p golden entries the
+    /// suffix reads may carry any batch size, one lane per stacked fault.
     const Tensor& forward_from(int first_dirty, const Tensor& input,
                                const std::vector<Tensor>& golden,
                                std::vector<Tensor>& scratch) const;
-
-    /// Fault-batched ensemble forward: identical contract to forward_from(),
-    /// but @p input / @p golden / @p scratch carry F stacked lanes in the
-    /// batch dimension — one lane per fault sharing the same first_dirty
-    /// node. Every layer computes batch rows independently (convs, linear,
-    /// BN in inference mode, activations, pooling), so running F lanes in
-    /// one pass is bit-identical to F single-lane forward_from() calls while
-    /// paying the per-node dispatch, im2col-setup, and cache-refill costs
-    /// once. Callers (core/classification_core.cpp) build the lane-stacked
-    /// golden frontier; this wrapper exists to document the contract and to
-    /// give the ensemble path a greppable name.
-    const Tensor& forward_ensemble(int first_dirty, const Tensor& input,
-                                   const std::vector<Tensor>& golden,
-                                   std::vector<Tensor>& scratch) const {
-        return forward_from(first_dirty, input, golden, scratch);
-    }
 
     /// Deep copy (layers cloned). Used to give campaign workers private
     /// weight storage. The node hook is not copied.

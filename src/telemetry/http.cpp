@@ -152,8 +152,13 @@ void HttpServer::start() {
 }
 
 void HttpServer::stop() {
-    if (stop_.exchange(true)) {
-        // A second stop still joins anything a racing first stop missed.
+    {
+        // Set under the queue lock: a handler between its predicate check
+        // and its wait would otherwise miss the notify below and sleep
+        // forever, hanging the joins. A second stop still joins anything a
+        // racing first stop missed.
+        std::lock_guard<std::mutex> lock(queue_mutex_);
+        stop_.store(true, std::memory_order_relaxed);
     }
     queue_cv_.notify_all();
     if (accept_thread_.joinable()) accept_thread_.join();

@@ -4,9 +4,10 @@ namespace statfi::telemetry {
 
 namespace {
 
-/// Per-fault classification latency buckets: masked short-circuits land in
-/// the sub-microsecond buckets, live single-image micronet inferences
-/// around 10-100us, multi-image deep-topology faults up to seconds.
+/// Latency buckets for one evaluate_group pass (up to ensemble_width
+/// faults): on one AVX2 Xeon core a 4-image MicroNet census puts most
+/// groups between 10 and 30us and none above 3ms; deep topologies over
+/// many images reach seconds.
 std::vector<double> evaluate_bounds() {
     return {1e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 1e-1, 1.0};
 }
@@ -29,15 +30,9 @@ Session::Session(SessionOptions options) : options_(options) {
         "statfi_faults_critical_total", "Faults classified Critical");
     ids_.inferences_total = metrics_.add_counter(
         "statfi_inferences_total", "Faulty image inferences executed");
-    ids_.inject_ns_total = metrics_.add_counter(
-        "statfi_inject_nanoseconds_total",
-        "Nanoseconds spent corrupting weights");
     ids_.forward_ns_total = metrics_.add_counter(
         "statfi_forward_nanoseconds_total",
         "Nanoseconds spent in faulty forward passes");
-    ids_.restore_ns_total = metrics_.add_counter(
-        "statfi_restore_nanoseconds_total",
-        "Nanoseconds spent restoring golden weights");
     ids_.journal_records_total = metrics_.add_counter(
         "statfi_journal_records_total",
         "Outcome records appended to the checkpoint journal");
@@ -57,7 +52,8 @@ Session::Session(SessionOptions options) : options_(options) {
         "statfi_golden_accuracy",
         "Golden top-1 accuracy on the evaluation set");
     ids_.evaluate_seconds = metrics_.add_histogram(
-        "statfi_evaluate_seconds", "Per-fault classification latency",
+        "statfi_evaluate_seconds",
+        "Classification latency of one evaluate_group pass",
         evaluate_bounds());
     ids_.flush_seconds = metrics_.add_histogram(
         "statfi_checkpoint_flush_seconds", "Checkpoint flush latency",

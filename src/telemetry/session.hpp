@@ -45,9 +45,7 @@ struct MetricIds {
     MetricId masked_total;        ///< masked short-circuits (no inference)
     MetricId critical_total;      ///< faults classified Critical
     MetricId inferences_total;    ///< faulty image inferences
-    MetricId inject_ns_total;     ///< nanoseconds corrupting weights
     MetricId forward_ns_total;    ///< nanoseconds in faulty forward passes
-    MetricId restore_ns_total;    ///< nanoseconds restoring golden weights
     // durability counters
     MetricId journal_records_total;
     MetricId checkpoint_flushes_total;
@@ -59,7 +57,7 @@ struct MetricIds {
     MetricId worker_count;
     MetricId golden_accuracy;
     // histograms
-    MetricId evaluate_seconds;  ///< per-fault classification latency
+    MetricId evaluate_seconds;  ///< latency of one evaluate_group pass
     MetricId flush_seconds;     ///< checkpoint flush latency
 };
 

@@ -13,9 +13,12 @@
 #include "models/micronet.hpp"
 #include "nn/init.hpp"
 #include "nn/trainer.hpp"
+#include "../support/reference_classifier.hpp"
 
 namespace statfi::core {
 namespace {
+
+using testsupport::evaluate_one;
 
 struct Fixture {
     nn::Network net;
@@ -74,7 +77,7 @@ TEST(Classification, MaskedFaultSkipsInference) {
     f.bit = 30;
     f.model = fault::FaultModel::StuckAt0;
     const auto before = core.inference_count();
-    EXPECT_EQ(core.evaluate(f), FaultOutcome::Masked);
+    EXPECT_EQ(evaluate_one(core, f), FaultOutcome::Masked);
     EXPECT_EQ(core.inference_count(), before);
 }
 
@@ -92,7 +95,7 @@ TEST(Classification, ExponentMsbStuckAt1IsOftenCritical) {
         f.weight_index = static_cast<std::uint64_t>(w);
         f.bit = 30;
         f.model = fault::FaultModel::StuckAt1;
-        critical += core.evaluate(f) == FaultOutcome::Critical;
+        critical += evaluate_one(core, f) == FaultOutcome::Critical;
     }
     EXPECT_GE(critical, kProbes / 4);
 }
@@ -105,7 +108,7 @@ TEST(Classification, MantissaLsbIsNonCritical) {
     f.weight_index = 7;
     f.bit = 0;
     f.model = fault::FaultModel::StuckAt1;
-    const auto outcome = core.evaluate(f);
+    const auto outcome = evaluate_one(core, f);
     EXPECT_TRUE(outcome == FaultOutcome::NonCritical ||
                 outcome == FaultOutcome::Masked);
 }
@@ -116,8 +119,8 @@ TEST(Classification, EvaluateIsDeterministicAndRestores) {
     stats::Rng rng(9);
     for (int trial = 0; trial < 200; ++trial) {
         const auto f = fx.universe.decode(rng.uniform_below(fx.universe.total()));
-        const auto a = core.evaluate(f);
-        const auto b = core.evaluate(f);
+        const auto a = evaluate_one(core, f);
+        const auto b = evaluate_one(core, f);
         EXPECT_EQ(a, b) << f.to_string();
     }
     // Weights restored -> golden accuracy unchanged.
@@ -147,7 +150,7 @@ TEST(Classification, PoliciesOrderedByStrictness) {
     for (int trial = 0; trial < 300; ++trial) {
         const auto f = fx.universe.decode(rng.uniform_below(fx.universe.total()));
         const auto critical = [&](CampaignEngine& engine) {
-            return engine.core().evaluate(f) == FaultOutcome::Critical;
+            return evaluate_one(engine.core(), f) == FaultOutcome::Critical;
         };
         any_crit += critical(any_engine);
         golden_crit += critical(golden_engine);

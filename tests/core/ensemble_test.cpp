@@ -1,21 +1,34 @@
-// Tests for the fault-batched ensemble forward: evaluate_group() must be
-// bit-identical — outcomes AND inference counts — to calling evaluate() once
-// per fault, for every fault model, classification policy, mitigation, and
-// ensemble width. Grouping is a throughput knob like the worker count; this
-// suite is the contract that keeps it from ever becoming a semantic one.
+// Tests for the fault-batched ensemble forward, the only way
+// ClassificationCore classifies a fault: evaluate_group() must be
+// bit-identical — outcomes AND inference counts — to the per-fault oracle
+// in tests/support/reference_classifier.hpp, for every fault model,
+// classification policy, mitigation, and ensemble width (1 included), on
+// MicroNet and on the deep topologies whose residual Adds, PadShortcuts and
+// depthwise convs the frontier and suffix stacking must reproduce.
+// Grouping is a throughput knob like the worker count; this suite is the
+// contract that keeps it from ever becoming a semantic one.
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <algorithm>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "models/micronet.hpp"
+#include "models/registry.hpp"
 #include "nn/init.hpp"
 #include "nn/trainer.hpp"
+#include "../support/reference_classifier.hpp"
 
 namespace statfi::core {
 namespace {
+
+using testsupport::ReferenceClassifier;
+
+constexpr std::size_t kWidths[] = {1, 2, 3, 8, 64};
 
 struct Fixture {
     nn::Network net;
@@ -42,64 +55,98 @@ fault::FaultUniverse universe_for(nn::Network& net,
     return fault::FaultUniverse::activation(net, Shape{3, 32, 32});
 }
 
-/// Decode a stretch of the universe starting at @p begin, grouped exactly
-/// the way the engine does: consecutive faults sharing a layer and an
-/// ensemble family (fault::same_ensemble_family — e.g. StuckAt0 and
-/// StuckAt1 interleave within one group), at most @p width per group.
-std::vector<std::vector<fault::Fault>> make_groups(
-    const fault::FaultUniverse& universe, std::uint64_t begin,
-    std::uint64_t count, std::size_t width) {
-    std::vector<std::vector<fault::Fault>> groups;
+/// Decode a stretch of the universe starting at @p begin.
+std::vector<fault::Fault> stretch(const fault::FaultUniverse& universe,
+                                  std::uint64_t begin, std::uint64_t count) {
+    std::vector<fault::Fault> faults;
     const std::uint64_t end = std::min(begin + count, universe.total());
-    for (std::uint64_t i = begin; i < end;) {
+    for (std::uint64_t i = begin; i < end; ++i)
+        faults.push_back(universe.decode(i));
+    return faults;
+}
+
+/// Group @p faults exactly the way the engine does: consecutive faults
+/// sharing a layer and an ensemble family (fault::same_ensemble_family —
+/// e.g. StuckAt0 and StuckAt1 interleave within one group), at most
+/// @p width per group.
+std::vector<std::vector<fault::Fault>> make_groups(
+    const std::vector<fault::Fault>& faults, std::size_t width) {
+    std::vector<std::vector<fault::Fault>> groups;
+    for (std::size_t i = 0; i < faults.size();) {
         std::vector<fault::Fault> group;
-        const fault::Fault first = universe.decode(i);
-        while (i < end && group.size() < width) {
-            const fault::Fault f = universe.decode(i);
-            if (f.layer != first.layer ||
-                !fault::same_ensemble_family(f.model, first.model))
-                break;
-            group.push_back(f);
-            ++i;
-        }
+        const fault::Fault& first = faults[i];
+        while (i < faults.size() && group.size() < width &&
+               faults[i].layer == first.layer &&
+               fault::same_ensemble_family(faults[i].model, first.model))
+            group.push_back(faults[i++]);
         groups.push_back(std::move(group));
     }
     return groups;
 }
 
-/// The identity check: one core classifies via evaluate_group, a second
-/// (private network clone) via the per-fault loop. Outcomes and inference
-/// counts must match exactly.
-void expect_group_identity(const Fixture& fx, const std::string& model,
-                           ExecutorConfig config, std::size_t width,
-                           std::uint64_t begin, std::uint64_t count) {
-    nn::Network net_a = fx.net.clone();
-    nn::Network net_b = fx.net.clone();
-    const auto universe = universe_for(net_a, model);
-    // Universe layout is weight-layer-indexed, not storage-pointer-bound:
-    // net_b's clone has identical shapes, so faults decode the same.
-    ClassificationCore grouped(net_a, fx.eval, config);
-    ClassificationCore singles(net_b, fx.eval, config);
+/// The identity check: the oracle classifies @p faults one at a time on a
+/// private network clone; then one ClassificationCore on another clone
+/// classifies them via evaluate_group, once per width, its grow-only
+/// workspace carried from width to width. Outcomes and inference counts
+/// must match exactly.
+void expect_group_identity(const nn::Network& net, const data::Dataset& eval,
+                           const std::vector<fault::Fault>& faults,
+                           const ExecutorConfig& config,
+                           std::span<const std::size_t> widths = kWidths) {
+    nn::Network oracle_net = net.clone();
+    ReferenceClassifier oracle(oracle_net, eval, config);
+    std::vector<FaultOutcome> expected;
+    for (const auto& f : faults) expected.push_back(oracle.evaluate(f));
 
-    for (const auto& group :
-         make_groups(universe, begin, count, width)) {
-        std::vector<FaultOutcome> out(group.size(), FaultOutcome::NonCritical);
-        grouped.evaluate_group(group, out.data());
-        for (std::size_t i = 0; i < group.size(); ++i)
-            EXPECT_EQ(out[i], singles.evaluate(group[i]))
-                << model << " width=" << width << " fault "
-                << group[i].to_string();
+    // Universe layout is weight-layer-indexed, not storage-pointer-bound:
+    // the clone has identical shapes, so faults decode the same.
+    nn::Network grouped_net = net.clone();
+    ClassificationCore grouped(grouped_net, eval, config);
+    for (const std::size_t width : widths) {
+        SCOPED_TRACE("width=" + std::to_string(width));
+        const std::uint64_t before = grouped.inference_count();
+        std::size_t next = 0;
+        for (const auto& group : make_groups(faults, width)) {
+            std::vector<FaultOutcome> out(group.size(),
+                                          FaultOutcome::NonCritical);
+            grouped.evaluate_group(group, out.data());
+            for (std::size_t i = 0; i < group.size(); ++i, ++next)
+                EXPECT_EQ(out[i], expected[next]) << group[i].to_string();
+        }
+        EXPECT_EQ(grouped.inference_count() - before,
+                  oracle.inference_count());
     }
-    EXPECT_EQ(grouped.inference_count(), singles.inference_count())
-        << model << " width=" << width;
+}
+
+/// expect_group_identity over a stretch of @p model's universe.
+void expect_stretch_identity(const Fixture& fx, const std::string& model,
+                             const ExecutorConfig& config, std::uint64_t begin,
+                             std::uint64_t count) {
+    SCOPED_TRACE(model);
+    nn::Network net = fx.net.clone();
+    expect_group_identity(fx.net, fx.eval,
+                          stretch(universe_for(net, model), begin, count),
+                          config);
+}
+
+/// The same over the first @p count faults of the (layer 0, bit 30)
+/// stratum: the exponent MSB, where most live faults turn Critical and
+/// lanes leave the batch at different images.
+void expect_exponent_identity(const Fixture& fx, const std::string& model,
+                              const ExecutorConfig& config,
+                              std::uint64_t count) {
+    nn::Network net = fx.net.clone();
+    expect_stretch_identity(fx, model, config,
+                            universe_for(net, model).subpop_offset(0, 30),
+                            count);
 }
 
 TEST(EnsembleForward, MatchesPerFaultLoopAcrossFaultModels) {
     auto fx = Fixture::make();
     for (const char* model : {"stuck-at", "flip", "mbu", "activation"}) {
-        SCOPED_TRACE(model);
         // A stretch of layer 0 plus one crossing into later layers.
-        expect_group_identity(fx, model, {}, 8, 0, 96);
+        expect_stretch_identity(fx, model, {}, 0, 96);
+        expect_exponent_identity(fx, model, {}, 64);
     }
 }
 
@@ -107,41 +154,52 @@ TEST(EnsembleForward, MatchesAcrossPolicies) {
     auto fx = Fixture::make();
     ExecutorConfig config;
     config.policy = ClassificationPolicy::GoldenMismatch;
-    expect_group_identity(fx, "stuck-at", config, 8, 0, 64);
+    expect_stretch_identity(fx, "stuck-at", config, 0, 64);
+    expect_exponent_identity(fx, "flip", config, 64);
     config.policy = ClassificationPolicy::AccuracyDrop;
     config.accuracy_drop_threshold = 0.1;
-    expect_group_identity(fx, "stuck-at", config, 8, 0, 64);
+    expect_stretch_identity(fx, "stuck-at", config, 0, 64);
+    expect_exponent_identity(fx, "flip", config, 64);
     config.policy = ClassificationPolicy::AnyMisprediction;
-    expect_group_identity(fx, "flip", config, 8, 0, 64);
+    expect_stretch_identity(fx, "flip", config, 0, 64);
+    expect_exponent_identity(fx, "flip", config, 64);
 }
 
 TEST(EnsembleForward, MatchesAcrossWidths) {
+    // Stuck-at stretches interleave polarities, so every width cuts groups
+    // at a different mix of masked and live lanes.
     auto fx = Fixture::make();
-    for (std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{3},
-                              std::size_t{8}, std::size_t{64}}) {
-        SCOPED_TRACE(width);
-        expect_group_identity(fx, "stuck-at", {}, width, 0, 48);
-    }
+    expect_stretch_identity(fx, "stuck-at", {}, 0, 48);
+    expect_exponent_identity(fx, "stuck-at", {}, 48);
 }
 
 TEST(EnsembleForward, MatchesUnderMitigation) {
     auto fx = Fixture::make();
     ExecutorConfig config;
     config.mitigation.clips.push_back(fault::ClipRule{"*", -6.0f, 6.0f});
-    expect_group_identity(fx, "stuck-at", config, 8, 0, 64);
-    expect_group_identity(fx, "activation", config, 8, 0, 64);
+    expect_stretch_identity(fx, "stuck-at", config, 0, 64);
+    expect_stretch_identity(fx, "activation", config, 0, 64);
+    expect_exponent_identity(fx, "flip", config, 64);
+    expect_exponent_identity(fx, "activation", config, 64);
     config.mitigation.tmr.push_back(fault::TmrRule{"conv1"});
-    expect_group_identity(fx, "stuck-at", config, 8, 0, 64);
+    expect_stretch_identity(fx, "stuck-at", config, 0, 64);
+
+    // A clip on conv1 alone: no later clamp re-bounds an exploded exponent,
+    // so the recomputed row's own clamp decides the outcome.
+    ExecutorConfig conv1_only;
+    conv1_only.policy = ClassificationPolicy::GoldenMismatch;
+    conv1_only.mitigation.clips.push_back(
+        fault::ClipRule{"conv1", -6.0f, 6.0f});
+    expect_exponent_identity(fx, "flip", conv1_only, 64);
 }
 
 TEST(EnsembleForward, MatchesOnDeepLayersAndMaskedMix) {
-    // Later layers exercise the suffix-dependency replication (residual
-    // reads of old producers) and stuck-at stretches mix Masked lanes in.
+    // The last layers (conv3, fc) and stuck-at stretches mix Masked lanes
+    // in.
     auto fx = Fixture::make();
     nn::Network net = fx.net.clone();
     const auto universe = fault::FaultUniverse::stuck_at(net);
-    const std::uint64_t tail = universe.total() - 80;
-    expect_group_identity(fx, "stuck-at", {}, 8, tail, 80);
+    expect_stretch_identity(fx, "stuck-at", {}, universe.total() - 80, 80);
 }
 
 TEST(EnsembleForward, RejectsMixedGroups) {
@@ -163,15 +221,11 @@ TEST(EnsembleForward, RejectsMixedGroups) {
 TEST(EnsembleForward, MixedWeightModelsGroupTogether) {
     // Different weight-resident models sharing one layer are one family:
     // a group mixing stuck-at polarities, a bit flip, and a multi-bit upset
-    // must classify identically to the per-fault loop. This is the shape the
-    // engine actually produces — stuck-at universes alternate polarity at
+    // must classify identically to the oracle. This is the shape the engine
+    // actually produces — stuck-at universes alternate polarity at
     // consecutive indices.
     auto fx = Fixture::make();
-    nn::Network net_a = fx.net.clone();
-    nn::Network net_b = fx.net.clone();
-    ClassificationCore grouped(net_a, fx.eval);
-    ClassificationCore singles(net_b, fx.eval);
-    std::vector<fault::Fault> group;
+    std::vector<fault::Fault> faults;
     for (std::uint32_t i = 0; i < 8; ++i) {
         fault::Fault f;
         f.layer = 0;
@@ -182,13 +236,9 @@ TEST(EnsembleForward, MixedWeightModelsGroupTogether) {
                   : (i % 4 == 2) ? fault::FaultModel::BitFlip
                                  : fault::FaultModel::MultiFlip;
         if (f.model == fault::FaultModel::MultiFlip) f.k = 2;
-        group.push_back(f);
+        faults.push_back(f);
     }
-    std::vector<FaultOutcome> out(group.size(), FaultOutcome::NonCritical);
-    grouped.evaluate_group(group, out.data());
-    for (std::size_t i = 0; i < group.size(); ++i)
-        EXPECT_EQ(out[i], singles.evaluate(group[i])) << group[i].to_string();
-    EXPECT_EQ(grouped.inference_count(), singles.inference_count());
+    expect_group_identity(fx.net, fx.eval, faults, {});
 }
 
 TEST(EnsembleForward, EngineOutcomesIndependentOfEnsembleWidth) {
@@ -209,14 +259,102 @@ TEST(EnsembleForward, EngineOutcomesIndependentOfEnsembleWidth) {
         return engine.run(universe, plan, stats::Rng(7).fork("campaign"));
     };
     const CampaignResult one = run_with(1);
-    const CampaignResult eight = run_with(8);
-    ASSERT_EQ(one.subpops.size(), eight.subpops.size());
-    EXPECT_EQ(one.total_injected(), eight.total_injected());
-    EXPECT_EQ(one.total_critical(), eight.total_critical());
-    for (std::size_t s = 0; s < one.subpops.size(); ++s) {
-        EXPECT_EQ(one.subpops[s].critical, eight.subpops[s].critical);
-        EXPECT_EQ(one.subpops[s].masked, eight.subpops[s].masked);
+    for (const std::size_t width : kWidths) {
+        SCOPED_TRACE("width=" + std::to_string(width));
+        const CampaignResult wide = run_with(width);
+        ASSERT_EQ(one.subpops.size(), wide.subpops.size());
+        EXPECT_EQ(one.total_injected(), wide.total_injected());
+        EXPECT_EQ(one.total_critical(), wide.total_critical());
+        for (std::size_t s = 0; s < one.subpops.size(); ++s) {
+            EXPECT_EQ(one.subpops[s].critical, wide.subpops[s].critical);
+            EXPECT_EQ(one.subpops[s].masked, wide.subpops[s].masked);
+        }
     }
+}
+
+// -- deep topologies ---------------------------------------------------------
+
+/// A Kaiming-initialized @p model with 2 evaluation images, relabeled so
+/// image 1 is golden-correct and image 0 is not: AnyMisprediction must
+/// then visit image 1 and stop before image 0, unlike index order.
+Fixture deep_fixture(const std::string& model) {
+    auto net = models::build_model(model);
+    stats::Rng rng(2024);
+    nn::init_network_kaiming(net, rng);
+    auto eval = data::make_synthetic({}, 2, "test");
+    const Tensor logits = net.forward(eval.images);
+    eval.labels[0] = (nn::argmax_row(logits, 0) + 1) % 10;
+    eval.labels[1] = nn::argmax_row(logits, 1);
+    return Fixture{std::move(net), std::move(eval)};
+}
+
+/// 16 faults in weight layer @p layer, spread over output rows: stuck-at
+/// both polarities and bit flips on exponent, sign and mantissa bits, so
+/// Masked, Critical and NonCritical lanes share groups.
+std::vector<fault::Fault> layer_faults(nn::Network& net, int layer) {
+    using M = fault::FaultModel;
+    constexpr std::pair<int, M> kFaults[] = {
+        {30, M::StuckAt1}, {30, M::BitFlip},  {3, M::BitFlip},
+        {30, M::StuckAt0}, {29, M::BitFlip},  {30, M::StuckAt1},
+        {12, M::StuckAt1}, {31, M::BitFlip},  {30, M::BitFlip},
+        {28, M::StuckAt0}, {27, M::StuckAt1}, {30, M::StuckAt1},
+        {23, M::BitFlip},  {31, M::StuckAt1}, {30, M::BitFlip},
+        {0, M::StuckAt0}};
+    const auto weights = static_cast<std::uint64_t>(
+        net.weight_layers().at(static_cast<std::size_t>(layer))
+            .weight->numel());
+    std::vector<fault::Fault> faults;
+    std::uint64_t j = 0;
+    for (const auto& [bit, model] : kFaults) {
+        fault::Fault f;
+        f.layer = layer;
+        f.weight_index = (j++ * 7919 + 13) % weights;
+        f.bit = bit;
+        f.model = model;
+        faults.push_back(f);
+    }
+    return faults;
+}
+
+/// Weight-layer index of graph node @p name.
+int weight_layer(nn::Network& net, const std::string& name) {
+    const auto layers = net.weight_layers();
+    for (std::size_t l = 0; l < layers.size(); ++l)
+        if (layers[l].name == name) return static_cast<int>(l);
+    throw std::invalid_argument("no weight layer " + name);
+}
+
+void expect_deep_identity(const std::string& model,
+                          const std::vector<std::string>& layers) {
+    auto fx = deep_fixture(model);
+    constexpr std::size_t kDeepWidths[] = {1, 8};
+    for (const auto policy : {ClassificationPolicy::GoldenMismatch,
+                              ClassificationPolicy::AnyMisprediction}) {
+        SCOPED_TRACE(to_string(policy));
+        ExecutorConfig config;
+        config.policy = policy;
+        std::vector<fault::Fault> faults;
+        for (const auto& name : layers) {
+            const auto more =
+                layer_faults(fx.net, weight_layer(fx.net, name));
+            faults.insert(faults.end(), more.begin(), more.end());
+        }
+        expect_group_identity(fx.net, fx.eval, faults, config, kDeepWidths);
+    }
+}
+
+TEST(EnsembleForward, MatchesOnResNet20) {
+    // The stem; the last stage-2 conv, whose block Add reads the stacked
+    // block input and whose block output feeds stage 3's PadShortcut (a
+    // late stage keeps the suffix short); the FC.
+    expect_deep_identity("resnet20", {"conv1", "stage2.block3.conv2", "fc"});
+}
+
+TEST(EnsembleForward, MatchesOnMobileNetV2) {
+    // The expand pointwise conv of the last residual block (its Add reads
+    // the stacked block input); that block's depthwise conv; the FC.
+    expect_deep_identity("mobilenetv2",
+                         {"block15.expand", "block15.depthwise", "fc"});
 }
 
 }  // namespace

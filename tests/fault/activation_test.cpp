@@ -9,9 +9,12 @@
 #include "nn/init.hpp"
 #include "nn/trainer.hpp"
 #include "stats/rng.hpp"
+#include "../support/reference_classifier.hpp"
 
 namespace statfi::fault {
 namespace {
+
+using testsupport::evaluate_one;
 
 const Shape kImage{3, 32, 32};
 
@@ -112,8 +115,8 @@ TEST(ActivationCampaign, EvaluateIsDeterministicAndRestoresState) {
     stats::Rng rng(9);
     for (int trial = 0; trial < 100; ++trial) {
         const auto f = u.decode(rng.uniform_below(u.total()));
-        const auto a = core.evaluate(f);
-        const auto b = core.evaluate(f);
+        const auto a = evaluate_one(core, f);
+        const auto b = evaluate_one(core, f);
         EXPECT_EQ(a, b) << f.to_string();  // deterministic => state restored
     }
 }
@@ -137,7 +140,7 @@ TEST(ActivationCampaign, ExponentMsbFlipOnLogitsIsCritical) {
         f.layer = last;
         f.weight_index = e;
         f.bit = 30;
-        critical += core.evaluate(f) == core::FaultOutcome::Critical;
+        critical += evaluate_one(core, f) == core::FaultOutcome::Critical;
     }
     EXPECT_GE(critical, 2);
     EXPECT_LT(critical, 10);  // the winner's own flip only reinforces it
@@ -156,7 +159,7 @@ TEST(ActivationCampaign, MantissaLsbFlipIsBenign) {
             static_cast<std::uint64_t>(u.layer_count())));
         f.weight_index = rng.uniform_below(u.layer(f.layer).weight_count);
         f.bit = 0;
-        EXPECT_EQ(core.evaluate(f), core::FaultOutcome::NonCritical)
+        EXPECT_EQ(evaluate_one(core, f), core::FaultOutcome::NonCritical)
             << f.to_string();
     }
 }
@@ -228,10 +231,10 @@ TEST(ActivationCampaign, RejectsBadIndices) {
     Fault f;
     f.model = FaultModel::ActivationFlip;
     f.layer = 999;
-    EXPECT_THROW(core.evaluate(f), std::out_of_range);
+    EXPECT_THROW(evaluate_one(core, f), std::out_of_range);
     f.layer = 0;
     f.weight_index = 1u << 30;
-    EXPECT_THROW(core.evaluate(f), std::out_of_range);
+    EXPECT_THROW(evaluate_one(core, f), std::out_of_range);
 }
 
 }  // namespace

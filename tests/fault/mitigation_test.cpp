@@ -12,9 +12,12 @@
 #include "nn/init.hpp"
 #include "nn/trainer.hpp"
 #include "stats/rng.hpp"
+#include "../support/reference_classifier.hpp"
 
 namespace statfi::fault {
 namespace {
+
+using testsupport::evaluate_one;
 
 nn::Network trained_net() {
     auto net = models::make_micronet();
@@ -126,13 +129,13 @@ TEST(MitigationCampaign, TmrMasksWeightFaultsInProtectedLayer) {
     for (int trial = 0; trial < 40; ++trial) {
         const auto f = u.decode(rng.uniform_below(u.layer_population(0)));
         ASSERT_EQ(f.layer, 0);
-        EXPECT_EQ(core.evaluate(f), core::FaultOutcome::Masked);
+        EXPECT_EQ(evaluate_one(core, f), core::FaultOutcome::Masked);
     }
     EXPECT_EQ(core.inference_count(), before);
 
     const auto elsewhere =
         u.decode(u.subpop_offset(1, 30));  // conv2, exponent MSB
-    EXPECT_NE(core.evaluate(elsewhere), core::FaultOutcome::Masked);
+    EXPECT_NE(evaluate_one(core, elsewhere), core::FaultOutcome::Masked);
 }
 
 TEST(MitigationCampaign, ClipShrinksExponentFlipCriticality) {
@@ -155,7 +158,7 @@ TEST(MitigationCampaign, ClipShrinksExponentFlipCriticality) {
             const std::uint64_t weight =
                 rng.uniform_below(u.layer(0).weight_count);
             const auto f = u.decode(u.subpop_offset(0, 30) + weight);
-            critical += core.evaluate(f) == core::FaultOutcome::Critical;
+            critical += evaluate_one(core, f) == core::FaultOutcome::Critical;
         }
         return critical;
     };

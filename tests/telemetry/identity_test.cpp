@@ -90,9 +90,8 @@ TEST(TelemetryIdentity, CensusTableBytesIdenticalTelemetryOnVsOff) {
     EXPECT_EQ(snap.find("statfi_faults_total")->counter, kCensusSpan);
     EXPECT_EQ(snap.find("statfi_faults_critical_total")->counter,
               run.outcomes.critical_count(0, kCensusSpan));
-    // evaluate_seconds observes one sample per evaluation PASS: a blocked
-    // ensemble group (up to ensemble_width faults sharing a layer and
-    // family) books one sample, a degenerate single-fault pass books one.
+    // evaluate_seconds observes one sample per evaluate_group pass: one per
+    // group of up to ensemble_width faults sharing a layer and family.
     const auto evaluate_samples =
         snap.find("statfi_evaluate_seconds")->count;
     EXPECT_GE(evaluate_samples,
@@ -101,9 +100,16 @@ TEST(TelemetryIdentity, CensusTableBytesIdenticalTelemetryOnVsOff) {
     EXPECT_DOUBLE_EQ(snap.find("statfi_worker_count")->gauge, 2.0);
     EXPECT_DOUBLE_EQ(snap.find("statfi_golden_accuracy")->gauge,
                      on.golden_accuracy());
-    // Masked + live == all faults; masked faults run zero inferences.
-    EXPECT_LE(snap.find("statfi_faults_masked_total")->counter, kCensusSpan);
-    EXPECT_GT(snap.find("statfi_inferences_total")->counter, 0u);
+    // The masked counter agrees with the table's Masked bytes, and the
+    // inference counter with the engine's own count.
+    std::uint64_t masked = 0;
+    for (std::uint64_t i = 0; i < kCensusSpan; ++i)
+        masked += run.outcomes.at(i) == FaultOutcome::Masked ? 1 : 0;
+    EXPECT_EQ(snap.find("statfi_faults_masked_total")->counter, masked);
+    EXPECT_GT(masked, 0u);
+    EXPECT_EQ(snap.find("statfi_inferences_total")->counter,
+              on.inference_count());
+    EXPECT_GT(on.inference_count(), 0u);
     // Phase spans were recorded for the orchestration phases.
     ASSERT_NE(session.trace(), nullptr);
     bool saw_census = false, saw_golden = false;

@@ -236,8 +236,9 @@ struct Options {
         "                              CPU supports it; outcomes are\n"
         "                              bit-identical either way)\n"
         "  --ensemble N                faults per blocked ensemble pass\n"
-        "                              (default 8; 1 disables grouping;\n"
-        "                              throughput only, never outcomes)\n"
+        "                              (default 8; 1 = one fault per pass,\n"
+        "                              same path; throughput only, never\n"
+        "                              outcomes)\n"
         "  --resume                    continue from the journal left by an\n"
         "                              interrupted run\n"
         "  --journal PATH              campaign/activation/exhaustive:\n"
@@ -799,8 +800,8 @@ int cmd_campaign(const Options& opt) {
         telemetry::PhaseScope scope(session, "fixture_build");
         return shard::build_fixture(recipe);
     }();
-    // Like --threads, --ensemble tunes throughput only: the blocked
-    // ensemble pass is bit-identical to the per-fault loop.
+    // Like --threads, --ensemble tunes throughput only: a fault's lane
+    // never depends on the other lanes in its pass.
     if (opt.ensemble) fx.config.ensemble_width = opt.ensemble;
     core::CampaignEngine engine(fx.net, fx.eval, fx.config, opt.threads,
                                 session);
