@@ -12,9 +12,9 @@
 //
 // `bench_perf --observatory-json PATH` extends that gate to the FULL
 // observatory of DESIGN.md §5.13: metrics + tracing + JSONL event log on
-// disk + live StatusServer, vs the bare engine. Same alternating-rep
-// protocol, same 3% ceiling, same bit-identity requirement
-// (BENCH_observatory.json).
+// disk + the live campaign routes (/status folding that log on every
+// poll), vs the bare engine. Same alternating-rep protocol, same 3%
+// ceiling, same bit-identity requirement (BENCH_observatory.json).
 //
 // `bench_perf --kernels-json PATH` measures the kernel-dispatch layer and
 // the fault-batched ensemble forward (DESIGN.md decision 15): the engine
@@ -38,11 +38,11 @@
 //
 // `bench_perf --fleet-json PATH` measures the fleet observability plane of
 // DESIGN.md decision 18: the same service batch with SchedulerOptions::fleet
-// off vs on (per-shard trace sessions, the 200 ms metrics sampler, live
-// /fleet stats, merged per-job trace). Alternating reps, best-of wall per
-// mode, the on-mode's artifacts validated (history samples, one trace_id
-// across daemon + every shard), served outcomes identical, and the same 3%
-// overhead ceiling (BENCH_fleet.json).
+// off vs on (per-shard trace sessions, the 200 ms metrics sampler whose
+// metrics.tsf /fleet reads, merged per-job trace). Alternating reps,
+// best-of wall per mode, the on-mode's artifacts validated (history
+// samples, one trace_id across daemon + every shard), served outcomes
+// identical, and the same 3% overhead ceiling (BENCH_fleet.json).
 
 #include <benchmark/benchmark.h>
 
@@ -618,13 +618,13 @@ int run_telemetry_report(const std::string& json_path,
 std::string service_http(std::uint16_t port, const std::string& request);
 
 /// The kernel-gate census bare vs under the full observatory: metrics,
-/// tracing, the JSONL event log streamed to disk, and a live StatusServer
-/// on an ephemeral loopback port that a client thread actually polls
-/// (/status and /metrics every ~50 ms) — an idle server would measure
-/// nothing and once reported http_requests_served: 0. Alternating reps,
-/// best-of wall per mode; the instrumented run must stay within
-/// kMaxTelemetryOverheadPct of the bare run and its outcome table must
-/// match bit for bit.
+/// tracing, the JSONL event log streamed to disk, and the campaign routes
+/// (add_campaign_routes) on an ephemeral loopback port that a client
+/// thread actually polls (/status, which folds the log, and /metrics every
+/// ~50 ms) — an idle server would measure nothing and once reported
+/// http_requests_served: 0. Alternating reps, best-of wall per mode; the
+/// instrumented run must stay within kMaxTelemetryOverheadPct of the bare
+/// run and its outcome table must match bit for bit.
 int run_observatory_report(const std::string& json_path,
                            std::uint64_t max_faults) {
     const auto make_net = [] {
@@ -666,15 +666,17 @@ int run_observatory_report(const std::string& json_path,
         for (int mode = 0; mode < 2; ++mode) {
             auto net = make_net();
             std::unique_ptr<telemetry::Session> session;
-            std::unique_ptr<telemetry::StatusServer> server;
+            std::unique_ptr<telemetry::HttpServer> server;
             std::atomic<bool> poll_stop{false};
             std::thread poller;
             if (mode == 1) {
                 session = std::make_unique<telemetry::Session>();
                 session->open_event_log(log_path.string());
                 core::emit_campaign_header(*session->events(), header);
-                server =
-                    std::make_unique<telemetry::StatusServer>(session.get(), 0);
+                server = std::make_unique<telemetry::HttpServer>(
+                    telemetry::HttpServer::Options{});
+                telemetry::add_campaign_routes(*server, *session);
+                server->start();
                 // A live observer: the overhead being gated includes
                 // answering real requests while the census runs.
                 const std::uint16_t port = server->port();
@@ -735,7 +737,8 @@ int run_observatory_report(const std::string& json_path,
         << "  \"fixture\": \"micronet kaiming(424242), 4 synthetic test "
            "images, GoldenMismatch, stuck-at universe\",\n"
         << "  \"instrumentation\": \"metrics + tracing + JSONL event log + "
-           "StatusServer (ephemeral loopback port)\",\n"
+           "campaign routes, /status folding the log (ephemeral loopback "
+           "port)\",\n"
         << "  \"universe\": " << total << ",\n"
         << "  \"faults\": " << faults << ",\n"
         << "  \"reps_per_mode\": " << kTelemetryReps << ",\n"
@@ -1066,7 +1069,8 @@ int run_fleet_report(const std::string& json_path) {
         << "  \"fixture\": \"micronet exhaustive census, 4 synthetic test "
            "images, GoldenMismatch, distinct seeds, 3 shards/job\",\n"
         << "  \"instrumentation\": \"fleet plane: per-shard trace sessions "
-           "+ 200ms metrics sampler + live stats + merged trace\",\n"
+           "+ 200ms metrics sampler (metrics.tsf, read by /fleet) + merged "
+           "trace\",\n"
         << "  \"jobs\": " << kJobs << ",\n"
         << "  \"reps_per_mode\": " << kReps << ",\n"
         << "  \"off_wall_seconds\": " << best_wall[0] << ",\n"

@@ -62,4 +62,15 @@ bool read_file(const std::string& path, std::string& out) {
     return true;
 }
 
+bool read_from(const std::string& path, std::uint64_t offset,
+               std::string& out) {
+    std::ifstream is(path, std::ios::binary);
+    if (!is || !is.seekg(static_cast<std::streamoff>(offset))) return false;
+    std::ostringstream buffer;
+    buffer << is.rdbuf();
+    if (is.bad() || buffer.tellp() <= 0) return false;
+    out = std::move(buffer).str();
+    return true;
+}
+
 }  // namespace statfi::io

@@ -6,6 +6,7 @@
 // within a filesystem), so a reader observes either the old complete file
 // or the new complete file — never a torn one.
 
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
@@ -21,5 +22,12 @@ void write_file_atomic(const std::string& path,
 /// Read an entire file into @p out. Returns false (out untouched) when the
 /// file cannot be opened; throws nothing.
 bool read_file(const std::string& path, std::string& out);
+
+/// Read the bytes of @p path past byte @p offset into @p out — the one
+/// incremental reader behind every live tail of a growing log. Returns
+/// false (out untouched) when the file cannot be opened or has no bytes
+/// past @p offset; throws nothing.
+bool read_from(const std::string& path, std::uint64_t offset,
+               std::string& out);
 
 }  // namespace statfi::io

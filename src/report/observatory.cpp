@@ -6,7 +6,6 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace statfi::report {
 
@@ -30,113 +29,117 @@ const ObservatoryModel::Stratum* ObservatoryModel::find_stratum(
     return nullptr;
 }
 
+void fold_event(ObservatoryModel& m, const JsonValue& e) {
+    const std::uint64_t i = m.event_count;
+    if (!e.is_object()) schema_error(i, "event is not a JSON object");
+    if (e.get_int("v", -1) != 1)
+        schema_error(i, "unsupported schema version (want v:1)");
+    if (e.get_uint("seq", ~0ULL) != i)
+        schema_error(i, "sequence gap: expected seq " + std::to_string(i));
+    const std::string type = e.get_str("type");
+    if (type.empty()) schema_error(i, "missing event type");
+    if (i == 0 && type != "campaign_header")
+        schema_error(i, "first event must be campaign_header, got " + type);
+
+    if (type == "campaign_header") {
+        m.command = e.get_str("command");
+        m.model = e.get_str("model");
+        m.approach = e.get_str("approach");
+        m.dtype = e.get_str("dtype");
+        m.format = e.get_str("format");
+        if (m.format.empty()) m.format = m.dtype;  // pre-format logs
+        m.policy = e.get_str("policy");
+        m.seed = e.get_uint("seed");
+        m.images = e.get_int("images");
+        m.confidence = e.get_num("confidence", 0.99);
+        m.error_margin = e.get_num("error_margin", 0.01);
+        m.fault_model = e.get_str("fault_model");
+        m.mitigation = e.get_str("mitigation");
+    } else if (type == "plan") {
+        m.universe = e.get_uint("universe");
+        m.planned = e.get_uint("planned");
+        m.strata_planned = e.get_uint("strata");
+        m.bits = static_cast<int>(e.get_int("bits"));
+        if (m.approach.empty()) m.approach = e.get_str("approach");
+        if (m.fault_model.empty()) m.fault_model = e.get_str("fault_model");
+        m.layers.clear();
+        if (const JsonValue* layers = e.find("layers"))
+            for (const JsonValue& l : layers->array)
+                m.layers.push_back({static_cast<int>(l.get_int("layer", -1)),
+                                    l.get_str("name"),
+                                    l.get_uint("population")});
+    } else if (type == "phase_begin") {
+        m.open_phases.push_back(e.get_str("phase"));
+    } else if (type == "phase_end") {
+        const std::string phase = e.get_str("phase");
+        const auto open =
+            std::find(m.open_phases.rbegin(), m.open_phases.rend(), phase);
+        if (open != m.open_phases.rend())
+            m.open_phases.erase(std::next(open).base());
+        // Totals by phase name in first-seen order (nested and repeated
+        // phases sum their durations).
+        auto it = std::find_if(m.phases.begin(), m.phases.end(),
+                               [&](const auto& p) { return p.name == phase; });
+        if (it == m.phases.end())
+            it = m.phases.insert(it, ObservatoryModel::Phase{phase, 0.0, 0});
+        it->seconds += e.get_num("seconds");
+        it->count += 1;
+    } else if (type == "stratum_update") {
+        const std::uint64_t id = e.get_uint("stratum");
+        auto [it, fresh] = m.stratum_index.try_emplace(id, m.strata.size());
+        if (fresh) {
+            ObservatoryModel::Stratum s;
+            s.id = id;
+            s.layer = static_cast<int>(e.get_int("layer", -1));
+            s.bit = static_cast<int>(e.get_int("bit", -1));
+            s.population = e.get_uint("population");
+            s.planned = e.get_uint("planned");
+            m.strata.push_back(std::move(s));
+        }
+        ObservatoryModel::Point p;
+        p.done = e.get_uint("done");
+        p.critical = e.get_uint("critical");
+        p.p_hat = e.get_num("p_hat");
+        p.wilson_lo = e.get_num("wilson_lo");
+        p.wilson_hi = e.get_num("wilson_hi", 1.0);
+        p.wald_lo = e.get_num("wald_lo");
+        p.wald_hi = e.get_num("wald_hi", 1.0);
+        m.strata[it->second].points.push_back(p);
+    } else if (type == "resume") {
+        m.resumed += e.get_uint("replayed");
+    } else if (type == "shard_begin") {
+        ObservatoryModel::Shard s;
+        s.shard = e.get_uint("shard");
+        s.range_begin = e.get_uint("range_begin");
+        s.range_end = e.get_uint("range_end");
+        m.shards.push_back(s);
+    } else if (type == "shard_end") {
+        const std::uint64_t id = e.get_uint("shard");
+        for (auto it = m.shards.rbegin(); it != m.shards.rend(); ++it)
+            if (it->shard == id) {
+                it->ended = true;
+                it->complete = e.get_bool("complete");
+                it->resumed = e.get_uint("resumed");
+                it->classified = e.get_uint("classified");
+                break;
+            }
+    } else if (type == "merge_artifact") {
+        m.merge_artifacts += 1;
+    } else if (type == "campaign_end") {
+        m.finished = true;
+        m.complete = e.get_str("outcome") == "complete";
+        m.injected = e.get_uint("injected");
+        m.critical = e.get_uint("critical");
+        m.wall_seconds = e.get_num("wall_seconds");
+    }
+    // Unknown (forward-compatible) types carry no model state.
+    m.ts = e.get_num("ts");
+    m.event_count = i + 1;
+}
+
 ObservatoryModel model_from_events(const std::vector<JsonValue>& events) {
     ObservatoryModel m;
-    std::unordered_map<std::uint64_t, std::size_t> stratum_index;
-    std::unordered_map<std::string, std::size_t> phase_index;
-
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        const JsonValue& e = events[i];
-        if (!e.is_object()) schema_error(i, "event is not a JSON object");
-        if (e.get_int("v", -1) != 1)
-            schema_error(i, "unsupported schema version (want v:1)");
-        if (e.get_uint("seq", ~0ULL) != i)
-            schema_error(i, "sequence gap: expected seq " +
-                                std::to_string(i));
-        const std::string type = e.get_str("type");
-        if (type.empty()) schema_error(i, "missing event type");
-        if (i == 0 && type != "campaign_header")
-            schema_error(i, "first event must be campaign_header, got " +
-                                type);
-
-        if (type == "campaign_header") {
-            m.command = e.get_str("command");
-            m.model = e.get_str("model");
-            m.approach = e.get_str("approach");
-            m.dtype = e.get_str("dtype");
-            m.format = e.get_str("format");
-            if (m.format.empty()) m.format = m.dtype;  // pre-format logs
-            m.policy = e.get_str("policy");
-            m.seed = e.get_uint("seed");
-            m.images = e.get_int("images");
-            m.confidence = e.get_num("confidence", 0.99);
-            m.error_margin = e.get_num("error_margin", 0.01);
-            m.fault_model = e.get_str("fault_model");
-            m.mitigation = e.get_str("mitigation");
-        } else if (type == "plan") {
-            m.universe = e.get_uint("universe");
-            m.planned = e.get_uint("planned");
-            m.strata_planned = e.get_uint("strata");
-            m.bits = static_cast<int>(e.get_int("bits"));
-            if (m.approach.empty()) m.approach = e.get_str("approach");
-            if (m.fault_model.empty())
-                m.fault_model = e.get_str("fault_model");
-            m.layers.clear();
-            if (const JsonValue* layers = e.find("layers"))
-                for (const JsonValue& l : layers->array)
-                    m.layers.push_back(
-                        {static_cast<int>(l.get_int("layer", -1)),
-                         l.get_str("name"), l.get_uint("population")});
-        } else if (type == "phase_end") {
-            const std::string phase = e.get_str("phase");
-            auto [it, fresh] =
-                phase_index.try_emplace(phase, m.phases.size());
-            if (fresh) m.phases.push_back({phase, 0.0, 0});
-            m.phases[it->second].seconds += e.get_num("seconds");
-            m.phases[it->second].count += 1;
-        } else if (type == "stratum_update") {
-            const std::uint64_t id = e.get_uint("stratum");
-            auto [it, fresh] =
-                stratum_index.try_emplace(id, m.strata.size());
-            if (fresh) {
-                ObservatoryModel::Stratum s;
-                s.id = id;
-                s.layer = static_cast<int>(e.get_int("layer", -1));
-                s.bit = static_cast<int>(e.get_int("bit", -1));
-                s.population = e.get_uint("population");
-                s.planned = e.get_uint("planned");
-                m.strata.push_back(std::move(s));
-            }
-            ObservatoryModel::Point p;
-            p.done = e.get_uint("done");
-            p.critical = e.get_uint("critical");
-            p.p_hat = e.get_num("p_hat");
-            p.wilson_lo = e.get_num("wilson_lo");
-            p.wilson_hi = e.get_num("wilson_hi", 1.0);
-            p.wald_lo = e.get_num("wald_lo");
-            p.wald_hi = e.get_num("wald_hi", 1.0);
-            m.strata[it->second].points.push_back(p);
-        } else if (type == "resume") {
-            m.resumed += e.get_uint("replayed");
-        } else if (type == "shard_begin") {
-            ObservatoryModel::Shard s;
-            s.shard = e.get_uint("shard");
-            s.range_begin = e.get_uint("range_begin");
-            s.range_end = e.get_uint("range_end");
-            m.shards.push_back(s);
-        } else if (type == "shard_end") {
-            const std::uint64_t id = e.get_uint("shard");
-            for (auto it = m.shards.rbegin(); it != m.shards.rend(); ++it)
-                if (it->shard == id) {
-                    it->ended = true;
-                    it->complete = e.get_bool("complete");
-                    it->resumed = e.get_uint("resumed");
-                    it->classified = e.get_uint("classified");
-                    break;
-                }
-        } else if (type == "merge_artifact") {
-            m.merge_artifacts += 1;
-        } else if (type == "campaign_end") {
-            m.finished = true;
-            m.complete = e.get_str("outcome") == "complete";
-            m.injected = e.get_uint("injected");
-            m.critical = e.get_uint("critical");
-            m.wall_seconds = e.get_num("wall_seconds");
-        }
-        // phase_begin and unknown (forward-compatible) types carry no
-        // model state.
-    }
-    m.event_count = events.size();
+    for (const JsonValue& e : events) fold_event(m, e);
     return m;
 }
 

@@ -15,10 +15,14 @@
 // The model is tolerant of *interrupted* logs (a valid prefix is a valid
 // report — the writer flushes per event) but strict about schema: a log
 // whose first event is not a campaign_header, or whose envelope is
-// malformed, throws with the offending line number.
+// malformed, throws with the offending line number. It is built one event
+// at a time (fold_event), so a live reader — the campaign's /status
+// endpoint — continues a model where it stopped instead of re-reading the
+// log.
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "report/json_parse.hpp"
@@ -69,6 +73,10 @@ struct ObservatoryModel {
         std::uint64_t count = 0;  ///< completed begin/end pairs
     };
     std::vector<Phase> phases;
+    /// Phases begun but not yet ended, outermost first (nested PhaseScopes
+    /// stack up; a campaign that is classifying has "classify" or
+    /// "census" open).
+    std::vector<std::string> open_phases;
 
     // stratum_update series, keyed by stratum id in first-seen order.
     struct Point {
@@ -91,6 +99,8 @@ struct ObservatoryModel {
         }
     };
     std::vector<Stratum> strata;
+    /// stratum id -> index into strata (fold state).
+    std::unordered_map<std::uint64_t, std::size_t> stratum_index;
 
     // shard lifecycle
     struct Shard {
@@ -113,10 +123,16 @@ struct ObservatoryModel {
     double wall_seconds = 0.0;
 
     std::uint64_t event_count = 0;
+    double ts = 0.0;  ///< `ts` of the newest event (the log's own clock)
 
     /// Stratum for (layer, bit), or nullptr.
     [[nodiscard]] const Stratum* find_stratum(int layer, int bit) const;
 };
+
+/// Fold one more event into @p m: the step model_from_events repeats. The
+/// event must be the log's line m.event_count (its `seq`).
+/// @throws std::runtime_error on schema violations, naming the line.
+void fold_event(ObservatoryModel& m, const JsonValue& event);
 
 /// Build the model from parsed event-log lines (one JsonValue per line).
 /// @throws std::runtime_error on schema violations, naming the line.

@@ -1,7 +1,7 @@
 #include "service/daemon.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
@@ -11,6 +11,7 @@
 #include "io/atomic_file.hpp"
 #include "report/json.hpp"
 #include "service/recipe_json.hpp"
+#include "stats/intervals.hpp"
 #include "telemetry/history.hpp"
 #include "telemetry/trace.hpp"
 
@@ -49,27 +50,49 @@ HttpResponse json_response(int status, const std::string& body) {
     return HttpResponse{status, "application/json", body + "\n"};
 }
 
-/// Wilson score interval for x criticals out of n faults at ~95% — the
-/// same interval family the estimator reports, reduced to the two numbers
-/// a fleet dashboard plots around p̂. Zero-sample jobs get [0, 1].
-struct WilsonInterval {
-    double p_hat = 0.0, low = 0.0, high = 1.0;
+/// A job's convergence for /fleet. A running (or merging) job reads the
+/// newest samples of the metrics.tsf its sampler writes, its rate taken
+/// between the last two; every other job, or one with no sample yet, reads
+/// its job record with rate 0.
+struct FleetProgress {
+    std::uint64_t faults = 0;
+    std::uint64_t critical = 0;
+    double faults_per_second = 0.0;
 };
 
-WilsonInterval wilson95(double x, double n) {
-    WilsonInterval w;
-    if (n <= 0.0) return w;
-    constexpr double z = 1.959963984540054;  // Phi^-1(0.975)
-    const double p = x / n;
-    const double z2 = z * z;
-    const double denom = 1.0 + z2 / n;
-    const double center = (p + z2 / (2.0 * n)) / denom;
-    const double half =
-        z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom;
-    w.p_hat = p;
-    w.low = std::max(0.0, center - half);
-    w.high = std::min(1.0, center + half);
-    return w;
+FleetProgress fleet_progress(const Job& job, const ResultCache& cache) {
+    FleetProgress p{job.resumed + job.classified, job.critical, 0.0};
+    if (job.state != JobState::Running && job.state != JobState::Merging)
+        return p;
+    std::vector<std::string> series;
+    std::vector<telemetry::HistorySample> samples;
+    try {
+        const auto ring = telemetry::HistoryRing::load(
+            ResultCache::history_path(cache.dir_of(job.fingerprint)));
+        series = ring.series();
+        samples = ring.samples();
+    } catch (const std::exception&) {
+        return p;  // the sampler has not written its first sample yet
+    }
+    const auto column = [&](const char* name) {
+        return static_cast<std::size_t>(
+            std::find(series.begin(), series.end(), name) - series.begin());
+    };
+    const std::size_t f = column("faults"), c = column("critical");
+    if (samples.empty() || f == series.size() || c == series.size())
+        return p;
+    const telemetry::HistorySample& last = samples.back();
+    p.faults = static_cast<std::uint64_t>(last.values[f]);
+    p.critical = static_cast<std::uint64_t>(last.values[c]);
+    if (samples.size() >= 2) {
+        // A re-claimed job's sampler restarts its counters at zero after
+        // the previous life's last sample; that step is no rate.
+        const telemetry::HistorySample& prev = samples[samples.size() - 2];
+        if (last.seconds > prev.seconds && last.values[f] >= prev.values[f])
+            p.faults_per_second = (last.values[f] - prev.values[f]) /
+                                  (last.seconds - prev.seconds);
+    }
+    return p;
 }
 
 void job_json_fields(report::JsonWriter& json, const Job& job) {
@@ -321,14 +344,11 @@ HttpResponse ServiceDaemon::follow_events(std::uint64_t id,
     response.stream = [this, id, path](const telemetry::ChunkSink& sink) {
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::minutes(10);
-        std::size_t offset = 0;
+        std::uint64_t offset = 0;
         const auto drain = [&]() -> bool {  // false = client gone
-            std::string text;
-            if (!io::read_file(path, text) || text.size() <= offset)
-                return true;
-            const std::string_view fresh =
-                std::string_view(text).substr(offset);
-            offset = text.size();
+            std::string fresh;
+            if (!io::read_from(path, offset, fresh)) return true;
+            offset += fresh.size();
             return sink(fresh);
         };
         for (;;) {
@@ -349,40 +369,31 @@ HttpResponse ServiceDaemon::follow_events(std::uint64_t id,
 
 HttpResponse ServiceDaemon::fleet_view() const {
     // One document a dashboard polls: every known job with its state and
-    // convergence progress (live sampler stats while running, final
-    // counters once terminal), plus worker utilization and cache totals.
+    // convergence progress (fleet_progress), plus worker utilization and
+    // cache totals.
     std::uint64_t cache_hits = 0;
     std::ostringstream out;
     report::JsonWriter json(out, 0);
     json.begin_object().key("jobs").begin_array();
     for (const Job& job : queue_.snapshot()) {
         if (job.cache_hit) ++cache_hits;
-        const std::optional<JobLiveStats> live =
-            scheduler_.live_stats(job.id);
-        const double faults =
-            live ? static_cast<double>(live->faults)
-                 : static_cast<double>(job.resumed + job.classified);
-        const double critical = live ? static_cast<double>(live->critical)
-                                     : static_cast<double>(job.critical);
-        const WilsonInterval ci = wilson95(critical, faults);
-        json.begin_object()
-            .field("id", job.id)
-            .field("state", to_string(job.state))
-            .field("model", job.recipe.model)
-            .field("fingerprint", job.fingerprint)
-            .field("cache_hit", job.cache_hit)
-            .field("shards_done", job.shards_done)
-            .field("shards_total", job.shards_total)
-            .field("injected", job.injected)
-            .field("faults", static_cast<std::uint64_t>(faults))
-            .field("p_hat", ci.p_hat)
-            .field("ci_low", ci.low)
-            .field("ci_high", ci.high)
-            .field("faults_per_second", live ? live->faults_per_second : 0.0);
-        if (job.trace_id != 0)
-            json.field("trace_id", telemetry::format_trace_id(job.trace_id));
-        if (!job.error.empty()) json.field("error", job.error);
-        json.end_object();
+        const FleetProgress p = fleet_progress(job, cache_);
+        // A job that reused cached shard results counts their criticals
+        // but not their faults; the clamp keeps p_hat and Wilson's x <= n.
+        const std::uint64_t critical = std::min(p.critical, p.faults);
+        const stats::Interval ci =
+            p.faults ? stats::wilson_interval(critical, p.faults, 0.95)
+                     : stats::Interval{0.0, 1.0};
+        json.begin_object();
+        job_json_fields(json, job);
+        json.field("faults", p.faults)
+            .field("p_hat", p.faults ? static_cast<double>(critical) /
+                                           static_cast<double>(p.faults)
+                                     : 0.0)
+            .field("ci_low", ci.lo)
+            .field("ci_high", ci.hi)
+            .field("faults_per_second", p.faults_per_second)
+            .end_object();
     }
     json.end_array();
     json.key("workers")

@@ -26,8 +26,10 @@
 //                                       every shard, one trace_id)
 //   GET  /campaigns/<id>/report.html    self-contained observatory report
 //   GET  /campaigns/<id>/result.json    deterministic merged result
-//   GET  /fleet                         every known job with live progress,
-//                                       worker utilization, cache totals
+//   GET  /fleet                         every job's record plus its
+//                                       convergence (a running job's from
+//                                       its metrics.tsf), worker
+//                                       utilization, cache totals
 //   GET  /healthz                       liveness + queue depth
 //   GET  /                              text index
 //
@@ -53,7 +55,7 @@ struct DaemonOptions {
     std::size_t engine_threads = 1;  ///< engine workers per shard run
     std::string log_path;            ///< "" = <state>/service.jsonl
     std::size_t max_request_bytes = 1 << 20;
-    /// Fleet observability plane (traces, metrics history, live stats).
+    /// Fleet observability plane (traces, the metrics history /fleet reads).
     /// Off disables only observation — outcomes are bit-identical.
     bool fleet = true;
 };
@@ -77,9 +79,6 @@ public:
     [[nodiscard]] std::uint16_t port() const noexcept { return http_.port(); }
     [[nodiscard]] JobQueue& queue() noexcept { return queue_; }
     [[nodiscard]] ResultCache& cache() noexcept { return cache_; }
-    [[nodiscard]] const Scheduler& scheduler() const noexcept {
-        return scheduler_;
-    }
 
 private:
     telemetry::HttpResponse post_campaign(const telemetry::HttpRequest& req);

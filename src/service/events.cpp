@@ -52,4 +52,11 @@ void ServiceLog::job_done(const Job& job, const std::string& outcome) {
     log_.emit(e);
 }
 
+void ServiceLog::artifact_failed(const Job& job, const std::string& artifact,
+                                 const std::string& reason) {
+    telemetry::Event e("artifact_failed");
+    e.field("job", job.id).field("artifact", artifact).field("reason", reason);
+    log_.emit(e);
+}
+
 }  // namespace statfi::service

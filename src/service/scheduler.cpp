@@ -5,19 +5,13 @@
 #include <condition_variable>
 #include <exception>
 #include <filesystem>
-#include <functional>
-#include <iostream>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "core/convergence.hpp"
-#include "core/engine.hpp"
 #include "core/estimator.hpp"
 #include "io/atomic_file.hpp"
-#include "kernels/registry.hpp"
 #include "report/json.hpp"
-#include "report/json_parse.hpp"
 #include "report/observatory.hpp"
 #include "service/recipe_json.hpp"
 #include "shard/driver.hpp"
@@ -34,23 +28,6 @@ namespace statfi::service {
 namespace {
 
 namespace fs = std::filesystem;
-
-core::CampaignHeaderInfo header_of(const shard::CampaignRecipe& recipe) {
-    core::CampaignHeaderInfo info;
-    info.command = "serve";
-    info.model = recipe.model;
-    info.approach = core::to_string(recipe.approach);
-    info.dtype = fault::to_string(recipe.dtype);
-    info.policy = core::to_string(recipe.policy);
-    info.seed = recipe.seed;
-    info.images = recipe.images;
-    info.confidence = recipe.confidence;
-    info.error_margin = recipe.error_margin;
-    info.fault_model = recipe.fault_model.describe();
-    info.mitigation = recipe.mitigation.describe();
-    info.kernels = kernels::active().name;
-    return info;
-}
 
 /// The deterministic merged-result document. Field names and spellings
 /// match the CLI's --json documents exactly, so "service result equals
@@ -122,21 +99,19 @@ void write_result_json(const std::string& path,
 /// periodically folds the active shard Session's counters (plus the totals
 /// of already-finished shards) into a HistoryRing and persists it to the
 /// cache entry's metrics.tsf — the durable, crash-survivable progress curve
-/// behind /campaigns/<id>/history and `statfi report` sparklines. The same
-/// sample feeds the scheduler's live-stats registry for /fleet.
+/// behind /campaigns/<id>/history, `statfi report` sparklines and the
+/// daemon's /fleet view of a running job.
 ///
-/// Thread-safety: the worker PRE-FREEZES each shard session's registry with
-/// the exact worker count the engine will resolve before publishing the
-/// session here, so sample() only ever snapshots a frozen registry — a
-/// documented-safe concurrent read against the injection hot path.
+/// Thread-safety: sample() snapshots the shard session's registry while the
+/// engine runs. The registry publishes its freeze atomically, so a sample
+/// taken before the engine binds its workers reads zeros, and one taken
+/// after is the documented-safe concurrent read against the injection hot
+/// path.
 class JobSampler {
 public:
-    using Publish = std::function<void(const JobLiveStats&)>;
-
-    JobSampler(std::string history_path, Publish publish)
+    explicit JobSampler(std::string history_path)
         : path_(std::move(history_path)),
           ring_(resume_ring(path_)),
-          publish_(std::move(publish)),
           start_(std::chrono::steady_clock::now()) {
         const auto samples = ring_.samples();
         if (!samples.empty()) seconds_offset_ = samples.back().seconds;
@@ -227,27 +202,17 @@ private:
             t = base_;
             if (session_) t.add(totals_of(session_->metrics().snapshot()));
         }
-        const double run_seconds =
+        const double seconds =
+            seconds_offset_ +
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start_)
                 .count();
-        const double seconds = seconds_offset_ + run_seconds;
         ring_.append(seconds, {t.faults, t.critical, t.masked, t.inferences,
                                t.evaluate_seconds});
         try {
             ring_.save(path_);
         } catch (const std::exception&) {
             // History is advisory: a full disk must not fail the campaign.
-        }
-        if (publish_) {
-            JobLiveStats live;
-            live.seconds = seconds;
-            live.faults = static_cast<std::uint64_t>(t.faults);
-            live.critical = static_cast<std::uint64_t>(t.critical);
-            live.inferences = static_cast<std::uint64_t>(t.inferences);
-            live.faults_per_second =
-                run_seconds > 0.0 ? t.faults / run_seconds : 0.0;
-            publish_(live);
         }
     }
 
@@ -266,7 +231,6 @@ private:
 
     std::string path_;
     telemetry::HistoryRing ring_;
-    Publish publish_;
     std::chrono::steady_clock::time_point start_;
     double seconds_offset_ = 0.0;
     std::mutex mutex_;
@@ -307,31 +271,10 @@ void Scheduler::worker_loop(std::size_t worker) {
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
             continue;
         }
-        const std::uint64_t id = job->id;
         active_.fetch_add(1, std::memory_order_relaxed);
         run_job(std::move(*job), worker);
         active_.fetch_sub(1, std::memory_order_relaxed);
-        // However the run ended (done, failed, requeued), the job is no
-        // longer live on this worker.
-        clear_live(id);
     }
-}
-
-std::optional<JobLiveStats> Scheduler::live_stats(std::uint64_t job_id) const {
-    std::lock_guard<std::mutex> lock(live_mutex_);
-    const auto it = live_.find(job_id);
-    if (it == live_.end()) return std::nullopt;
-    return it->second;
-}
-
-void Scheduler::publish_live(std::uint64_t job_id, const JobLiveStats& stats) {
-    std::lock_guard<std::mutex> lock(live_mutex_);
-    live_[job_id] = stats;
-}
-
-void Scheduler::clear_live(std::uint64_t job_id) {
-    std::lock_guard<std::mutex> lock(live_mutex_);
-    live_.erase(job_id);
 }
 
 void Scheduler::run_job(Job job, std::size_t worker) {
@@ -352,6 +295,11 @@ void Scheduler::run_job(Job job, std::size_t worker) {
     telemetry::TraceRecorder daemon_trace;
     telemetry::TraceRecorder* const tracer = fleet ? &daemon_trace : nullptr;
     if (fleet) daemon_trace.set_context(job_ctx);
+    // Shutdown hands the job back; the next claim resumes from the journals.
+    const auto requeue = [&] {
+        job.state = JobState::Queued;
+        queue_.update(job);
+    };
     try {
         const std::string dir = cache_.ensure_dir(job.fingerprint);
         if (!fs::exists(ResultCache::recipe_path(dir)))
@@ -375,11 +323,7 @@ void Scheduler::run_job(Job job, std::size_t worker) {
             return;
         }
 
-        if (stopping()) {  // shutdown won the race; hand the job back
-            job.state = JobState::Queued;
-            queue_.update(job);
-            return;
-        }
+        if (stopping()) return requeue();  // shutdown won the race
 
         // Freeze (or reuse) the manifest. Reusing skips planning — the
         // data-aware analysis and its golden pass — AND pins the partition
@@ -389,30 +333,12 @@ void Scheduler::run_job(Job job, std::size_t worker) {
         auto fx = shard::build_fixture(job.recipe);
         const std::string manifest_path = ResultCache::manifest_path(dir);
         shard::ShardManifest manifest;
-        bool frozen = false;
-        if (fs::exists(manifest_path)) {
-            try {
-                manifest = shard::ShardManifest::load(manifest_path);
-                frozen = true;
-            } catch (const std::exception&) {
-                frozen = false;  // damaged entry: re-freeze below
-            }
-        }
-        if (!frozen) {
-            core::CampaignEngine engine(fx.net, fx.eval, fx.config);
-            manifest.recipe = job.recipe;
-            manifest.fingerprint =
-                engine.fingerprint(fx.universe, job.recipe.model);
-            manifest.layer_count =
-                static_cast<std::uint32_t>(fx.universe.layer_count());
-            if (job.recipe.approach == core::Approach::Exhaustive) {
-                manifest.plan.approach = core::Approach::Exhaustive;
-                manifest.item_count = fx.universe.total();
-            } else {
-                manifest.plan =
-                    engine.plan(fx.universe, shard::campaign_spec(job.recipe));
-                manifest.item_count = manifest.plan.total_sample_size();
-            }
+        try {
+            manifest = shard::ShardManifest::load(manifest_path);
+        } catch (const std::exception&) {  // absent or damaged: freeze it
+            manifest = shard::freeze_manifest(job.recipe, fx);
+            // At most one shard per item: a tiny campaign runs fewer
+            // shards than requested.
             const std::uint64_t want = job.shards == 0 ? 1 : job.shards;
             manifest.shards = shard::partition_items(
                 manifest.item_count,
@@ -430,12 +356,9 @@ void Scheduler::run_job(Job job, std::size_t worker) {
         {
             telemetry::EventLog events(events_path);
             if (fleet) events.set_trace(job_ctx);
-            core::emit_campaign_header(events, header_of(job.recipe));
-            if (manifest.kind() == shard::CampaignKind::Census)
-                core::emit_plan_event(events, fx.universe,
-                                      core::plan_exhaustive(fx.universe));
-            else
-                core::emit_plan_event(events, fx.universe, manifest.plan);
+            core::emit_campaign_header(
+                events, shard::campaign_header(job.recipe, "serve"));
+            shard::emit_manifest_plan(events, manifest, fx.universe);
 
             job.state = JobState::Running;
             job.shards_total = manifest.shards.size();
@@ -443,33 +366,29 @@ void Scheduler::run_job(Job job, std::size_t worker) {
             queue_.update(job);
             if (fleet)
                 sampler = std::make_unique<JobSampler>(
-                    ResultCache::history_path(dir),
-                    [this, id = job.id](const JobLiveStats& stats) {
-                        publish_live(id, stats);
-                    });
+                    ResultCache::history_path(dir));
 
+            const auto shard_end = [&](std::uint32_t k, bool complete,
+                                       std::uint64_t resumed,
+                                       std::uint64_t classified, bool cached) {
+                events.emit(telemetry::Event("shard_end")
+                                .field("shard", std::uint64_t{k})
+                                .field("complete", complete)
+                                .field("resumed", resumed)
+                                .field("classified", classified)
+                                .field("cached", cached));
+            };
             for (std::uint32_t k = 0; k < manifest.shards.size(); ++k) {
-                if (stopping()) {
-                    job.state = JobState::Queued;
-                    queue_.update(job);
-                    return;
-                }
-                telemetry::Event begin("shard_begin");
-                begin.field("shard", static_cast<std::uint64_t>(k))
-                    .field("range_begin", manifest.shards[k].begin)
-                    .field("range_end", manifest.shards[k].end);
-                events.emit(begin);
+                if (stopping()) return requeue();
+                events.emit(telemetry::Event("shard_begin")
+                                .field("shard", std::uint64_t{k})
+                                .field("range_begin", manifest.shards[k].begin)
+                                .field("range_end", manifest.shards[k].end));
                 if (shard::shard_result_valid(manifest, manifest_path, k)) {
                     ++job.cached_shards;
                     ++job.shards_done;
                     queue_.update(job);
-                    telemetry::Event end("shard_end");
-                    end.field("shard", static_cast<std::uint64_t>(k))
-                        .field("complete", true)
-                        .field("resumed", std::uint64_t{0})
-                        .field("classified", std::uint64_t{0})
-                        .field("cached", true);
-                    events.emit(end);
+                    shard_end(k, true, 0, 0, /*cached=*/true);
                     continue;
                 }
                 shard::ShardRunOptions run_options;
@@ -491,15 +410,6 @@ void Scheduler::run_job(Job job, std::size_t worker) {
                             telemetry::format_trace_id(job.trace_id));
                     shard_session = std::make_unique<telemetry::Session>(
                         session_options);
-                    // Pre-freeze the registry with the exact worker count
-                    // the engine will resolve, so the sampler's concurrent
-                    // snapshot() never races the freeze.
-                    const std::size_t engine_workers =
-                        options_.engine_threads == 0
-                            ? std::max<std::size_t>(
-                                  1, std::thread::hardware_concurrency())
-                            : options_.engine_threads;
-                    shard_session->bind_workers(engine_workers);
                     run_options.telemetry = shard_session.get();
                     if (sampler) sampler->set_session(shard_session.get());
                 }
@@ -508,33 +418,21 @@ void Scheduler::run_job(Job job, std::size_t worker) {
                 if (shard_session) {
                     if (sampler) sampler->absorb(*shard_session);
                     shard_span.close();
+                    const std::string trace = shard::shard_trace_path(dir, k);
                     try {
                         // The shard's own Chrome trace, one file per shard
                         // in the cache entry — merged below and by
                         // `statfi trace merge`.
-                        telemetry::export_trace_file(
-                            *shard_session, shard::shard_trace_path(dir, k));
+                        telemetry::export_trace_file(*shard_session, trace);
                     } catch (const std::exception& e) {
-                        std::cerr << "statfi: shard " << k
-                                  << " trace not written: " << e.what()
-                                  << "\n";
+                        if (log_) log_->artifact_failed(job, trace, e.what());
                     }
                 }
-                telemetry::Event end("shard_end");
-                end.field("shard", static_cast<std::uint64_t>(k))
-                    .field("complete", run.complete)
-                    .field("resumed", run.resumed)
-                    .field("classified", run.classified)
-                    .field("cached", false);
-                events.emit(end);
-                if (!run.complete) {
-                    // Interrupted by shutdown: the engine already flushed
-                    // its journal; the job goes back to the queue and the
-                    // next claim resumes exactly here.
-                    job.state = JobState::Queued;
-                    queue_.update(job);
-                    return;
-                }
+                shard_end(k, run.complete, run.resumed, run.classified,
+                          /*cached=*/false);
+                // Interrupted by shutdown: the engine already flushed its
+                // journal, and the next claim resumes exactly here.
+                if (!run.complete) return requeue();
                 job.resumed += run.resumed;
                 job.classified += run.classified;
                 ++job.shards_done;
@@ -547,17 +445,10 @@ void Scheduler::run_job(Job job, std::size_t worker) {
             const shard::MergedCampaign merged =
                 shard::merge_shards(manifest, manifest_path);
             merge_span.close();
-            std::uint64_t critical = 0;
-            if (merged.kind == shard::CampaignKind::Census) {
-                core::emit_census_strata(events, fx.universe, merged.outcomes,
-                                         job.recipe.confidence);
-                critical =
-                    merged.outcomes.critical_count(0, fx.universe.total());
+            shard::emit_merged_strata(events, manifest, fx.universe, merged);
+            if (merged.kind == shard::CampaignKind::Census)
                 merged.outcomes.save(ResultCache::outcomes_path(dir));
-            } else {
-                core::emit_final_strata(events, merged.result);
-                critical = merged.result.total_critical();
-            }
+            const std::uint64_t critical = merged.critical();
             core::emit_campaign_end(
                 events, true, manifest.item_count, critical,
                 std::chrono::duration<double>(
@@ -578,10 +469,8 @@ void Scheduler::run_job(Job job, std::size_t worker) {
         // `statfi report --log` uses, so service reports and CLI reports
         // are one code path.
         telemetry::Span report_span(tracer, "service_report");
-        std::string log_text;
-        io::read_file(events_path, log_text);
         const report::ObservatoryModel model =
-            report::model_from_events(report::parse_json_lines(log_text));
+            report::load_event_log(events_path);
         const std::string html = report::render_observatory_html(
             model, model.model + " " + model.command + " — statfi observatory");
         io::write_file_atomic(ResultCache::report_html_path(dir),
@@ -591,27 +480,13 @@ void Scheduler::run_job(Job job, std::size_t worker) {
         // Stitch the daemon's spans with every shard's trace into the
         // entry's correlated timeline (served as /campaigns/<id>/trace).
         if (fleet) {
-            std::vector<telemetry::TraceMergeInput> inputs;
-            {
-                std::ostringstream own;
-                daemon_trace.write_chrome_trace(own);
-                inputs.push_back({"daemon", own.str()});
-            }
-            for (std::uint32_t k = 0; k < manifest.shards.size(); ++k) {
-                std::string text;
-                if (io::read_file(shard::shard_trace_path(dir, k), text))
-                    inputs.push_back({"shard " + std::to_string(k),
-                                      std::move(text)});
-            }
+            const std::string trace = ResultCache::trace_path(dir);
             try {
-                const std::string merged_trace =
-                    telemetry::merge_chrome_traces(inputs);
-                io::write_file_atomic(
-                    ResultCache::trace_path(dir),
-                    [&](std::ostream& out) { out << merged_trace; });
+                shard::merge_fleet_trace(
+                    daemon_trace, "daemon", dir,
+                    static_cast<std::uint32_t>(manifest.shards.size()), trace);
             } catch (const std::exception& e) {
-                std::cerr << "statfi: job " << job.id
-                          << " trace merge failed: " << e.what() << "\n";
+                if (log_) log_->artifact_failed(job, trace, e.what());
             }
         }
 

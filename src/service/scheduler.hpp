@@ -31,9 +31,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -48,20 +45,9 @@ struct SchedulerOptions {
     std::size_t workers = 2;
     std::size_t engine_threads = 1;  ///< engine workers per shard run
     /// Fleet observability plane (DESIGN.md decision 18): per-job trace
-    /// correlation, durable metrics history, live stats. Observes only —
-    /// campaign outcomes are bit-identical with it off.
+    /// correlation and the durable metrics history /fleet reads. Observes
+    /// only — campaign outcomes are bit-identical with it off.
     bool fleet = true;
-};
-
-/// Live progress of one in-flight job, published by its fleet sampler at
-/// ~200 ms cadence and served by the daemon's /fleet endpoint. Absent for
-/// jobs that are queued, terminal, or running with the fleet plane off.
-struct JobLiveStats {
-    double seconds = 0.0;  ///< wall time since this run of the job started
-    std::uint64_t faults = 0;
-    std::uint64_t critical = 0;
-    std::uint64_t inferences = 0;
-    double faults_per_second = 0.0;
 };
 
 class Scheduler {
@@ -88,16 +74,9 @@ public:
         return active_.load(std::memory_order_relaxed);
     }
 
-    /// Latest fleet sample for @p job_id; empty when the job has no live
-    /// sampler (queued, terminal, or fleet plane off).
-    [[nodiscard]] std::optional<JobLiveStats> live_stats(
-        std::uint64_t job_id) const;
-
 private:
     void worker_loop(std::size_t worker);
     void run_job(Job job, std::size_t worker);
-    void publish_live(std::uint64_t job_id, const JobLiveStats& stats);
-    void clear_live(std::uint64_t job_id);
     [[nodiscard]] bool stopping() const noexcept {
         return cancel_.stop_requested();
     }
@@ -110,8 +89,6 @@ private:
     std::atomic<std::uint64_t> completed_{0};
     std::atomic<std::uint64_t> failed_{0};
     std::atomic<std::size_t> active_{0};
-    mutable std::mutex live_mutex_;
-    std::map<std::uint64_t, JobLiveStats> live_;
     std::vector<std::thread> workers_;
 };
 

@@ -8,8 +8,10 @@
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 
+#include "io/atomic_file.hpp"
 #include "shard/result.hpp"
 
 namespace statfi::shard {
@@ -69,6 +71,24 @@ std::string shard_trace_path(const std::string& trace_dir,
     const bool needs_sep = !trace_dir.empty() && trace_dir.back() != '/';
     return trace_dir + (needs_sep ? "/" : "") + "trace_shard_" +
            std::to_string(shard) + ".json";
+}
+
+std::size_t merge_fleet_trace(const telemetry::TraceRecorder& own,
+                              const std::string& role,
+                              const std::string& trace_dir,
+                              std::uint32_t shards,
+                              const std::string& out_path) {
+    std::ostringstream own_trace;
+    own.write_chrome_trace(own_trace);
+    std::vector<telemetry::TraceMergeInput> inputs{{role, own_trace.str()}};
+    for (std::uint32_t k = 0; k < shards; ++k) {
+        std::string text;
+        if (io::read_file(shard_trace_path(trace_dir, k), text))
+            inputs.push_back({"shard " + std::to_string(k), std::move(text)});
+    }
+    const std::string merged = telemetry::merge_chrome_traces(inputs);
+    io::write_file_atomic(out_path, [&](std::ostream& out) { out << merged; });
+    return inputs.size();
 }
 
 std::string ShardStatus::describe() const {

@@ -41,6 +41,17 @@ struct DriveOptions {
 std::string shard_trace_path(const std::string& trace_dir,
                              std::uint32_t shard);
 
+/// Stitch @p own — the calling process's trace, labelled @p role — with
+/// every shard trace under @p trace_dir into one correlated Chrome trace at
+/// @p out_path (atomic rewrite). A shard whose trace is missing is left
+/// out. Returns the number of processes merged. @throws std::runtime_error
+/// when the traces do not merge or the file cannot be written.
+std::size_t merge_fleet_trace(const telemetry::TraceRecorder& own,
+                              const std::string& role,
+                              const std::string& trace_dir,
+                              std::uint32_t shards,
+                              const std::string& out_path);
+
 struct ShardStatus {
     std::uint32_t shard = 0;
     bool skipped = false;  ///< valid result artifact already present

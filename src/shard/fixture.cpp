@@ -3,6 +3,7 @@
 #include <iostream>
 
 #include "formats/quantized_store.hpp"
+#include "kernels/registry.hpp"
 #include "models/registry.hpp"
 #include "nn/init.hpp"
 #include "nn/trainer.hpp"
@@ -10,7 +11,9 @@
 
 namespace statfi::shard {
 
-CampaignFixture build_fixture(const CampaignRecipe& recipe) {
+CampaignFixture build_fixture(const CampaignRecipe& recipe,
+                              telemetry::Session* telemetry) {
+    telemetry::PhaseScope scope(telemetry, "fixture_build");
     auto net = models::build_model(recipe.model);
     stats::Rng rng(recipe.seed);
     auto init_rng = rng.fork("init");
@@ -60,6 +63,42 @@ core::CampaignSpec campaign_spec(const CampaignRecipe& recipe) {
     spec.sample.error_margin = recipe.error_margin;
     spec.sample.confidence = recipe.confidence;
     return spec;
+}
+
+core::CampaignHeaderInfo campaign_header(const CampaignRecipe& recipe,
+                                         const std::string& command) {
+    core::CampaignHeaderInfo info;
+    info.command = command;
+    info.model = recipe.model;
+    info.approach = core::to_string(recipe.approach);
+    info.dtype = fault::to_string(recipe.dtype);
+    info.policy = core::to_string(recipe.policy);
+    info.seed = recipe.seed;
+    info.images = recipe.images;
+    info.confidence = recipe.confidence;
+    info.error_margin = recipe.error_margin;
+    info.fault_model = recipe.fault_model.describe();
+    info.mitigation = recipe.mitigation.describe();
+    info.kernels = kernels::active().name;
+    return info;
+}
+
+ShardManifest freeze_manifest(const CampaignRecipe& recipe,
+                              const CampaignFixture& fx) {
+    core::CampaignEngine engine(fx.net, fx.eval, fx.config);
+    ShardManifest manifest;
+    manifest.recipe = recipe;
+    manifest.fingerprint = engine.fingerprint(fx.universe, recipe.model);
+    manifest.layer_count =
+        static_cast<std::uint32_t>(fx.universe.layer_count());
+    if (recipe.approach == core::Approach::Exhaustive) {
+        manifest.plan.approach = core::Approach::Exhaustive;
+        manifest.item_count = fx.universe.total();
+    } else {
+        manifest.plan = engine.plan(fx.universe, campaign_spec(recipe));
+        manifest.item_count = manifest.plan.total_sample_size();
+    }
+    return manifest;
 }
 
 }  // namespace statfi::shard

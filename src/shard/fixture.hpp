@@ -10,6 +10,7 @@
 // routes its campaign/exhaustive commands through the same function, so the
 // CLI and the shard subsystem cannot drift apart.
 
+#include "core/convergence.hpp"
 #include "core/engine.hpp"
 #include "data/synthetic.hpp"
 #include "shard/manifest.hpp"
@@ -32,10 +33,24 @@ struct CampaignFixture {
 /// bit-flip, multi-bit, or activation — fault::FaultUniverse::make). The
 /// recipe's mitigation config is carried into the executor config, so every
 /// runner deploys the same hardened network. Training progress goes to
-/// stderr.
-CampaignFixture build_fixture(const CampaignRecipe& recipe);
+/// stderr. @p telemetry (optional, borrowed) records the build as the
+/// "fixture_build" phase.
+CampaignFixture build_fixture(const CampaignRecipe& recipe,
+                              telemetry::Session* telemetry = nullptr);
 
 /// The campaign spec a recipe's statistical parameters describe.
 core::CampaignSpec campaign_spec(const CampaignRecipe& recipe);
+
+/// The campaign_header a recipe's event log opens with, for the process
+/// role @p command ("campaign", "exhaustive", "shard-run", "serve", ...).
+core::CampaignHeaderInfo campaign_header(const CampaignRecipe& recipe,
+                                         const std::string& command);
+
+/// Freeze a recipe into a manifest over its rebuilt fixture: the campaign
+/// fingerprint, the plan (data-aware analysis included; a census keeps the
+/// empty exhaustive plan), and the item count. The caller partitions it:
+/// `manifest.shards = partition_items(manifest.item_count, width)`.
+ShardManifest freeze_manifest(const CampaignRecipe& recipe,
+                              const CampaignFixture& fx);
 
 }  // namespace statfi::shard

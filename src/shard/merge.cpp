@@ -3,6 +3,8 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "core/convergence.hpp"
+
 namespace statfi::shard {
 
 MergedCampaign merge_shards(const ShardManifest& manifest,
@@ -119,6 +121,26 @@ MergedCampaign merge_shards(const ShardManifest& manifest,
     for (std::uint32_t k = 0; k < manifest.shards.size(); ++k)
         paths.push_back(shard_result_path(manifest_path, k));
     return merge_shards(manifest, paths, telemetry);
+}
+
+void emit_manifest_plan(telemetry::EventLog& log,
+                        const ShardManifest& manifest,
+                        const fault::FaultUniverse& universe) {
+    core::emit_plan_event(log, universe,
+                          manifest.kind() == CampaignKind::Census
+                              ? core::plan_exhaustive(universe)
+                              : manifest.plan);
+}
+
+void emit_merged_strata(telemetry::EventLog& log,
+                        const ShardManifest& manifest,
+                        const fault::FaultUniverse& universe,
+                        const MergedCampaign& merged) {
+    if (merged.kind == CampaignKind::Census)
+        core::emit_census_strata(log, universe, merged.outcomes,
+                                 manifest.recipe.confidence);
+    else
+        core::emit_final_strata(log, merged.result);
 }
 
 }  // namespace statfi::shard

@@ -35,7 +35,28 @@ struct MergedCampaign {
     /// Statistical: pooled subpopulation tallies (wall_seconds is zero — the
     /// merger does no inference).
     core::CampaignResult result;
+
+    /// Critical items across the whole campaign.
+    [[nodiscard]] std::uint64_t critical() const {
+        return kind == CampaignKind::Census
+                   ? outcomes.critical_count(0, outcomes.size())
+                   : result.total_critical();
+    }
 };
+
+/// Log @p manifest's campaign the way a direct run of its recipe logs it,
+/// so `statfi report` reads sharded and direct campaigns alike:
+/// emit_manifest_plan before the shards run (the census plan over
+/// @p universe, or the frozen statistical plan), emit_merged_strata once
+/// they are merged (the exact per-(layer, bit) census strata, or the final
+/// statistical estimates).
+void emit_manifest_plan(telemetry::EventLog& log,
+                        const ShardManifest& manifest,
+                        const fault::FaultUniverse& universe);
+void emit_merged_strata(telemetry::EventLog& log,
+                        const ShardManifest& manifest,
+                        const fault::FaultUniverse& universe,
+                        const MergedCampaign& merged);
 
 /// Merge the shard results at @p result_paths (any order) under
 /// @p manifest. @throws std::runtime_error naming the violated invariant:

@@ -4,6 +4,7 @@
 
 #include "core/convergence.hpp"
 #include "shard/fixture.hpp"
+#include "shard/merge.hpp"
 
 namespace statfi::shard {
 
@@ -40,10 +41,7 @@ ShardRunReport run_shard(const ShardManifest& manifest,
                           .field("classified", report.classified));
     };
 
-    CampaignFixture fx = [&] {
-        telemetry::PhaseScope scope(options.telemetry, "fixture_build");
-        return build_fixture(manifest.recipe);
-    }();
+    CampaignFixture fx = build_fixture(manifest.recipe, options.telemetry);
     core::CampaignEngine engine(fx.net, fx.eval, fx.config, options.threads,
                                 options.telemetry);
     const core::CampaignFingerprint fp =
@@ -55,13 +53,7 @@ ShardRunReport run_shard(const ShardManifest& manifest,
             manifest.fingerprint.describe() +
             "); refusing to contribute wrong outcomes");
 
-    if (log) {
-        if (manifest.kind() == CampaignKind::Census)
-            core::emit_plan_event(*log, fx.universe,
-                                  core::plan_exhaustive(fx.universe));
-        else
-            core::emit_plan_event(*log, fx.universe, manifest.plan);
-    }
+    if (log) emit_manifest_plan(*log, manifest, fx.universe);
 
     if (!options.resume) std::filesystem::remove(report.journal_path);
 

@@ -87,7 +87,8 @@ EventLog::EventLog(std::ostream& out)
     : out_(out), epoch_(std::chrono::steady_clock::now()) {}
 
 EventLog::EventLog(const std::string& path)
-    : owned_(std::make_unique<std::ofstream>(path, std::ios::trunc)),
+    : path_(path),
+      owned_(std::make_unique<std::ofstream>(path, std::ios::trunc)),
       out_(*owned_),
       epoch_(std::chrono::steady_clock::now()) {
     if (!out_)
@@ -101,12 +102,8 @@ void EventLog::emit(const Event& event) {
         throw std::logic_error(
             "eventlog: first event must be campaign_header, got " +
             event.type());
-    const double ts =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      epoch_)
-            .count();
     char ts_buf[32];
-    std::snprintf(ts_buf, sizeof(ts_buf), "%.6f", ts);
+    std::snprintf(ts_buf, sizeof(ts_buf), "%.6f", seconds());
     out_ << "{\"v\":" << kSchemaVersion << ",\"seq\":" << seq_++
          << ",\"ts\":" << ts_buf << ",\"type\":\""
          << report::json_escape(event.type()) << "\"" << trace_fields_
@@ -123,6 +120,12 @@ void EventLog::set_trace(const TraceContext& context) {
     trace_fields_ = ",\"trace_id\":\"" + format_trace_id(context.trace_id) +
                     "\",\"span_id\":\"" + format_trace_id(context.span_id) +
                     "\"";
+}
+
+double EventLog::seconds() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         epoch_)
+        .count();
 }
 
 std::uint64_t EventLog::events_written() const noexcept {

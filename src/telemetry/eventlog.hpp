@@ -105,7 +105,14 @@ public:
 
     [[nodiscard]] std::uint64_t events_written() const noexcept;
 
+    /// The file this log writes ("" for a log into a borrowed stream).
+    [[nodiscard]] const std::string& path() const noexcept { return path_; }
+    /// Seconds since the log was opened: the `ts` an event emitted now
+    /// would carry.
+    [[nodiscard]] double seconds() const;
+
 private:
+    std::string path_;
     std::unique_ptr<std::ostream> owned_;  ///< file-backed logs own the stream
     std::ostream& out_;
     mutable std::mutex mutex_;

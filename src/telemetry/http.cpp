@@ -11,10 +11,15 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
+#include "io/atomic_file.hpp"
+#include "report/json.hpp"
+#include "report/observatory.hpp"
 #include "telemetry/exporters.hpp"
+#include "telemetry/session.hpp"
 
 namespace statfi::telemetry {
 
@@ -365,29 +370,111 @@ HttpResponse HttpServer::dispatch(const HttpRequest& request) const {
     return plain(404, "unknown endpoint\n");
 }
 
-// --- StatusServer: the observatory's four GET routes -----------------------
+// --- the campaign observatory's four GET routes ---------------------------
 
-StatusServer::StatusServer(Session* session, std::uint16_t port)
-    : session_(session), http_([&] {
-          if (!session)
-              throw std::runtime_error("status server: null telemetry session");
-          HttpServer::Options options;
-          options.port = port;
-          options.handler_threads = 2;
-          return options;
-      }()) {
-    http_.route("GET", "/metrics", [this](const HttpRequest&) {
+namespace {
+
+/// The /status document: where the campaign is, read from the report fold
+/// of its event log (header, plan, phases, shard, end) and the live
+/// statfi_faults_total counter. @p now is the log's clock (seconds since
+/// its campaign_header), so elapsed time and the event timestamps agree.
+std::string status_json(const report::ObservatoryModel& m,
+                        const MetricsSnapshot& metrics, double now) {
+    const MetricValue* faults = metrics.find("statfi_faults_total");
+    const std::uint64_t classified = faults ? faults->counter : 0;
+    const std::uint64_t done = m.resumed + classified;
+    const auto open_shard =
+        std::find_if(m.shards.rbegin(), m.shards.rend(),
+                     [](const auto& shard) { return !shard.ended; });
+    const std::uint64_t total = open_shard != m.shards.rend()
+                                    ? open_shard->range_end -
+                                          open_shard->range_begin
+                                    : m.planned;
+    const double elapsed = m.finished ? m.ts : now;
+    const double rate =
+        elapsed > 0.0 ? static_cast<double>(classified) / elapsed : 0.0;
+
+    std::ostringstream out;
+    report::JsonWriter json(out, 0);
+    json.begin_object();
+    json.field("state", !m.finished ? "running"
+                        : m.complete ? "complete"
+                                     : "interrupted");
+    json.field("phase", m.open_phases.empty() ? std::string("idle")
+                                              : m.open_phases.back());
+    json.key("phase_stack").begin_array();
+    for (const std::string& phase : m.open_phases) json.value(phase);
+    json.end_array();
+    json.key("campaign").begin_object();
+    json.field("command", m.command);
+    json.field("model", m.model);
+    if (!m.approach.empty()) json.field("approach", m.approach);
+    if (!m.dtype.empty()) json.field("dtype", m.dtype);
+    if (!m.policy.empty()) json.field("policy", m.policy);
+    json.field("seed", m.seed);
+    if (m.universe) json.field("universe", m.universe);
+    if (m.planned) json.field("planned", m.planned);
+    if (m.strata_planned) json.field("strata", m.strata_planned);
+    if (!m.shards.empty()) json.field("shard", m.shards.back().shard);
+    json.end_object();
+    json.key("progress").begin_object();
+    json.field("done", done);
+    json.field("total", total);
+    json.field("fraction", total ? static_cast<double>(done) /
+                                       static_cast<double>(total)
+                                 : 0.0);
+    json.field("elapsed_seconds", elapsed);
+    json.field("faults_per_second", rate);
+    json.field("eta_seconds",
+               rate > 0.0 && done < total
+                   ? static_cast<double>(total - done) / rate
+                   : 0.0);
+    json.end_object();
+    json.end_object();
+    json.finish();
+    return out.str();
+}
+
+}  // namespace
+
+void add_campaign_routes(HttpServer& http, Session& session) {
+    const EventLog* log = session.events();
+    if (!log || log->path().empty())
+        throw std::invalid_argument(
+            "campaign routes: /status folds the session's event log file, "
+            "and none is open");
+    http.route("GET", "/metrics", [&session](const HttpRequest&) {
         std::ostringstream body;
-        write_prometheus(body, session_->metrics().snapshot(),
-                         session_->perf_phases());
+        write_prometheus(body, session.metrics().snapshot(),
+                         session.perf_phases());
         return HttpResponse{200, "text/plain; version=0.0.4", body.str()};
     });
-    http_.route("GET", "/status", [this](const HttpRequest&) {
-        return HttpResponse{200, "application/json",
-                            session_->status().snapshot_json()};
+    // The fold continues where the previous request stopped: only the
+    // complete lines past `offset` are parsed, so a poll costs the events
+    // written since the last one.
+    struct Fold {
+        std::mutex mutex;
+        std::uint64_t offset = 0;
+        report::ObservatoryModel model;
+    };
+    const auto fold = std::make_shared<Fold>();
+    http.route("GET", "/status", [&session, log, fold](const HttpRequest&) {
+        std::lock_guard<std::mutex> lock(fold->mutex);
+        std::string fresh;
+        if (io::read_from(log->path(), fold->offset, fresh)) {
+            fresh.resize(fresh.rfind('\n') + 1);  // npos + 1 == 0: none yet
+            for (const report::JsonValue& event :
+                 report::parse_json_lines(fresh))
+                report::fold_event(fold->model, event);
+            fold->offset += fresh.size();
+        }
+        return HttpResponse{
+            200, "application/json",
+            status_json(fold->model, session.metrics().snapshot(),
+                        log->seconds())};
     });
-    http_.route("GET", "/trace", [this](const HttpRequest&) {
-        const TraceRecorder* trace = session_->trace();
+    http.route("GET", "/trace", [&session](const HttpRequest&) {
+        const TraceRecorder* trace = session.trace();
         if (!trace)
             return HttpResponse{404, "text/plain",
                                 "tracing disabled on this session\n"};
@@ -395,14 +482,13 @@ StatusServer::StatusServer(Session* session, std::uint16_t port)
         trace->write_chrome_trace(body);
         return HttpResponse{200, "application/json", body.str()};
     });
-    http_.route("GET", "/", [](const HttpRequest&) {
+    http.route("GET", "/", [](const HttpRequest&) {
         return HttpResponse{200, "text/plain",
                             "statfi campaign observatory\n"
                             "  /metrics  Prometheus exposition\n"
                             "  /status   JSON campaign snapshot\n"
                             "  /trace    Chrome trace of phases\n"};
     });
-    http_.start();
 }
 
 }  // namespace statfi::telemetry

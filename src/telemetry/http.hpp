@@ -18,10 +18,9 @@
 //   read timeout / truncated request  -> 408
 //   request larger than the cap       -> 413
 //
-// StatusServer — the read-only, single-campaign observatory endpoint of
-// PR 5 — is now a thin adapter that registers four GET routes on an
-// HttpServer; its endpoint contract (/status /metrics /trace /) is
-// unchanged.
+// A campaign's live observatory (`--serve-status`) is add_campaign_routes:
+// four GET routes (/status /metrics /trace /) on a plain HttpServer,
+// registered the way the service daemon registers its own.
 
 #include <atomic>
 #include <condition_variable>
@@ -34,9 +33,9 @@
 #include <thread>
 #include <vector>
 
-#include "telemetry/session.hpp"
-
 namespace statfi::telemetry {
+
+class Session;
 
 struct HttpRequest {
     std::string method;  ///< "GET" | "HEAD" | "POST"
@@ -157,31 +156,18 @@ private:
     std::deque<int> pending_;  ///< accepted fds awaiting a handler thread
 };
 
-/// StatusServer: the read-only single-campaign observatory endpoint —
-/// four GET routes (/metrics /status /trace /) over one HttpServer.
-/// Everything it serves is a snapshot of borrowed session state; it cannot
-/// perturb campaign outcomes (bit-identical with or without it).
-class StatusServer {
-public:
-    /// Bind 127.0.0.1:@p port (0 = ephemeral) and serve @p session. The
-    /// session is borrowed and must outlive the server.
-    /// @throws std::runtime_error when the socket cannot be bound.
-    StatusServer(Session* session, std::uint16_t port);
-    ~StatusServer() = default;
-
-    StatusServer(const StatusServer&) = delete;
-    StatusServer& operator=(const StatusServer&) = delete;
-
-    [[nodiscard]] std::uint16_t port() const noexcept { return http_.port(); }
-    [[nodiscard]] std::uint64_t requests_served() const noexcept {
-        return http_.requests_served();
-    }
-
-    void stop() { http_.stop(); }
-
-private:
-    Session* session_;
-    HttpServer http_;
-};
+/// Register the read-only single-campaign observatory on @p http:
+///   /metrics  Prometheus exposition of the session's registry
+///   /status   one JSON document folded from the session's event log file
+///             (read incrementally, through report::fold_event) plus the
+///             live statfi_faults_total counter
+///   /trace    the Chrome trace so far (404 when tracing is off)
+///   /         a text index
+/// The session is borrowed and must outlive the server. Everything served
+/// is read from the log file and registry snapshots, so it cannot perturb
+/// campaign outcomes.
+/// @throws std::invalid_argument when the session has no file-backed event
+/// log — /status is a view of that file.
+void add_campaign_routes(HttpServer& http, Session& session);
 
 }  // namespace statfi::telemetry

@@ -1,6 +1,7 @@
 #include "telemetry/metrics.hpp"
 
 #include <bit>
+#include <span>
 #include <stdexcept>
 
 namespace statfi::telemetry {
@@ -87,6 +88,7 @@ void MetricsRegistry::freeze(std::size_t workers) {
             w.scalars = std::make_unique<Slot[]>(scalar_slots_);
         if (hist_slots_ > 0) w.hist = std::make_unique<Slot[]>(hist_slots_);
     }
+    frozen_.store(true, std::memory_order_release);
 }
 
 void MetricsRegistry::inc(std::size_t worker, MetricId id,
@@ -129,8 +131,11 @@ void MetricsRegistry::observe(std::size_t worker, MetricId id, double value) {
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
+    const std::span<const WorkerStore> workers =
+        frozen() ? std::span<const WorkerStore>(workers_)
+                 : std::span<const WorkerStore>();
     MetricsSnapshot snap;
-    snap.workers = workers_.size();
+    snap.workers = workers.size();
     snap.metrics.reserve(metrics_.size());
     for (const Descriptor& d : metrics_) {
         MetricValue v;
@@ -139,19 +144,19 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         v.kind = d.kind;
         switch (d.kind) {
             case MetricKind::Counter:
-                for (const WorkerStore& w : workers_)
+                for (const WorkerStore& w : workers)
                     v.counter +=
                         w.scalars[d.slot].v.load(std::memory_order_relaxed);
                 break;
             case MetricKind::Gauge:
-                if (!workers_.empty())
-                    v.gauge = bits_double(workers_[0].scalars[d.slot].v.load(
+                if (!workers.empty())
+                    v.gauge = bits_double(workers[0].scalars[d.slot].v.load(
                         std::memory_order_relaxed));
                 break;
             case MetricKind::Histogram: {
                 v.bounds = d.bounds;
                 v.bucket_counts.assign(d.bounds.size() + 1, 0);
-                for (const WorkerStore& w : workers_) {
+                for (const WorkerStore& w : workers) {
                     const Slot* block = w.hist.get() + d.hist_offset;
                     for (std::size_t b = 0; b <= d.bounds.size(); ++b)
                         v.bucket_counts[b] +=

@@ -77,7 +77,9 @@ public:
     /// throws std::logic_error on a different count (two engines must not
     /// share one registry with different shapes).
     void freeze(std::size_t workers);
-    [[nodiscard]] bool frozen() const noexcept { return !workers_.empty(); }
+    [[nodiscard]] bool frozen() const noexcept {
+        return frozen_.load(std::memory_order_acquire);
+    }
     [[nodiscard]] std::size_t worker_count() const noexcept {
         return workers_.size();
     }
@@ -125,6 +127,10 @@ private:
     std::size_t scalar_slots_ = 0;
     std::size_t hist_slots_ = 0;
     std::vector<WorkerStore> workers_;
+    /// Published (release) once freeze() has sized workers_: snapshot()
+    /// reads the slots only after seeing it, so a scrape that races the
+    /// engine's freeze reads zeros, never a vector mid-resize.
+    std::atomic<bool> frozen_{false};
 };
 
 }  // namespace statfi::telemetry

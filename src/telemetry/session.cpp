@@ -88,7 +88,6 @@ PhaseScope::PhaseScope(Session* session, std::string phase, std::uint32_t tid)
     if (session_->perf_enabled())
         perf_start_ = session_->perf_probe().read();
     start_ = std::chrono::steady_clock::now();
-    session_->status().push_phase(phase_);
     if (EventLog* log = session_->events())
         log->emit(Event("phase_begin").field("phase", phase_));
 }
@@ -108,7 +107,6 @@ void PhaseScope::close() {
                       .field("phase", phase_)
                       .field("seconds", seconds));
     }
-    session_->status().pop_phase();
     session_ = nullptr;
 }
 

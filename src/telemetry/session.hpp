@@ -24,7 +24,6 @@
 #include "telemetry/eventlog.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/perf.hpp"
-#include "telemetry/status.hpp"
 #include "telemetry/trace.hpp"
 
 namespace statfi::telemetry {
@@ -107,13 +106,6 @@ public:
         return options_.trace_context;
     }
 
-    /// Live snapshot served by the HTTP /status endpoint. Always present;
-    /// writes cost a mutex at phase/heartbeat granularity only.
-    [[nodiscard]] StatusBoard& status() noexcept { return status_; }
-    [[nodiscard]] const StatusBoard& status() const noexcept {
-        return status_;
-    }
-
     // --- hardware counters -------------------------------------------------
     [[nodiscard]] bool perf_enabled() const noexcept {
         return perf_.available();
@@ -136,13 +128,12 @@ private:
     mutable std::mutex perf_mutex_;
     std::vector<std::pair<std::string, PerfSample>> perf_phases_;
     std::unique_ptr<EventLog> eventlog_;
-    StatusBoard status_;
 };
 
 /// RAII campaign-phase scope: one trace span, one per-phase hardware
-/// counter delta, a push/pop on the status board's phase stack, and (when
-/// an event log is attached) paired phase_begin / phase_end events with the
-/// measured duration. The engine brackets plan / golden pass / census /
+/// counter delta, and (when an event log is attached) paired phase_begin /
+/// phase_end events with the measured duration — the events /status folds
+/// into its phase stack. The engine brackets plan / golden pass / census /
 /// checkpoint flush / shard merge with these. Inert when @p session is
 /// null.
 class PhaseScope {

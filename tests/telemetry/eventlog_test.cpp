@@ -3,13 +3,16 @@
 // determinism: the same campaign produces a byte-identical log modulo the
 // wall-clock fields (ts / seconds / wall_seconds), for any worker count.
 // Also re-asserts the telemetry no-perturbation contract with the full
-// observatory attached (event log + live status server): not one outcome
-// byte may change.
+// observatory attached (event log file + the live campaign routes folding
+// it): not one outcome byte may change.
 
 #include "telemetry/eventlog.hpp"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -250,14 +253,20 @@ TEST(EventLog, FullObservatoryNeverPerturbsOutcomes) {
     const auto truth =
         bare.run(fx.universe, bare_plan, stats::Rng(99).fork("campaign"));
 
-    // Observed run: event log AND a live status server polling the session.
-    std::ostringstream buffer;
+    // Observed run: an event log file AND the live campaign routes, whose
+    // /status folds that file.
+    const std::string log_path =
+        (std::filesystem::temp_directory_path() /
+         ("statfi_eventlog_observed_" + std::to_string(::getpid()) + ".jsonl"))
+            .string();
     SessionOptions options;
     options.enable_trace = true;
     Session session(options);
-    session.attach_event_log(buffer);
+    session.open_event_log(log_path);
     core::emit_campaign_header(*session.events(), header_info());
-    StatusServer server(&session, 0);
+    HttpServer server{HttpServer::Options{}};
+    add_campaign_routes(server, session);
+    server.start();
     ASSERT_GT(server.port(), 0);
     core::CampaignEngine observed(fx.net, fx.eval, config(), 2, &session);
     const auto observed_plan = observed.plan(fx.universe, spec());
@@ -270,6 +279,8 @@ TEST(EventLog, FullObservatoryNeverPerturbsOutcomes) {
         EXPECT_EQ(truth.subpops[s].critical, result.subpops[s].critical);
         EXPECT_EQ(truth.subpops[s].masked, result.subpops[s].masked);
     }
+    server.stop();
+    std::filesystem::remove(log_path);
 }
 
 }  // namespace

@@ -127,6 +127,9 @@ REQUIRED = {
         "classified": NUM,
         "critical": NUM,
     },
+    # An advisory artifact of a service job (a shard's Chrome trace, the
+    # merged trace) that could not be written; the job carries on.
+    "artifact_failed": {"job": NUM, "artifact": str, "reason": str},
 }
 
 FINGERPRINT_HEX = set("0123456789abcdef")

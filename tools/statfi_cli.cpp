@@ -55,7 +55,8 @@
 // event log (statfi.eventlog.v1 — header, phases, per-stratum estimator
 // convergence, shard lifecycle), --serve-status PORT starts a read-only
 // localhost HTTP endpoint (/status /metrics /trace; PORT 0 picks a free
-// port) for live observation, and `statfi report` turns an event log or a
+// port) for live observation — /status is a fold over the --log-out log,
+// so it needs that flag — and `statfi report` turns an event log or a
 // merged shard campaign into a self-contained single-file HTML report
 // (`--diff A B` flags strata whose confidence intervals no longer
 // overlap). Telemetry never perturbs outcomes: results are bit-identical
@@ -264,7 +265,8 @@ struct Options {
         "                              (statfi.eventlog.v1) of the campaign\n"
         "  --serve-status PORT         serve /status /metrics /trace on\n"
         "                              127.0.0.1:PORT while the campaign\n"
-        "                              runs (0 picks a free port)\n"
+        "                              runs (0 picks a free port); needs\n"
+        "                              --log-out, which /status reads\n"
         "  --trace-id HEX              fleet trace to join (16 lowercase hex\n"
         "                              digits; env STATFI_TRACE_ID is the\n"
         "                              fallback — run-all and the service\n"
@@ -289,8 +291,9 @@ struct Options {
         "                              --threads the engine workers per\n"
         "                              shard)\n"
         "  --no-fleet                  serve: disable the fleet plane (no\n"
-        "                              traces, metrics history, or live\n"
-        "                              stats; outcomes are identical)\n";
+        "                              traces or metrics history; /fleet\n"
+        "                              shows job records; outcomes are\n"
+        "                              identical)\n";
     std::exit(2);
 }
 
@@ -408,6 +411,9 @@ Options parse(int argc, char** argv) {
     if (opt.confidence <= 0 || opt.confidence >= 1)
         usage("--confidence must be in (0,1)");
     if (opt.images <= 0) usage("--images must be positive");
+    if (opt.serve_status >= 0 && opt.log_out.empty())
+        usage("--serve-status needs --log-out PATH: /status is a view of "
+              "that event log");
     // `statfi activation` is `statfi campaign --fault-model activation`.
     if (opt.command == "activation") opt.fault_model = "activation";
     // Resolve the kernel backend before any fixture or worker exists; a
@@ -475,7 +481,7 @@ telemetry::TraceContext trace_context_from(const Options& opt,
 std::unique_ptr<telemetry::Session> make_session(
     const Options& opt, const telemetry::TraceContext& ctx = {}) {
     if (opt.metrics_out.empty() && opt.trace_out.empty() &&
-        !opt.perf_counters && opt.log_out.empty() && opt.serve_status < 0)
+        !opt.perf_counters && opt.log_out.empty())
         return nullptr;
     telemetry::SessionOptions options;
     // A live status server should answer /trace, so it implies tracing; a
@@ -493,85 +499,47 @@ std::unique_ptr<telemetry::Session> make_session(
 }
 
 /// Everything the Observatory flags stand up around one campaign command:
-/// the session, the attached event log (header already emitted), the
-/// status-board descriptor, and the HTTP status server. Destruction order
-/// (server before session) follows member order.
+/// the session, the attached event log (header already emitted), and the
+/// HTTP status server reading both. Destruction order (server before
+/// session) follows member order.
 struct Observatory {
     std::unique_ptr<telemetry::Session> session;
-    std::unique_ptr<telemetry::StatusServer> server;
-    telemetry::StatusBoard::Descriptor descriptor;
-
-    [[nodiscard]] telemetry::Session* get() const noexcept {
-        return session.get();
-    }
+    std::unique_ptr<telemetry::HttpServer> server;
     [[nodiscard]] telemetry::EventLog* events() const noexcept {
         return session ? session->events() : nullptr;
     }
-
-    /// Fill in the plan-derived descriptor fields once the plan exists.
-    void stamp_plan(std::uint64_t universe, std::uint64_t planned,
-                    std::uint64_t strata) {
-        if (!session) return;
-        descriptor.universe = universe;
-        descriptor.planned = planned;
-        descriptor.strata = strata;
-        session->status().set_descriptor(descriptor);
-    }
 };
-
-core::CampaignHeaderInfo header_from(const shard::CampaignRecipe& recipe,
-                                     const std::string& command) {
-    core::CampaignHeaderInfo info;
-    info.command = command;
-    info.model = recipe.model;
-    info.approach = core::to_string(recipe.approach);
-    info.dtype = fault::to_string(recipe.dtype);
-    info.policy = core::to_string(recipe.policy);
-    info.seed = recipe.seed;
-    info.images = recipe.images;
-    info.confidence = recipe.confidence;
-    info.error_margin = recipe.error_margin;
-    info.fault_model = recipe.fault_model.describe();
-    info.mitigation = recipe.mitigation.describe();
-    info.kernels = kernels::active().name;
-    return info;
-}
 
 Observatory open_observatory(const Options& opt,
                              const shard::CampaignRecipe& recipe,
-                             const std::string& command, int shard = -1) {
+                             const std::string& command, int shard_id = -1) {
     Observatory obs;
     // Role-based span derivation keeps CLI shards and the daemon's
     // in-process shards indistinguishable in a merged fleet trace.
     const std::string role =
-        shard >= 0 ? "shard:" + std::to_string(shard) : command;
+        shard_id >= 0 ? "shard:" + std::to_string(shard_id) : command;
     obs.session = make_session(opt, trace_context_from(opt, role));
     if (!obs.session) return obs;
     if (!opt.log_out.empty()) {
         obs.session->open_event_log(opt.log_out);
         core::emit_campaign_header(*obs.session->events(),
-                                   header_from(recipe, command));
+                                   shard::campaign_header(recipe, command));
     }
-    telemetry::StatusBoard::Descriptor& d = obs.descriptor;
-    d.command = command;
-    d.model = recipe.model;
-    d.approach = core::to_string(recipe.approach);
-    d.dtype = fault::to_string(recipe.dtype);
-    d.policy = core::to_string(recipe.policy);
-    d.seed = recipe.seed;
-    d.shard = shard;
-    obs.session->status().set_descriptor(d);
     if (opt.serve_status >= 0) {
-        obs.server = std::make_unique<telemetry::StatusServer>(
-            obs.session.get(), static_cast<std::uint16_t>(opt.serve_status));
+        telemetry::HttpServer::Options http;
+        http.port = static_cast<std::uint16_t>(opt.serve_status);
+        obs.server = std::make_unique<telemetry::HttpServer>(http);
+        telemetry::add_campaign_routes(*obs.server, *obs.session);
+        obs.server->start();
         std::cerr << "statfi: observatory on http://127.0.0.1:"
                   << obs.server->port() << "  (/status /metrics /trace)\n";
     }
     return obs;
 }
 
-/// Terminal bookkeeping: the campaign_end event, the status board's final
-/// state, and the stderr note pointing at the written log.
+/// Terminal bookkeeping: the campaign_end event, the telemetry artifacts
+/// the flags requested (interrupted runs included — a partial campaign's
+/// metrics are still worth having), and stderr notes pointing at each.
 void close_observatory(const Options& opt, Observatory& obs, bool complete,
                        std::uint64_t injected, std::uint64_t critical,
                        double wall_seconds) {
@@ -582,20 +550,13 @@ void close_observatory(const Options& opt, Observatory& obs, bool complete,
         std::cerr << "statfi: event log written to " << opt.log_out << " ("
                   << log->events_written() << " events)\n";
     }
-    obs.session->status().set_finished(complete);
     obs.server.reset();
-}
-
-/// Write the telemetry artifacts the flags requested (interrupted runs
-/// included — a partial campaign's metrics are still worth having).
-void export_telemetry(const Options& opt, const telemetry::Session* session) {
-    if (!session) return;
     if (!opt.metrics_out.empty()) {
-        telemetry::export_metrics_file(*session, opt.metrics_out);
+        telemetry::export_metrics_file(*obs.session, opt.metrics_out);
         std::cerr << "statfi: metrics written to " << opt.metrics_out << "\n";
     }
     if (!opt.trace_out.empty()) {
-        telemetry::export_trace_file(*session, opt.trace_out);
+        telemetry::export_trace_file(*obs.session, opt.trace_out);
         std::cerr << "statfi: trace written to " << opt.trace_out << "\n";
     }
 }
@@ -795,11 +756,8 @@ int cmd_campaign(const Options& opt) {
     const auto recipe = recipe_from(opt);
     std::ostream& out = human(opt);
     Observatory obs = open_observatory(opt, recipe, opt.command);
-    telemetry::Session* const session = obs.get();
-    auto fx = [&] {
-        telemetry::PhaseScope scope(session, "fixture_build");
-        return shard::build_fixture(recipe);
-    }();
+    telemetry::Session* const session = obs.session.get();
+    auto fx = shard::build_fixture(recipe, session);
     // Like --threads, --ensemble tunes throughput only: a fault's lane
     // never depends on the other lanes in its pass.
     if (opt.ensemble) fx.config.ensemble_width = opt.ensemble;
@@ -808,8 +766,6 @@ int cmd_campaign(const Options& opt) {
     const auto plan = engine.plan(fx.universe, shard::campaign_spec(recipe));
     if (telemetry::EventLog* log = obs.events())
         core::emit_plan_event(*log, fx.universe, plan);
-    obs.stamp_plan(fx.universe.total(), plan.total_sample_size(),
-                   plan.subpops.size());
     out << core::to_string(plan.approach) << " campaign ("
         << recipe.fault_model.describe() << "): "
         << report::fmt_u64(plan.total_sample_size()) << " of "
@@ -843,9 +799,7 @@ int cmd_campaign(const Options& opt) {
 
     std::signal(SIGINT, handle_sigint);
     const core::StatisticalRun srun = engine.run_durable(
-        fx.universe, plan, items, durability,
-        telemetry::board_progress(session ? &session->status() : nullptr,
-                                  stderr_progress()));
+        fx.universe, plan, items, durability, stderr_progress());
     std::signal(SIGINT, SIG_DFL);
     const core::CampaignResult& result = srun.result;
     if (srun.resumed > 0)
@@ -868,7 +822,6 @@ int cmd_campaign(const Options& opt) {
     close_observatory(opt, obs, !result.interrupted,
                       result.total_injected(), result.total_critical(),
                       result.wall_seconds);
-    export_telemetry(opt, session);
     if (opt.json)
         emit_campaign_json(recipe, opt.command.c_str(), fx.universe, result,
                            engine.golden_accuracy());
@@ -931,18 +884,12 @@ int cmd_exhaustive(const Options& opt) {
     recipe.approach = core::Approach::Exhaustive;
     std::ostream& out = human(opt);
     Observatory obs = open_observatory(opt, recipe, "exhaustive");
-    telemetry::Session* const session = obs.get();
-    auto fx = [&] {
-        telemetry::PhaseScope scope(session, "fixture_build");
-        return shard::build_fixture(recipe);
-    }();
+    telemetry::Session* const session = obs.session.get();
+    auto fx = shard::build_fixture(recipe, session);
     if (opt.ensemble) fx.config.ensemble_width = opt.ensemble;
     if (telemetry::EventLog* log = obs.events())
         core::emit_plan_event(*log, fx.universe,
                               core::plan_exhaustive(fx.universe));
-    obs.stamp_plan(fx.universe.total(), fx.universe.total(),
-                   static_cast<std::uint64_t>(fx.universe.layer_count()) *
-                       static_cast<std::uint64_t>(fx.universe.bits()));
     core::CampaignEngine engine(fx.net, fx.eval, fx.config, opt.threads,
                                 session);
     out << "exhaustive census: " << report::fmt_u64(fx.universe.total())
@@ -966,10 +913,8 @@ int cmd_exhaustive(const Options& opt) {
 
     std::signal(SIGINT, handle_sigint);
     const auto census_start = std::chrono::steady_clock::now();
-    const auto run = engine.run_exhaustive_durable(
-        fx.universe, durability,
-        telemetry::board_progress(session ? &session->status() : nullptr,
-                                  stderr_progress()));
+    const auto run = engine.run_exhaustive_durable(fx.universe, durability,
+                                                   stderr_progress());
     const double census_wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       census_start)
@@ -978,7 +923,6 @@ int cmd_exhaustive(const Options& opt) {
     close_observatory(opt, obs, run.complete, run.resumed + run.classified,
                       run.outcomes.critical_count(0, fx.universe.total()),
                       census_wall);
-    export_telemetry(opt, session);
     if (!run.complete) {
         std::cerr << "\ninterrupted: " << report::fmt_u64(run.classified)
                   << " newly classified fault(s) checkpointed to "
@@ -1021,21 +965,8 @@ int cmd_shard_plan(const Options& opt) {
     if (opt.manifest.empty()) usage("shard plan needs --manifest");
     if (opt.shards == 0) usage("shard plan needs --shards N");
     const auto recipe = recipe_from(opt);
-    auto fx = shard::build_fixture(recipe);
-    core::CampaignEngine engine(fx.net, fx.eval, fx.config);
-
-    shard::ShardManifest manifest;
-    manifest.recipe = recipe;
-    manifest.fingerprint = engine.fingerprint(fx.universe, recipe.model);
-    manifest.layer_count =
-        static_cast<std::uint32_t>(fx.universe.layer_count());
-    if (recipe.approach == core::Approach::Exhaustive) {
-        manifest.plan.approach = core::Approach::Exhaustive;
-        manifest.item_count = fx.universe.total();
-    } else {
-        manifest.plan = engine.plan(fx.universe, shard::campaign_spec(recipe));
-        manifest.item_count = manifest.plan.total_sample_size();
-    }
+    shard::ShardManifest manifest =
+        shard::freeze_manifest(recipe, shard::build_fixture(recipe));
     manifest.shards = shard::partition_items(manifest.item_count, opt.shards);
     manifest.save(opt.manifest);
 
@@ -1082,16 +1013,13 @@ int cmd_shard_run(const Options& opt) {
 
     Observatory obs = open_observatory(opt, manifest.recipe, "shard-run",
                                        static_cast<int>(opt.shard));
-    telemetry::Session* const session = obs.get();
-    obs.stamp_plan(0, manifest.item_count,
-                   static_cast<std::uint64_t>(manifest.plan.subpops.size()));
+    telemetry::Session* const session = obs.session.get();
     shard::ShardRunOptions run_options;
     run_options.shard = opt.shard;
     run_options.resume = opt.resume;
     run_options.threads = opt.threads;
     run_options.cancel = &g_interrupt;
-    run_options.progress = telemetry::board_progress(
-        session ? &session->status() : nullptr, stderr_progress());
+    run_options.progress = stderr_progress();
     run_options.telemetry = session;
 
     std::signal(SIGINT, handle_sigint);
@@ -1104,7 +1032,6 @@ int cmd_shard_run(const Options& opt) {
     std::signal(SIGINT, SIG_DFL);
     close_observatory(opt, obs, run.complete, run.resumed + run.classified,
                       run.critical, shard_wall);
-    export_telemetry(opt, session);
 
     if (!run.complete) {
         std::cerr << "\ninterrupted: " << report::fmt_u64(run.classified)
@@ -1178,25 +1105,12 @@ int cmd_shard_run_all(const Options& opt) {
     // a failed shard's missing file degrades the merge, never the drive.
     if (!opt.trace_out.empty()) {
         try {
-            std::ostringstream own;
-            driver_trace.write_chrome_trace(own);
-            std::vector<telemetry::TraceMergeInput> inputs;
-            inputs.push_back({"driver", own.str()});
-            for (std::size_t k = 0; k < manifest.shards.size(); ++k) {
-                std::string text;
-                if (io::read_file(
-                        shard::shard_trace_path(
-                            trace_dir, static_cast<std::uint32_t>(k)),
-                        text))
-                    inputs.push_back(
-                        {"shard " + std::to_string(k), std::move(text)});
-            }
-            const std::string merged =
-                telemetry::merge_chrome_traces(inputs);
-            io::write_file_atomic(opt.trace_out,
-                                  [&](std::ostream& o) { o << merged; });
+            const std::size_t processes = shard::merge_fleet_trace(
+                driver_trace, "driver", trace_dir,
+                static_cast<std::uint32_t>(manifest.shards.size()),
+                opt.trace_out);
             std::cerr << "statfi: merged fleet trace written to "
-                      << opt.trace_out << " (" << inputs.size()
+                      << opt.trace_out << " (" << processes
                       << " process(es), trace "
                       << telemetry::format_trace_id(ctx.trace_id) << ")\n";
         } catch (const std::exception& e) {
@@ -1250,47 +1164,22 @@ int cmd_shard_merge(const Options& opt) {
     if (opt.manifest.empty()) usage("shard merge needs --manifest");
     const auto manifest = shard::ShardManifest::load(opt.manifest);
     Observatory obs = open_observatory(opt, manifest.recipe, "shard-merge");
-    telemetry::Session* const session = obs.get();
+    telemetry::Session* const session = obs.session.get();
     const auto merge_start = std::chrono::steady_clock::now();
     const auto merged = shard::merge_shards(manifest, opt.manifest, session);
 
     // Human-facing readouts (and the merged campaign's strata events) need
     // layer names/index ranges — rebuild the fixture (the merge itself
     // never needed it).
-    auto fx = [&] {
-        telemetry::PhaseScope scope(session, "fixture_build");
-        return shard::build_fixture(manifest.recipe);
-    }();
-    obs.stamp_plan(fx.universe.total(), manifest.item_count,
-                   merged.kind == shard::CampaignKind::Census
-                       ? static_cast<std::uint64_t>(fx.universe.layer_count()) *
-                             static_cast<std::uint64_t>(fx.universe.bits())
-                       : static_cast<std::uint64_t>(
-                             manifest.plan.subpops.size()));
-    std::uint64_t merged_critical = 0;
+    auto fx = shard::build_fixture(manifest.recipe, session);
     if (telemetry::EventLog* log = obs.events()) {
-        // The merged campaign's log carries the same plan + final strata a
-        // direct run would have written, so `statfi report` treats both
-        // identically.
-        if (merged.kind == shard::CampaignKind::Census) {
-            core::emit_plan_event(*log, fx.universe,
-                                  core::plan_exhaustive(fx.universe));
-            core::emit_census_strata(*log, fx.universe, merged.outcomes,
-                                     manifest.recipe.confidence);
-        } else {
-            core::emit_plan_event(*log, fx.universe, manifest.plan);
-            core::emit_final_strata(*log, merged.result);
-        }
+        shard::emit_manifest_plan(*log, manifest, fx.universe);
+        shard::emit_merged_strata(*log, manifest, fx.universe, merged);
     }
-    if (merged.kind == shard::CampaignKind::Census)
-        merged_critical = merged.outcomes.critical_count(0, fx.universe.total());
-    else
-        merged_critical = merged.result.total_critical();
-    close_observatory(opt, obs, true, manifest.item_count, merged_critical,
+    close_observatory(opt, obs, true, manifest.item_count, merged.critical(),
                       std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - merge_start)
                           .count());
-    export_telemetry(opt, session);
     std::ostream& out = human(opt);
 
     if (merged.kind == shard::CampaignKind::Census) {
@@ -1338,20 +1227,11 @@ report::ObservatoryModel model_from_manifest(const Options& opt) {
 
     std::ostringstream buffer;
     telemetry::EventLog log(buffer);
-    core::emit_campaign_header(log, header_from(manifest.recipe, "shard-merge"));
-    std::uint64_t critical = 0;
-    if (merged.kind == shard::CampaignKind::Census) {
-        core::emit_plan_event(log, fx.universe,
-                              core::plan_exhaustive(fx.universe));
-        core::emit_census_strata(log, fx.universe, merged.outcomes,
-                                 manifest.recipe.confidence);
-        critical = merged.outcomes.critical_count(0, fx.universe.total());
-    } else {
-        core::emit_plan_event(log, fx.universe, manifest.plan);
-        core::emit_final_strata(log, merged.result);
-        critical = merged.result.total_critical();
-    }
-    core::emit_campaign_end(log, true, manifest.item_count, critical,
+    core::emit_campaign_header(
+        log, shard::campaign_header(manifest.recipe, "shard-merge"));
+    shard::emit_manifest_plan(log, manifest, fx.universe);
+    shard::emit_merged_strata(log, manifest, fx.universe, merged);
+    core::emit_campaign_end(log, true, manifest.item_count, merged.critical(),
                             std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - merge_start)
                                 .count());
