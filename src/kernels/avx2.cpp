@@ -33,6 +33,18 @@
 // campaigns 1.27x faster on a 4-vCPU AVX2 Xeon (DESIGN.md decision 15).
 // M == 1 (the ensemble's forward_row) and the N mod 16 column tail take
 // the streaming row loop (avx2_block).
+//
+// Convolution (implicit im2col). conv2d_image never writes the K x N
+// im2col matrix: it copies the image once into a zero-bordered
+// (C, H+2p, W+2p) buffer and packs each kc x 16 panel of B straight from
+// it, then runs the same tile driver (avx2_panels, instantiated with
+// ImagePanels instead of MatrixPanels) and the same row loop for the column
+// tail. A panel row is 16 consecutive output positions of one kernel tap;
+// eight of them in one output row read eight floats stride apart in one
+// padded input row: one load for stride 1, two loads and a shuffle for
+// stride 2, a scalar gather otherwise. The padded copy holds the +0.0f
+// that im2col writes for padding taps, so each packed value — and with it
+// every output element's mul/add sequence — equals the explicit lowering.
 
 #include "kernels/registry.hpp"
 
@@ -41,6 +53,9 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstring>
+
+#include "kernels/arena.hpp"
 
 namespace statfi::kernels {
 
@@ -59,11 +74,12 @@ constexpr std::size_t kTileM = 6;
 constexpr std::size_t kTileN = 16;
 constexpr std::size_t kChunkM = 16 * kTileM;
 
-// The streaming row loop: one row of A at a time against B in place.
+// The streaming row loop: one row of A at a time against B in place. C's
+// rows are N apart, A's K apart and B's ldb apart.
 __attribute__((target("avx2"))) void avx2_block(
     std::size_t m0, std::size_t m1, std::size_t k0, std::size_t k1,
     std::size_t n0, std::size_t n1, std::size_t N, std::size_t K,
-    const float* A, const float* B, float* C) {
+    const float* A, const float* B, std::size_t ldb, float* C) {
     for (std::size_t i = m0; i < m1; ++i) {
         const float* arow = A + i * K;
         float* crow = C + i * N;
@@ -81,7 +97,7 @@ __attribute__((target("avx2"))) void avx2_block(
                 const float a = arow[k];
                 if (a == 0.0f) continue;
                 const __m256 va = _mm256_set1_ps(a);
-                const float* brow = B + k * N + j;
+                const float* brow = B + k * ldb + j;
                 c0 = _mm256_add_ps(c0,
                                    _mm256_mul_ps(va, _mm256_loadu_ps(brow)));
                 c1 = _mm256_add_ps(
@@ -105,7 +121,7 @@ __attribute__((target("avx2"))) void avx2_block(
                 const float a = arow[k];
                 if (a == 0.0f) continue;
                 const __m256 va = _mm256_set1_ps(a);
-                const float* brow = B + k * N + j;
+                const float* brow = B + k * ldb + j;
                 c0 = _mm256_add_ps(c0,
                                    _mm256_mul_ps(va, _mm256_loadu_ps(brow)));
                 c1 = _mm256_add_ps(
@@ -121,7 +137,7 @@ __attribute__((target("avx2"))) void avx2_block(
                 if (a == 0.0f) continue;
                 c0 = _mm256_add_ps(
                     c0, _mm256_mul_ps(_mm256_set1_ps(a),
-                                      _mm256_loadu_ps(B + k * N + j)));
+                                      _mm256_loadu_ps(B + k * ldb + j)));
             }
             _mm256_storeu_ps(crow + j, c0);
         }
@@ -130,7 +146,7 @@ __attribute__((target("avx2"))) void avx2_block(
             for (std::size_t k = k0; k < k1; ++k) {
                 const float a = arow[k];
                 if (a == 0.0f) continue;
-                const float* brow = B + k * N;
+                const float* brow = B + k * ldb;
                 for (std::size_t jj = j; jj < n1; ++jj)
                     crow[jj] += a * brow[jj];
             }
@@ -205,29 +221,117 @@ __attribute__((target("avx2"))) bool avx2_has_zero(const float* a,
     return false;
 }
 
-// Columns [0, n16) of one k-block [k0, k1) in register tiles; n16 is a
-// multiple of kTileN.
+// The plain GEMM's panel source: B's rows [k0, k0 + kc), 16 columns at a
+// time, copied from B in place.
+struct MatrixPanels {
+    const float* b;  ///< B's row k0
+    std::size_t N, kc;
+
+    __attribute__((target("avx2"))) void pack(std::size_t j,
+                                              float* panel) const {
+        for (std::size_t k = 0; k < kc; ++k) {
+            const float* brow = b + k * N + j;
+            _mm256_store_ps(panel + k * kTileN, _mm256_loadu_ps(brow));
+            _mm256_store_ps(panel + k * kTileN + 8, _mm256_loadu_ps(brow + 8));
+        }
+    }
+};
+
+// The convolution's panel source: rows [k0, k0 + kc) of im2col(image),
+// gathered from the zero-bordered copy of the image. B[k][n], for tap
+// k = (c, kh, kw) and output n = (oy, ox), is padded[c][oy*s + kh][ox*s + kw]
+// = padded[tap_[k] + origin(n)], with tap_[k] = (c*Hp + kh)*Wp + kw and
+// origin(n) = oy*s*Wp + ox*s.
+class ImagePanels {
+public:
+    ImagePanels(const ConvGeometry& g, const float* padded, std::size_t k0,
+                std::size_t kc)
+        : padded_(padded),
+          ow_(g.out_width),
+          stride_(g.stride),
+          row_step_(g.stride * (g.width + 2 * g.padding)),
+          kc_(kc) {
+        const std::size_t wp = g.width + 2 * g.padding;
+        const std::size_t hp = g.height + 2 * g.padding;
+        const std::size_t taps = g.kernel * g.kernel;
+        for (std::size_t k = 0; k < kc; ++k) {
+            const std::size_t c = (k0 + k) / taps, t = (k0 + k) % taps;
+            tap_[k] = (c * hp + t / g.kernel) * wp + t % g.kernel;
+        }
+    }
+
+    __attribute__((target("avx2"))) void pack(std::size_t j,
+                                              float* panel) const {
+        pack(j, kTileN, panel);
+    }
+
+    // Columns [j, j + width) of the panel (width <= 16); the rest of each
+    // 16-float panel row is left as it was.
+    __attribute__((target("avx2"))) void pack(std::size_t j,
+                                              std::size_t width,
+                                              float* panel) const {
+        for (std::size_t h = 0; h < width; h += 8, j += 8) {
+            const std::size_t count = std::min<std::size_t>(8, width - h);
+            const std::size_t ox = j % ow_;
+            const float* src = padded_ + j / ow_ * row_step_ + ox * stride_;
+            float* dst = panel + h;
+            const bool one_row = count == 8 && ox + 8 <= ow_;
+            if (one_row && stride_ == 1) {
+                for (std::size_t k = 0; k < kc_; ++k)
+                    _mm256_store_ps(dst + k * kTileN,
+                                    _mm256_loadu_ps(src + tap_[k]));
+            } else if (one_row && stride_ == 2) {
+                // Loads at +0 and +7 cover elements 0..14, no further than
+                // the last one used: even lanes of the first, odd of the
+                // second, then the 64-bit pairs put in order.
+                for (std::size_t k = 0; k < kc_; ++k) {
+                    const __m256 lo = _mm256_loadu_ps(src + tap_[k]);
+                    const __m256 hi = _mm256_loadu_ps(src + tap_[k] + 7);
+                    const __m256 mixed =
+                        _mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 1, 2, 0));
+                    _mm256_store_ps(
+                        dst + k * kTileN,
+                        _mm256_castpd_ps(_mm256_permute4x64_pd(
+                            _mm256_castps_pd(mixed), _MM_SHUFFLE(3, 1, 2, 0))));
+                }
+            } else {
+                std::size_t origin[8];
+                for (std::size_t q = 0; q < count; ++q)
+                    origin[q] = (j + q) / ow_ * row_step_ +
+                                (j + q) % ow_ * stride_;
+                for (std::size_t k = 0; k < kc_; ++k)
+                    for (std::size_t q = 0; q < count; ++q)
+                        dst[k * kTileN + q] = padded_[origin[q] + tap_[k]];
+            }
+        }
+    }
+
+private:
+    const float* padded_;
+    std::size_t ow_, stride_, row_step_, kc_;
+    std::size_t tap_[kBlockK];
+};
+
+// Columns [0, n16) of one k-block in register tiles: A points at the
+// block's first column (rows K apart), panels.pack(j, panel) writes the
+// block's kc x 16 panel of B at column j, and C's rows are N apart; n16 is
+// a multiple of kTileN.
+template <class Panels>
 __attribute__((target("avx2"))) void avx2_panels(
-    std::size_t M, std::size_t n16, std::size_t k0, std::size_t k1,
-    std::size_t N, std::size_t K, const float* A, const float* B, float* C) {
+    std::size_t M, std::size_t n16, std::size_t kc, const float* A,
+    std::size_t K, const Panels& panels, float* C, std::size_t N) {
     alignas(32) float panel[kBlockK * kTileN];
-    const std::size_t kc = k1 - k0;
     for (std::size_t m0 = 0; m0 < M; m0 += kChunkM) {
         const std::size_t m1 = std::min(m0 + kChunkM, M);
         bool checked[kChunkM / kTileM];
         for (std::size_t i = m0; i < m1; i += kTileM)
-            checked[(i - m0) / kTileM] = avx2_has_zero(
-                A + i * K + k0, std::min(kTileM, m1 - i), kc, K);
+            checked[(i - m0) / kTileM] =
+                avx2_has_zero(A + i * K, std::min(kTileM, m1 - i), kc, K);
         for (std::size_t j = 0; j < n16; j += kTileN) {
-            for (std::size_t k = 0; k < kc; ++k) {
-                const float* brow = B + (k0 + k) * N + j;
-                _mm256_store_ps(panel + k * kTileN, _mm256_loadu_ps(brow));
-                _mm256_store_ps(panel + k * kTileN + 8,
-                                _mm256_loadu_ps(brow + 8));
-            }
+            panels.pack(j, panel);
             for (std::size_t i = m0; i < m1; i += kTileM) {
                 const std::size_t rows = std::min(kTileM, m1 - i);
-                const float* a = A + i * K + k0;
+                const float* a = A + i * K;
                 float* c = C + i * N + j;
                 if (checked[(i - m0) / kTileM])
                     avx2_tile_rows<true>(rows, a, K, panel, kc, c, N);
@@ -243,13 +347,59 @@ void avx2_gemm_accumulate(std::size_t M, std::size_t N, std::size_t K,
     const std::size_t n16 = M >= 2 ? N / kTileN * kTileN : 0;
     for (std::size_t k0 = 0; k0 < K; k0 += kBlockK) {
         const std::size_t k1 = std::min(k0 + kBlockK, K);
-        if (n16 > 0) avx2_panels(M, n16, k0, k1, N, K, A, B, C);
+        if (n16 > 0)
+            avx2_panels(M, n16, k1 - k0, A + k0, K,
+                        MatrixPanels{B + k0 * N, N, k1 - k0}, C, N);
         for (std::size_t m0 = 0; m0 < M; m0 += kBlockM) {
             const std::size_t m1 = std::min(m0 + kBlockM, M);
             for (std::size_t n0 = n16; n0 < N; n0 += kBlockN) {
                 const std::size_t n1 = std::min(n0 + kBlockN, N);
-                avx2_block(m0, m1, k0, k1, n0, n1, N, K, A, B, C);
+                avx2_block(m0, m1, k0, k1, n0, n1, N, K, A, B, N, C);
             }
+        }
+    }
+}
+
+// The image with a zero border of p cells on each side of every channel
+// plane, written to @p dst ((C, H+2p, W+2p) floats).
+void pad_image(const ConvGeometry& g, const float* image, float* dst) {
+    const std::size_t p = g.padding, wp = g.width + 2 * p;
+    for (std::size_t c = 0; c < g.channels; ++c) {
+        dst = std::fill_n(dst, p * wp + p, 0.0f);
+        for (std::size_t y = 0; y < g.height; ++y, image += g.width) {
+            dst = std::copy_n(image, g.width, dst);
+            dst = std::fill_n(dst, y + 1 < g.height ? 2 * p : p, 0.0f);
+        }
+        dst = std::fill_n(dst, p * wp, 0.0f);
+    }
+}
+
+// Every output tile, M == 1 included, runs over panels packed from the
+// image, since packing is the only copy of the input this path makes; the
+// N mod 16 tail is packed into a 16-wide panel too and streamed by rows.
+__attribute__((target("avx2"))) void avx2_conv2d_image(
+    const ConvGeometry& g, std::size_t M, const float* weight,
+    const float* image, float* out, ScratchArena& arena) {
+    const std::size_t K = g.channels * g.kernel * g.kernel;
+    const std::size_t N = g.out_height * g.out_width;
+    const std::size_t n16 = N / kTileN * kTileN;
+    const float* padded = image;
+    if (g.padding > 0) {
+        float* buf = arena.floats(g.channels * (g.height + 2 * g.padding) *
+                                  (g.width + 2 * g.padding));
+        pad_image(g, image, buf);
+        padded = buf;
+    }
+    std::memset(out, 0, M * N * sizeof(float));
+    alignas(32) float tail[kBlockK * kTileN];
+    for (std::size_t k0 = 0; k0 < K; k0 += kBlockK) {
+        const std::size_t kc = std::min(kBlockK, K - k0);
+        const ImagePanels panels(g, padded, k0, kc);
+        avx2_panels(M, n16, kc, weight + k0, K, panels, out, N);
+        if (n16 < N) {
+            panels.pack(n16, N - n16, tail);
+            avx2_block(0, M, 0, kc, 0, N - n16, N, K, weight + k0, tail,
+                       kTileN, out + n16);
         }
     }
 }
@@ -303,7 +453,8 @@ __attribute__((target("avx2"))) void avx2_clamp(float* data, std::size_t n,
 }
 
 const Kernels kAvx2Table{
-    "avx2", avx2_gemm_accumulate, avx2_relu, avx2_relu6, avx2_add, avx2_clamp,
+    "avx2",    avx2_gemm_accumulate, avx2_conv2d_image, avx2_relu,
+    avx2_relu6, avx2_add,            avx2_clamp,
 };
 
 }  // namespace

@@ -2,11 +2,15 @@
 // backend must match bit for bit. The GEMM is the cache-blocked i-k-j nest
 // that previously lived in nn/gemm.cpp; the compiler auto-vectorizes the
 // inner loop (SSE on x86 baselines) without changing results, because each
-// output element's additions stay in ascending-k order.
+// output element's additions stay in ascending-k order. A convolution is
+// lowered explicitly: im2col, then that GEMM.
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 
+#include "kernels/arena.hpp"
 #include "kernels/registry.hpp"
 
 namespace statfi::kernels {
@@ -46,6 +50,17 @@ void generic_gemm_accumulate(std::size_t M, std::size_t N, std::size_t K,
     }
 }
 
+void generic_conv2d_image(const ConvGeometry& g, std::size_t M,
+                          const float* weight, const float* image, float* out,
+                          ScratchArena& arena) {
+    const std::size_t K = g.channels * g.kernel * g.kernel;
+    const std::size_t N = g.out_height * g.out_width;
+    float* cols = arena.floats(K * N);
+    im2col(g, image, cols);
+    std::memset(out, 0, M * N * sizeof(float));
+    generic_gemm_accumulate(M, N, K, weight, cols, out);
+}
+
 void generic_relu(const float* src, float* dst, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i)
         dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
@@ -67,10 +82,46 @@ void generic_clamp(float* data, std::size_t n, float lo, float hi) {
 
 }  // namespace
 
+void im2col(const ConvGeometry& g, const float* image, float* cols) {
+    const auto height = static_cast<std::int64_t>(g.height);
+    const auto width = static_cast<std::int64_t>(g.width);
+    const auto kernel = static_cast<std::int64_t>(g.kernel);
+    const auto stride = static_cast<std::int64_t>(g.stride);
+    const auto padding = static_cast<std::int64_t>(g.padding);
+    const auto oh = static_cast<std::int64_t>(g.out_height);
+    const auto ow = static_cast<std::int64_t>(g.out_width);
+    const std::int64_t out_plane = oh * ow;
+    std::int64_t row = 0;
+    for (std::size_t c = 0; c < g.channels; ++c) {
+        const float* plane = image + c * g.height * g.width;
+        for (std::int64_t kh = 0; kh < kernel; ++kh) {
+            for (std::int64_t kw = 0; kw < kernel; ++kw, ++row) {
+                float* dst = cols + row * out_plane;
+                for (std::int64_t y = 0; y < oh; ++y) {
+                    const std::int64_t in_y = y * stride + kh - padding;
+                    if (in_y < 0 || in_y >= height) {
+                        std::memset(dst + y * ow, 0,
+                                    static_cast<std::size_t>(ow) * sizeof(float));
+                        continue;
+                    }
+                    const float* src_row = plane + in_y * width;
+                    for (std::int64_t x = 0; x < ow; ++x) {
+                        const std::int64_t in_x = x * stride + kw - padding;
+                        dst[y * ow + x] = (in_x >= 0 && in_x < width)
+                                              ? src_row[in_x]
+                                              : 0.0f;
+                    }
+                }
+            }
+        }
+    }
+}
+
 const Kernels& generic_kernels() noexcept {
     static const Kernels table{
-        "generic",      generic_gemm_accumulate, generic_relu,
-        generic_relu6,  generic_add,             generic_clamp,
+        "generic",     generic_gemm_accumulate, generic_conv2d_image,
+        generic_relu,  generic_relu6,           generic_add,
+        generic_clamp,
     };
     return table;
 }

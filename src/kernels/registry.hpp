@@ -1,7 +1,8 @@
 #pragma once
 // Kernel-dispatch library: the compute primitives behind the inference
-// engine (GEMM, activations, elementwise, clamp), resolved once at startup
-// against the CPU the process actually runs on.
+// engine (GEMM, the standard convolution's forward pass, activations,
+// elementwise, clamp), resolved once at startup against the CPU the process
+// actually runs on.
 //
 // Two backends exist: "generic" (portable blocked loops, the reference
 // implementation) and "avx2" (8-wide x86 vectors). The dispatch contract
@@ -38,6 +39,8 @@
 
 namespace statfi::kernels {
 
+class ScratchArena;
+
 /// Runtime CPU feature flags relevant to kernel selection.
 struct CpuFeatures {
     bool avx2 = false;
@@ -50,6 +53,21 @@ struct CpuFeatures {
 /// Query the executing CPU (cached; cheap after the first call).
 [[nodiscard]] CpuFeatures detect_cpu() noexcept;
 
+/// The patch geometry of a square-kernel convolution over one (C, H, W)
+/// image, without dilation or groups: out_height and out_width are
+/// floor((in + 2 * padding - kernel) / stride) + 1.
+struct ConvGeometry {
+    std::size_t channels, height, width;
+    std::size_t kernel, stride, padding;
+    std::size_t out_height, out_width;
+};
+
+/// The im2col lowering: @p cols[C*K*K, OH*OW] (row-major) holds, in row
+/// (c, kh, kw) and column (oy, ox), the input value the kernel tap (kh, kw)
+/// of output (oy, ox) reads in channel c — or +0.0f where that tap lies on
+/// the padding. The reference for every backend's conv2d_image.
+void im2col(const ConvGeometry& g, const float* image, float* cols);
+
 /// One backend's primitive table. All functions obey the bit-identity
 /// contract above; pointers are never null in a published table.
 struct Kernels {
@@ -57,13 +75,32 @@ struct Kernels {
 
     /// C[M,N] += A[M,K] * B[K,N] (row-major). Ascending-k accumulation per
     /// element; rows of A equal to zero are skipped identically on every
-    /// backend. Backs conv2d (im2col lowering) and batched GEMM callers.
-    /// Backends may tile i and j freely (avx2 runs 6x16 register tiles over
-    /// packed 16-column panels of B when M >= 2): tiling changes which
-    /// elements advance together, never the order of one element's k-sum.
-    /// Allocates nothing.
+    /// backend. Backs pointwise convs and the one-row recompute that
+    /// Conv2d::forward_row_cached runs over a cached im2col matrix;
+    /// conv2d_image below runs every other conv forward. Backends may tile
+    /// i and j freely (avx2 runs 6x16 register tiles over packed 16-column
+    /// panels of B when M >= 2): tiling changes which elements advance
+    /// together, never the order of one element's k-sum. Allocates nothing.
     void (*gemm_accumulate)(std::size_t M, std::size_t N, std::size_t K,
                             const float* A, const float* B, float* C);
+
+    /// out[M, OH*OW] = weight[M, C*K*K] * im2col(image), out overwritten:
+    /// the forward pass of a standard convolution over one image. Each
+    /// output element starts at +0.0f and gets one mul, then one add, per
+    /// k in ascending k, skipping a product exactly when its weight is zero
+    /// — the sequence gemm_accumulate gives over the explicit im2col
+    /// matrix, so backends agree bit for bit with that and with each other.
+    /// Padding is multiplied, not skipped: a tap on the padding adds
+    /// weight * +0.0f, so a faulty inf weight makes NaN of exactly the
+    /// outputs whose window puts that tap on the padding, as the im2col
+    /// GEMM does (DepthwiseConv2d, by contrast, skips its padding taps).
+    /// Workspace comes from @p arena (grow-only; valid for this call only).
+    /// generic writes the K x N im2col matrix there and runs its GEMM; avx2
+    /// writes a zero-bordered (C, H+2p, W+2p) copy of the image (none when
+    /// p == 0) and packs the GEMM's 16-column panels of B straight from it.
+    void (*conv2d_image)(const ConvGeometry& g, std::size_t M,
+                         const float* weight, const float* image, float* out,
+                         ScratchArena& arena);
 
     /// dst[i] = src[i] > 0 ? src[i] : 0 (NaN -> 0, -0 -> +0).
     void (*relu)(const float* src, float* dst, std::size_t n);

@@ -1,8 +1,8 @@
 #include "nn/conv.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
+#include "kernels/registry.hpp"
 #include "nn/gemm.hpp"
 
 namespace statfi::nn {
@@ -15,36 +15,28 @@ std::int64_t conv_out_size(std::int64_t in, std::int64_t kernel,
     return out;
 }
 
+namespace {
+kernels::ConvGeometry conv_geometry(std::int64_t channels, std::int64_t height,
+                                    std::int64_t width, std::int64_t kernel,
+                                    std::int64_t stride, std::int64_t padding) {
+    const auto u = [](std::int64_t v) { return static_cast<std::size_t>(v); };
+    return {u(channels),
+            u(height),
+            u(width),
+            u(kernel),
+            u(stride),
+            u(padding),
+            u(conv_out_size(height, kernel, stride, padding)),
+            u(conv_out_size(width, kernel, stride, padding))};
+}
+}  // namespace
+
 void im2col(const float* input, std::int64_t channels, std::int64_t height,
             std::int64_t width, std::int64_t kernel, std::int64_t stride,
             std::int64_t padding, float* cols) {
-    const std::int64_t oh = conv_out_size(height, kernel, stride, padding);
-    const std::int64_t ow = conv_out_size(width, kernel, stride, padding);
-    const std::int64_t out_plane = oh * ow;
-    std::int64_t row = 0;
-    for (std::int64_t c = 0; c < channels; ++c) {
-        const float* plane = input + c * height * width;
-        for (std::int64_t kh = 0; kh < kernel; ++kh) {
-            for (std::int64_t kw = 0; kw < kernel; ++kw, ++row) {
-                float* dst = cols + row * out_plane;
-                for (std::int64_t y = 0; y < oh; ++y) {
-                    const std::int64_t in_y = y * stride + kh - padding;
-                    if (in_y < 0 || in_y >= height) {
-                        std::memset(dst + y * ow, 0,
-                                    static_cast<std::size_t>(ow) * sizeof(float));
-                        continue;
-                    }
-                    const float* src_row = plane + in_y * width;
-                    for (std::int64_t x = 0; x < ow; ++x) {
-                        const std::int64_t in_x = x * stride + kw - padding;
-                        dst[y * ow + x] = (in_x >= 0 && in_x < width)
-                                              ? src_row[in_x]
-                                              : 0.0f;
-                    }
-                }
-            }
-        }
-    }
+    kernels::im2col(
+        conv_geometry(channels, height, width, kernel, stride, padding), input,
+        cols);
 }
 
 void col2im(const float* cols, std::int64_t channels, std::int64_t height,
@@ -119,28 +111,27 @@ void Conv2d::forward(std::span<const Tensor* const> inputs, Tensor& out) const {
     ensure_shape(out, out_shape);
 
     const std::int64_t N = in[0], H = in[2], W = in[3];
-    const std::int64_t OH = out_shape[2], OW = out_shape[3];
-    const std::size_t col_rows =
-        static_cast<std::size_t>(in_channels_ * kernel_ * kernel_);
-    const std::size_t out_plane = static_cast<std::size_t>(OH * OW);
+    const auto M = static_cast<std::size_t>(out_channels_);
+    const auto out_plane = static_cast<std::size_t>(out_shape[2] * out_shape[3]);
 
     // K=1, s=1, p=0 convolutions (MobileNetV2's pointwise layers) are plain
-    // GEMMs over the input as-is; skip the im2col copy entirely.
+    // GEMMs over the input as-is; every other conv is the kernel backend's
+    // conv2d_image.
     const bool pointwise = kernel_ == 1 && stride_ == 1 && padding_ == 0;
-    float* cols = pointwise ? nullptr : arena_.floats(col_rows * out_plane);
+    const kernels::ConvGeometry g =
+        conv_geometry(in_channels_, H, W, kernel_, stride_, padding_);
+    const kernels::Kernels& k = kernels::active();
 
     const std::size_t in_image = static_cast<std::size_t>(in_channels_ * H * W);
-    const std::size_t out_image =
-        static_cast<std::size_t>(out_channels_) * out_plane;
+    const std::size_t out_image = M * out_plane;
     for (std::int64_t n = 0; n < N; ++n) {
         const float* src = x.data() + static_cast<std::size_t>(n) * in_image;
-        const float* b = src;
-        if (!pointwise) {
-            im2col(src, in_channels_, H, W, kernel_, stride_, padding_, cols);
-            b = cols;
-        }
-        gemm(static_cast<std::size_t>(out_channels_), out_plane, col_rows,
-             weight_.data(), b, out.data() + static_cast<std::size_t>(n) * out_image);
+        float* dst = out.data() + static_cast<std::size_t>(n) * out_image;
+        if (pointwise)
+            gemm(M, out_plane, static_cast<std::size_t>(in_channels_),
+                 weight_.data(), src, dst);
+        else
+            k.conv2d_image(g, M, weight_.data(), src, dst, arena_);
     }
 }
 

@@ -1,5 +1,7 @@
 #pragma once
-// 2-D convolutions: standard (im2col + GEMM) and depthwise (direct loops).
+// 2-D convolutions: standard (the kernel backend's conv2d_image — explicit
+// im2col + GEMM on the generic backend, GEMM panels packed straight from the
+// input on AVX2; a plain GEMM when pointwise) and depthwise (direct loops).
 // Convolution weights are THE fault-injection target of the paper; both
 // classes expose their weight tensor through Layer::injectable_weight().
 // Biases are intentionally absent: the CIFAR ResNet / MobileNetV2 conv
@@ -13,8 +15,9 @@
 
 namespace statfi::nn {
 
-/// im2col: expand input patch columns. @p input is one image (C,H,W) laid
-/// out contiguously; @p cols has shape [C*K*K, OH*OW] row-major.
+/// im2col: expand input patch columns (kernels::im2col). @p input is one
+/// image (C,H,W) laid out contiguously; @p cols has shape [C*K*K, OH*OW]
+/// row-major.
 void im2col(const float* input, std::int64_t channels, std::int64_t height,
             std::int64_t width, std::int64_t kernel, std::int64_t stride,
             std::int64_t padding, float* cols);
@@ -71,18 +74,20 @@ public:
     [[nodiscard]] std::int64_t kernel() const { return kernel_; }
     [[nodiscard]] std::int64_t stride() const { return stride_; }
     [[nodiscard]] std::int64_t padding() const { return padding_; }
-    /// Current im2col workspace footprint (grow-only; see arena_ below).
+    /// Current forward workspace footprint (grow-only; see arena_ below).
     [[nodiscard]] std::size_t workspace_bytes() const { return arena_.bytes(); }
 
 private:
     std::int64_t in_channels_, out_channels_, kernel_, stride_, padding_;
     Tensor weight_;       // (Cout, Cin, K, K)
     Tensor weight_grad_;  // same shape
-    /// Grow-only im2col workspace reused across forward calls — fault
-    /// campaigns run ~10^5 forwards per layer, and a fresh buffer per call
-    /// dominated the allocator profile. The arena grows to the largest batch
-    /// seen and never shrinks. Each campaign worker owns a private network
-    /// clone, so the workspace is single-threaded by construction.
+    /// Grow-only workspace of conv2d_image, reused across forward calls and
+    /// images: the im2col matrix on the generic backend, the zero-bordered
+    /// input copy on AVX2. Fault campaigns run ~10^5 forwards per layer, and
+    /// a fresh buffer per call dominated the allocator profile. The arena
+    /// grows to the largest image seen and never shrinks. Each campaign
+    /// worker owns a private network clone, so the workspace is
+    /// single-threaded by construction.
     mutable kernels::ScratchArena arena_;
 };
 

@@ -1,9 +1,12 @@
 #pragma once
-// Small blocked single-precision GEMM. Backs the im2col convolution path and
-// the fully-connected layer. Not a BLAS replacement — just cache-blocked,
-// vectorizer-friendly loops that are fast enough for fault campaigns on CPU.
-// The forward-pass entry points dispatch through kernels::active() (generic
-// or AVX2 backend, selected at startup — see kernels/registry.hpp).
+// Small blocked single-precision GEMM. Backs pointwise convolutions, the
+// one-row conv recompute over a cached im2col matrix, and the conv gradients
+// in training; other conv forwards run kernels::Kernels::conv2d_image, which
+// follows the same per-element contract. Not a BLAS replacement — just
+// cache-blocked, vectorizer-friendly loops that are fast enough for fault
+// campaigns on CPU. The forward-pass entry points dispatch through
+// kernels::active() (generic or AVX2 backend, selected at startup — see
+// kernels/registry.hpp).
 //
 // Determinism note the campaign engine relies on: each output element
 // C[m,n] accumulates its K products in ascending-k order regardless of M or
@@ -12,8 +15,9 @@
 // matrix or row-by-row — which is why the batched golden pass in
 // core/classification_core.cpp is bit-identical to per-image passes. The
 // same holds for the AVX2 backend's register tiles: a 6x16 tile of C (M >=
-// 2) and a single row (M == 1, Conv2d::forward_row) both give each element
-// one mul then one add per k, in ascending k.
+// 2), whether its panel of B was copied from a matrix or packed from an
+// image (conv2d_image), and a single row (M == 1, Conv2d::forward_row_cached)
+// all give each element one mul then one add per k, in ascending k.
 
 #include <cstddef>
 

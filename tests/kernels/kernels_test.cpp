@@ -1,8 +1,8 @@
 // Tests for the kernel-dispatch library: the bit-identity contract between
 // the generic and native backends (the property every fault-injection
-// campaign leans on — see src/kernels/registry.hpp), from single GEMMs up to
-// whole-network forwards, backend selection, and the Conv2d im2col
-// workspace that feeds the GEMM kernels.
+// campaign leans on — see src/kernels/registry.hpp), from single GEMMs and
+// conv forwards up to whole-network forwards, backend selection, and the
+// Conv2d workspace behind each backend's conv2d_image.
 
 #include "kernels/registry.hpp"
 
@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "kernels/arena.hpp"
@@ -108,9 +109,33 @@ bool same_bits_modulo_nan_payload(const std::vector<float>& a,
     GTEST_SKIP() << "no native backend on this CPU "                     \
                  << "(" << detect_cpu().describe() << ")"
 
+/// The backends this CPU can select, reference first.
+std::vector<std::string> backends() {
+    std::vector<std::string> names{"generic"};
+    if (native_kernels() != nullptr) names.push_back("native");
+    return names;
+}
+
+/// @p conv's forward over @p x on backend @p backend; the selection goes
+/// back to "auto" afterwards.
+Tensor conv_forward(const nn::Conv2d& conv, const Tensor& x,
+                    const std::string& backend) {
+    select(backend);
+    Tensor out;
+    const Tensor* in = &x;
+    conv.forward(std::span<const Tensor* const>(&in, 1), out);
+    select("auto");
+    return out;
+}
+
+std::vector<float> values(const Tensor& t) {
+    return std::vector<float>(t.data(), t.data() + t.numel());
+}
+
 TEST(Kernels, GenericAlwaysAvailable) {
     EXPECT_STREQ(generic_kernels().name, "generic");
     ASSERT_NE(generic_kernels().gemm_accumulate, nullptr);
+    ASSERT_NE(generic_kernels().conv2d_image, nullptr);
     ASSERT_NE(generic_kernels().relu, nullptr);
     ASSERT_NE(generic_kernels().relu6, nullptr);
     ASSERT_NE(generic_kernels().add, nullptr);
@@ -318,6 +343,120 @@ TEST(Kernels, GemmZeroRowSkipMatchesOnInfColumns) {
         }
 }
 
+// -- conv forward: generic (explicit im2col) vs native (implicit) ----------
+// The native conv2d_image packs its GEMM panels from a zero-bordered copy of
+// the input; the generic one writes the im2col matrix. The sweep crosses
+// the packer's cases (kernel 1/3/5, stride 1/2 with their vector loads,
+// padding 0 read in place), the N mod 16 column tail (sizes 7 and 17), the
+// 256-row k-block (Cin 29 and 64 at kernel 3 and 5), the 96-row chunk of A
+// (Cout 100) and M = 1.
+
+/// Conv2d::forward on both backends over every geometry with kernel
+/// @p kernel. Inputs and weights come from awkward() at one in 12·C·K·K,
+/// and, for Cin <= 3, also at one in 12: at that density every sum longer
+/// than a few dozen products is NaN on both backends whatever the order,
+/// and its denormals slow each product about tenfold (on a 4-vCPU AVX2
+/// Xeon, the full cross product at that density took 44 s of the sweep's
+/// 48). Each draw also runs with zero-free weights, the branch-free tile
+/// loop.
+void expect_conv_identity(std::int64_t kernel, std::uint64_t seed) {
+    stats::Rng rng(seed);
+    std::size_t runs = 0;
+    auto check = [&](std::int64_t stride, std::int64_t pad, std::int64_t hw,
+                     std::int64_t cin, std::int64_t cout) {
+        nn::Conv2d conv(cin, cout, kernel, stride, pad);
+        const auto K = static_cast<std::size_t>(cin * kernel * kernel);
+        std::vector<std::size_t> densities{12 * K};
+        if (cin <= 3) densities.push_back(12);
+        Tensor x(Shape({1, cin, hw, hw}));
+        for (const std::size_t one_in : densities) {
+            const auto xs = awkward(x.numel(), rng, one_in);
+            std::copy(xs.begin(), xs.end(), x.data());
+            const auto w = awkward(conv.weight().numel(), rng, one_in);
+            for (const bool zero_free : {false, true}) {
+                const auto wz = zero_free ? without_zeros(w) : w;
+                if (zero_free &&
+                    std::none_of(w.begin(), w.end(),
+                                 [](float v) { return v == 0.0f; }))
+                    continue;  // the same run again
+                std::copy(wz.begin(), wz.end(), conv.weight().data());
+                const auto gen = values(conv_forward(conv, x, "generic"));
+                const auto nat = values(conv_forward(conv, x, "native"));
+                ++runs;
+                EXPECT_TRUE(same_bits_modulo_nan_payload(gen, nat))
+                    << "k=" << kernel << " s=" << stride << " p=" << pad
+                    << " hw=" << hw << " cin=" << cin << " cout=" << cout
+                    << " 1-in-" << one_in << (zero_free ? " zero-free W" : "");
+            }
+        }
+    };
+    for (const std::int64_t stride : {1, 2})
+        for (const std::int64_t pad : {0, 1, 2})
+            for (const std::int64_t hw : {4, 7, 8, 16, 17, 32})
+                for (const std::int64_t cin : {1, 3, 16, 29, 64})
+                    for (const std::int64_t cout : {1, 2, 6, 7, 16, 33, 100})
+                        if (hw + 2 * pad >= kernel)
+                            check(stride, pad, hw, cin, cout);
+    EXPECT_GT(runs, 0u);
+}
+
+TEST(Kernels, ConvForwardBitIdenticalKernel1) {
+    SKIP_WITHOUT_NATIVE();
+    expect_conv_identity(1, 1101);
+}
+
+TEST(Kernels, ConvForwardBitIdenticalKernel3) {
+    SKIP_WITHOUT_NATIVE();
+    expect_conv_identity(3, 3303);
+}
+
+TEST(Kernels, ConvForwardBitIdenticalKernel5) {
+    SKIP_WITHOUT_NATIVE();
+    expect_conv_identity(5, 5505);
+}
+
+TEST(Kernels, ConvPaddingTapsAreMultipliedNotSkipped) {
+    // One +inf weight tap, positive finite inputs: inf * 0 = NaN wherever
+    // the window puts that tap on a padding cell (as im2col's multiplied
+    // zero does), inf elsewhere in its output channel, and every other
+    // channel finite. A backend that skipped padding taps would leave those
+    // outputs inf.
+    for (const std::int64_t stride : {1, 2}) {
+        const std::int64_t C = 2, Cout = 3, H = 17, W = 17, K = 3, P = 1;
+        const std::int64_t co = 1, ci = 1, kh = 0, kw = 2;
+        nn::Conv2d conv(C, Cout, K, stride, P);
+        for (std::size_t i = 0; i < conv.weight().numel(); ++i)
+            conv.weight().data()[i] = 0.25f + 0.01f * static_cast<float>(i % 7);
+        conv.weight().data()[((co * C + ci) * K + kh) * K + kw] = kInf;
+        Tensor x(Shape({1, C, H, W}));
+        for (std::size_t i = 0; i < x.numel(); ++i)
+            x.data()[i] = 0.5f + 0.125f * static_cast<float>(i % 5);
+        for (const std::string& backend : backends()) {
+            const Tensor out = conv_forward(conv, x, backend);
+            const std::int64_t OH = out.shape()[2], OW = out.shape()[3];
+            for (std::int64_t c = 0; c < Cout; ++c)
+                for (std::int64_t y = 0; y < OH; ++y)
+                    for (std::int64_t x2 = 0; x2 < OW; ++x2) {
+                        const float v = out.data()[(c * OH + y) * OW + x2];
+                        const std::int64_t iy = y * stride + kh - P;
+                        const std::int64_t ix = x2 * stride + kw - P;
+                        const bool on_pad = iy < 0 || iy >= H || ix < 0 || ix >= W;
+                        const auto where = ::testing::Message()
+                                           << backend << " s=" << stride
+                                           << " c=" << c << " y=" << y
+                                           << " x=" << x2;
+                        if (c != co) {
+                            EXPECT_TRUE(std::isfinite(v)) << where;
+                        } else if (on_pad) {
+                            EXPECT_TRUE(std::isnan(v)) << where;
+                        } else {
+                            EXPECT_EQ(v, kInf) << where;
+                        }
+                    }
+        }
+    }
+}
+
 // -- whole-network forward: generic vs native ------------------------------
 // ResNet-20 and MobileNetV2 feed their convs through full register tiles,
 // tile edges and column tails that MicroNet's 6- to 14-row convs barely
@@ -365,57 +504,100 @@ TEST(ScratchArena, GrowOnlyReuse) {
     EXPECT_EQ(arena.bytes(), 250 * sizeof(float));
 }
 
+/// @p conv's forward over a seeded (batch, C, hw, hw) input on @p backend.
+void run_conv(const nn::Conv2d& conv, std::int64_t batch, std::int64_t hw,
+              const std::string& backend) {
+    Tensor x(Shape({batch, conv.in_channels(), hw, hw}));
+    stats::Rng rng(7);
+    for (std::size_t i = 0; i < x.numel(); ++i)
+        x.data()[i] = static_cast<float>(rng.uniform01());
+    conv_forward(conv, x, backend);
+}
+
 TEST(ConvWorkspace, GrowOnlyAcrossInputShapes) {
-    nn::Conv2d conv(3, 4, 3, 1, 1);
-    EXPECT_EQ(conv.workspace_bytes(), 0u);
+    for (const std::string& backend : backends()) {
+        SCOPED_TRACE(backend);
+        nn::Conv2d conv(3, 4, 3, 1, 1);
+        EXPECT_EQ(conv.workspace_bytes(), 0u);
+        auto run = [&](std::int64_t batch, std::int64_t hw) {
+            run_conv(conv, batch, hw, backend);
+        };
 
-    auto run = [&](std::int64_t batch, std::int64_t hw) {
-        Tensor x(Shape({batch, 3, hw, hw}));
-        stats::Rng rng(7);
-        for (std::size_t i = 0; i < x.numel(); ++i)
-            x.data()[i] = static_cast<float>(rng.uniform01());
-        Tensor out;
-        const Tensor* in = &x;
-        conv.forward(std::span<const Tensor* const>(&in, 1), out);
-    };
+        run(1, 8);
+        const std::size_t small = conv.workspace_bytes();
+        EXPECT_GT(small, 0u);
+        // The workspace is per image (the batch loop reuses it), so a wider
+        // ensemble batch must not grow it — ensemble width costs
+        // activations, not conv workspace.
+        run(8, 8);
+        EXPECT_EQ(conv.workspace_bytes(), small);
+        // A larger spatial input grows it...
+        run(1, 16);
+        const std::size_t big = conv.workspace_bytes();
+        EXPECT_GT(big, small);
+        // ...and once warmed at the largest shape, no later forward shrinks
+        // or reallocates it (the no-allocation hot-loop invariant).
+        run(4, 8);
+        EXPECT_EQ(conv.workspace_bytes(), big);
+        run(1, 16);
+        EXPECT_EQ(conv.workspace_bytes(), big);
+    }
+}
 
-    run(1, 8);
-    const std::size_t small = conv.workspace_bytes();
-    EXPECT_GT(small, 0u);
-    // The im2col buffer is per image (the batch loop reuses it), so a wider
-    // ensemble batch must not grow it — ensemble width costs activations,
-    // not conv workspace.
-    run(8, 8);
-    EXPECT_EQ(conv.workspace_bytes(), small);
-    // A larger spatial input grows it...
-    run(1, 16);
-    const std::size_t big = conv.workspace_bytes();
-    EXPECT_GT(big, small);
-    // ...and once warmed at the largest shape, no later forward shrinks or
-    // reallocates it (the no-allocation hot-loop invariant).
-    run(4, 8);
-    EXPECT_EQ(conv.workspace_bytes(), big);
-    run(1, 16);
-    EXPECT_EQ(conv.workspace_bytes(), big);
+TEST(ConvWorkspace, NativeNeverWritesTheIm2colMatrix) {
+    // generic lowers through the C*K*K x OH*OW im2col matrix. The native
+    // backend's workspace is the zero-bordered input, plus at most one
+    // K x 16 panel for the N mod 16 column tail.
+    for (const std::string& backend : backends()) {
+        for (const std::int64_t cout : {2, 16, 100}) {
+            for (const auto& [stride, pad] :
+                 {std::array<std::int64_t, 2>{1, 1}, {2, 1}, {1, 2}}) {
+                for (const std::int64_t hw : {7, 8, 17, 32}) {
+                    const std::int64_t cin = 3, k = 3;
+                    nn::Conv2d conv(cin, cout, k, stride, pad);
+                    run_conv(conv, 2, hw, backend);
+                    const auto u = [](std::int64_t v) {
+                        return static_cast<std::size_t>(v);
+                    };
+                    const std::size_t o = u(nn::conv_out_size(hw, k, stride, pad));
+                    const std::size_t rows = u(cin * k * k);
+                    const std::size_t bytes = conv.workspace_bytes();
+                    const auto where = ::testing::Message()
+                                       << backend << " cout=" << cout
+                                       << " s=" << stride << " p=" << pad
+                                       << " hw=" << hw;
+                    if (backend == "generic") {
+                        EXPECT_EQ(bytes, rows * o * o * sizeof(float)) << where;
+                    } else {
+                        const std::size_t padded =
+                            u(cin * (hw + 2 * pad) * (hw + 2 * pad));
+                        EXPECT_LE(bytes, (padded + rows * 16) * sizeof(float))
+                            << where;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(ConvWorkspace, CloneStartsIndependent) {
-    nn::Conv2d conv(2, 2, 3, 1, 1);
-    Tensor x(Shape({3, 2, 6, 6}));
-    for (std::size_t i = 0; i < x.numel(); ++i)
-        x.data()[i] = static_cast<float>(i % 5) - 2.0f;
-    Tensor out;
-    const Tensor* in = &x;
-    conv.forward(std::span<const Tensor* const>(&in, 1), out);
-    ASSERT_GT(conv.workspace_bytes(), 0u);
-    // Cloned layers (campaign workers) own their own arena.
-    auto copy = conv.clone();
-    Tensor out2;
-    copy->forward(std::span<const Tensor* const>(&in, 1), out2);
-    EXPECT_EQ(out.numel(), out2.numel());
-    EXPECT_EQ(0, std::memcmp(out.data(), out2.data(),
-                             static_cast<std::size_t>(out.numel()) *
-                                 sizeof(float)));
+    for (const std::string& backend : backends()) {
+        SCOPED_TRACE(backend);
+        nn::Conv2d conv(2, 2, 3, 1, 1);
+        Tensor x(Shape({3, 2, 6, 6}));
+        for (std::size_t i = 0; i < x.numel(); ++i)
+            x.data()[i] = static_cast<float>(i % 5) - 2.0f;
+        const Tensor out = conv_forward(conv, x, backend);
+        ASSERT_GT(conv.workspace_bytes(), 0u);
+        // Cloned layers (campaign workers) own their own arena.
+        const auto copy = conv.clone();
+        const Tensor out2 =
+            conv_forward(static_cast<const nn::Conv2d&>(*copy), x, backend);
+        EXPECT_EQ(out.numel(), out2.numel());
+        EXPECT_EQ(0, std::memcmp(out.data(), out2.data(),
+                                 static_cast<std::size_t>(out.numel()) *
+                                     sizeof(float)));
+    }
 }
 
 }  // namespace
