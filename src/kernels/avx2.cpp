@@ -45,6 +45,28 @@
 // stride 2, a scalar gather otherwise. The padded copy holds the +0.0f
 // that im2col writes for padding taps, so each packed value — and with it
 // every output element's mul/add sequence — equals the explicit lowering.
+//
+// Depthwise convolution. A vector holds 8 outputs of one plane; each lane
+// adds its taps in ascending (kh, kw) order, one mul then one add, as the
+// generic loop does, and a tap on the padding is skipped, never multiplied
+// (0 * inf is NaN). Two layouts, picked by the output width:
+//  * OW >= 8: 8 consecutive outputs of one output row, read from a
+//    zero-bordered copy of the plane as ImagePanels reads the image (one
+//    load for stride 1, two loads and a shuffle for stride 2, a gather
+//    otherwise). Tap rows outside the input are the same for the whole
+//    row and are skipped as a whole; up to 4 rows with the same valid tap
+//    rows run together, so 4 add chains hide the vaddps latency. Blocks
+//    with every tap inside the input run plain mul and add; in an edge
+//    block, a lane whose tap column lies on the padding keeps its
+//    accumulator through a blendv of acc and acc + x*w.
+//  * OW < 8 (MobileNetV2's 4x4 planes): 8 consecutive outputs of the plane,
+//    across rows — one row per vector would leave half the lanes idle. A
+//    lane's tap is valid when its row and its column are both inside the
+//    input; a masked gather reads the valid taps straight from the plane
+//    and the same blend keeps the others' accumulators.
+// Lane masks come from each lane's coordinates by integer compares, so no
+// geometry table is built: forward_row_cached calls this once per image
+// with a single channel.
 
 #include "kernels/registry.hpp"
 
@@ -237,6 +259,16 @@ struct MatrixPanels {
     }
 };
 
+// a[0], a[2], ..., a[14]. Loads at +0 and +7 cover elements 0..14, no
+// further than the last one used: even lanes of the first, odd of the
+// second, then the 64-bit pairs put in order.
+__attribute__((target("avx2"))) inline __m256 load_even8(const float* a) {
+    const __m256 mixed = _mm256_shuffle_ps(
+        _mm256_loadu_ps(a), _mm256_loadu_ps(a + 7), _MM_SHUFFLE(3, 1, 2, 0));
+    return _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(mixed),
+                                                  _MM_SHUFFLE(3, 1, 2, 0)));
+}
+
 // The convolution's panel source: rows [k0, k0 + kc) of im2col(image),
 // gathered from the zero-bordered copy of the image. B[k][n], for tap
 // k = (c, kh, kw) and output n = (oy, ox), is padded[c][oy*s + kh][ox*s + kw]
@@ -281,19 +313,9 @@ public:
                     _mm256_store_ps(dst + k * kTileN,
                                     _mm256_loadu_ps(src + tap_[k]));
             } else if (one_row && stride_ == 2) {
-                // Loads at +0 and +7 cover elements 0..14, no further than
-                // the last one used: even lanes of the first, odd of the
-                // second, then the 64-bit pairs put in order.
-                for (std::size_t k = 0; k < kc_; ++k) {
-                    const __m256 lo = _mm256_loadu_ps(src + tap_[k]);
-                    const __m256 hi = _mm256_loadu_ps(src + tap_[k] + 7);
-                    const __m256 mixed =
-                        _mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 1, 2, 0));
-                    _mm256_store_ps(
-                        dst + k * kTileN,
-                        _mm256_castpd_ps(_mm256_permute4x64_pd(
-                            _mm256_castps_pd(mixed), _MM_SHUFFLE(3, 1, 2, 0))));
-                }
+                for (std::size_t k = 0; k < kc_; ++k)
+                    _mm256_store_ps(dst + k * kTileN,
+                                    load_even8(src + tap_[k]));
             } else {
                 std::size_t origin[8];
                 for (std::size_t q = 0; q < count; ++q)
@@ -360,17 +382,28 @@ void avx2_gemm_accumulate(std::size_t M, std::size_t N, std::size_t K,
     }
 }
 
-// The image with a zero border of p cells on each side of every channel
-// plane, written to @p dst ((C, H+2p, W+2p) floats).
-void pad_image(const ConvGeometry& g, const float* image, float* dst) {
-    const std::size_t p = g.padding, wp = g.width + 2 * p;
+// The g.channels planes of @p image, copied into the interiors of the
+// (H+2p) x (W+2p) planes of @p dst. The border cells are never written: the
+// caller zeroes them once, and they stay zero for every later copy into
+// the same buffer.
+__attribute__((target("avx2"))) void copy_inside_border(const ConvGeometry& g,
+                                                        const float* image,
+                                                        float* dst) {
+    const std::size_t w = g.width, p = g.padding, pitch = w + 2 * p;
     for (std::size_t c = 0; c < g.channels; ++c) {
-        dst = std::fill_n(dst, p * wp + p, 0.0f);
-        for (std::size_t y = 0; y < g.height; ++y, image += g.width) {
-            dst = std::copy_n(image, g.width, dst);
-            dst = std::fill_n(dst, y + 1 < g.height ? 2 * p : p, 0.0f);
+        float* row = dst + (c * (g.height + 2 * p) + p) * pitch + p;
+        for (std::size_t y = 0; y < g.height; ++y, image += w, row += pitch) {
+            if (w < 8) {
+                std::copy_n(image, w, row);
+                continue;
+            }
+            // 8 floats at a time, the last 8 overlapping the ones before.
+            for (std::size_t x = 0;; x += 8) {
+                const std::size_t o = std::min(x, w - 8);
+                _mm256_storeu_ps(row + o, _mm256_loadu_ps(image + o));
+                if (o + 8 >= w) break;
+            }
         }
-        dst = std::fill_n(dst, p * wp, 0.0f);
     }
 }
 
@@ -385,9 +418,11 @@ __attribute__((target("avx2"))) void avx2_conv2d_image(
     const std::size_t n16 = N / kTileN * kTileN;
     const float* padded = image;
     if (g.padding > 0) {
-        float* buf = arena.floats(g.channels * (g.height + 2 * g.padding) *
-                                  (g.width + 2 * g.padding));
-        pad_image(g, image, buf);
+        const std::size_t size = g.channels * (g.height + 2 * g.padding) *
+                                 (g.width + 2 * g.padding);
+        float* buf = arena.floats(size);
+        std::fill_n(buf, size, 0.0f);
+        copy_inside_border(g, image, buf);
         padded = buf;
     }
     std::memset(out, 0, M * N * sizeof(float));
@@ -401,6 +436,282 @@ __attribute__((target("avx2"))) void avx2_conv2d_image(
             avx2_block(0, M, 0, kc, 0, N - n16, N, K, weight + k0, tail,
                        kTileN, out + n16);
         }
+    }
+}
+
+// All-ones lanes where 0 <= v < n, given n - 1 >= 0: an unsigned compare,
+// so a negative v (wrapped above n - 1) falls outside.
+__attribute__((target("avx2"))) inline __m256 lanes_below(__m256i v,
+                                                          __m256i n_minus_1) {
+    return _mm256_castsi256_ps(
+        _mm256_cmpeq_epi32(_mm256_min_epu32(v, n_minus_1), v));
+}
+
+// One plane in the depthwise row layout, read from @p plane: the
+// zero-bordered copy of the input plane, or the plane itself when p == 0.
+struct DepthwiseRows {
+    const float* plane;
+    std::size_t pitch;   ///< row pitch of plane: W + 2p
+    std::size_t stride, kernel;
+    const float* taps;   ///< the channel's K*K weights
+    __m256i lane_cols;   ///< lane i * stride
+    __m256i width_m1;    ///< W - 1
+};
+
+// The 8 inputs a[0], a[s], ..., a[7s], loaded as ImagePanels packs them.
+__attribute__((target("avx2"))) inline __m256 load_strided(
+    const DepthwiseRows& d, const float* a) {
+    if (d.stride == 1) return _mm256_loadu_ps(a);
+    if (d.stride == 2) return load_even8(a);
+    return _mm256_i32gather_ps(a, d.lane_cols, 4);
+}
+
+// R output rows (s*pitch apart in @p src, ow apart in @p dst) at one block
+// of 8 columns, over tap rows [kh0, kh1), the rows inside the input for all
+// R. @p src is the padded input under the block's tap (0, 0) and @p cols
+// holds each lane's input column of tap kw = 0. An Edge block has a lane
+// whose tap column lies on the padding for some kw.
+template <std::size_t R, bool Edge>
+__attribute__((target("avx2"))) void depthwise_row_tile(
+    const DepthwiseRows& d, const float* src, std::size_t kh0,
+    std::size_t kh1, __m256i cols, float* dst, std::size_t ow) {
+    const std::size_t row_step = d.stride * d.pitch;
+    __m256 acc[R];
+    for (std::size_t r = 0; r < R; ++r) acc[r] = _mm256_setzero_ps();
+    for (std::size_t kh = kh0; kh < kh1; ++kh) {
+        const float* a = src + kh * d.pitch;
+        for (std::size_t kw = 0; kw < d.kernel; ++kw, ++a) {
+            const __m256 w = _mm256_broadcast_ss(d.taps + kh * d.kernel + kw);
+            __m256 inside = _mm256_setzero_ps();
+            if constexpr (Edge)
+                inside = lanes_below(
+                    _mm256_add_epi32(cols, _mm256_set1_epi32(static_cast<int>(kw))),
+                    d.width_m1);
+            for (std::size_t r = 0; r < R; ++r) {
+                const __m256 sum = _mm256_add_ps(
+                    acc[r], _mm256_mul_ps(load_strided(d, a + r * row_step), w));
+                acc[r] = Edge ? _mm256_blendv_ps(acc[r], sum, inside) : sum;
+            }
+        }
+    }
+    for (std::size_t r = 0; r < R; ++r) _mm256_storeu_ps(dst + r * ow, acc[r]);
+}
+
+template <bool Edge>
+__attribute__((target("avx2"))) void depthwise_row_tiles(
+    std::size_t rows, const DepthwiseRows& d, const float* src,
+    std::size_t kh0, std::size_t kh1, __m256i cols, float* dst,
+    std::size_t ow) {
+    switch (rows) {
+        case 4: return depthwise_row_tile<4, Edge>(d, src, kh0, kh1, cols, dst, ow);
+        case 3: return depthwise_row_tile<3, Edge>(d, src, kh0, kh1, cols, dst, ow);
+        case 2: return depthwise_row_tile<2, Edge>(d, src, kh0, kh1, cols, dst, ow);
+        default: return depthwise_row_tile<1, Edge>(d, src, kh0, kh1, cols, dst, ow);
+    }
+}
+
+// The row layout over one plane (OW >= 8), up to 4 rows at a time where
+// their valid tap rows agree. The last block of a row overlaps the one
+// before it rather than running short.
+__attribute__((target("avx2"))) void depthwise_rows(const ConvGeometry& g,
+                                                    const DepthwiseRows& d,
+                                                    float* out) {
+    using I = std::ptrdiff_t;
+    const auto k = static_cast<I>(g.kernel), s = static_cast<I>(g.stride),
+               p = static_cast<I>(g.padding), h = static_cast<I>(g.height),
+               w = static_cast<I>(g.width);
+    const std::size_t ow = g.out_width;
+    // Tap rows [first, last) of output row oy lie inside the input.
+    const auto first = [&](std::size_t oy) {
+        return static_cast<std::size_t>(std::clamp<I>(p - static_cast<I>(oy) * s, 0, k));
+    };
+    const auto last = [&](std::size_t oy) {
+        return static_cast<std::size_t>(
+            std::clamp<I>(h + p - static_cast<I>(oy) * s, 0, k));
+    };
+    for (std::size_t oy = 0; oy < g.out_height;) {
+        const std::size_t kh0 = first(oy), kh1 = last(oy);
+        std::size_t rows = 1;
+        while (rows < 4 && oy + rows < g.out_height && first(oy + rows) == kh0 &&
+               last(oy + rows) == kh1)
+            ++rows;
+        for (std::size_t x = 0;; x += 8) {
+            const std::size_t ox = std::min(x, ow - 8);
+            const I col = static_cast<I>(ox) * s - p;
+            const bool edge = col < 0 || col + 7 * s + k > w;
+            const __m256i cols = _mm256_add_epi32(
+                _mm256_set1_epi32(static_cast<int>(col)), d.lane_cols);
+            const float* src = d.plane + oy * g.stride * d.pitch + ox * g.stride;
+            float* dst = out + oy * ow + ox;
+            if (edge)
+                depthwise_row_tiles<true>(rows, d, src, kh0, kh1, cols, dst, ow);
+            else
+                depthwise_row_tiles<false>(rows, d, src, kh0, kh1, cols, dst, ow);
+            if (ox + 8 >= ow) break;
+        }
+        oy += rows;
+    }
+}
+
+// One plane in the depthwise multi-row layout (OW < 8).
+struct DepthwiseLanes {
+    const float* plane;  ///< the input plane itself (H x W)
+    const float* taps;
+    std::size_t kernel;
+    int width;
+    __m256i height_m1, width_m1;
+};
+
+// V vectors of 8 consecutive outputs at @p dst, of which the first @p count
+// are stored. @p iy and @p ix hold each lane's input row and column of tap
+// (0, 0).
+template <std::size_t V>
+__attribute__((target("avx2"))) void depthwise_lane_tile(
+    const DepthwiseLanes& d, const __m256i* iy, const __m256i* ix, float* dst,
+    std::size_t count) {
+    const __m256 zero = _mm256_setzero_ps();
+    __m256 acc[V];
+    __m256i origin[V];
+    for (std::size_t v = 0; v < V; ++v) {
+        acc[v] = zero;
+        origin[v] = _mm256_add_epi32(
+            _mm256_mullo_epi32(iy[v], _mm256_set1_epi32(d.width)), ix[v]);
+    }
+    for (std::size_t kh = 0; kh < d.kernel; ++kh) {
+        const __m256i dy = _mm256_set1_epi32(static_cast<int>(kh));
+        __m256 row_ok[V];
+        for (std::size_t v = 0; v < V; ++v)
+            row_ok[v] = lanes_below(_mm256_add_epi32(iy[v], dy), d.height_m1);
+        for (std::size_t kw = 0; kw < d.kernel; ++kw) {
+            const __m256 w = _mm256_broadcast_ss(d.taps + kh * d.kernel + kw);
+            const __m256i dx = _mm256_set1_epi32(static_cast<int>(kw));
+            const __m256i tap =
+                _mm256_set1_epi32(static_cast<int>(kh) * d.width + static_cast<int>(kw));
+            for (std::size_t v = 0; v < V; ++v) {
+                const __m256 valid = _mm256_and_ps(
+                    row_ok[v],
+                    lanes_below(_mm256_add_epi32(ix[v], dx), d.width_m1));
+                const __m256 x = _mm256_mask_i32gather_ps(
+                    zero, d.plane, _mm256_add_epi32(origin[v], tap), valid, 4);
+                acc[v] = _mm256_blendv_ps(
+                    acc[v], _mm256_add_ps(acc[v], _mm256_mul_ps(x, w)), valid);
+            }
+        }
+    }
+    for (std::size_t v = 0; v < V; ++v, dst += 8) {
+        if (count >= 8) {
+            _mm256_storeu_ps(dst, acc[v]);
+            count -= 8;
+        } else {
+            const __m256i keep = _mm256_cmpgt_epi32(
+                _mm256_set1_epi32(static_cast<int>(count)),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+            _mm256_maskstore_ps(dst, keep, acc[v]);
+            count = 0;
+        }
+    }
+}
+
+// Each lane's input row and column of tap (0, 0) over 8 consecutive
+// outputs of an OW-wide plane, from outputs 0..7 on, moved 8 outputs at a
+// time without a division.
+struct LaneWalk {
+    __m256i iy, ix;
+    __m256i step_y, step_x, wrap_x, last_x, next_y;
+
+    __attribute__((target("avx2"))) explicit LaneWalk(const ConvGeometry& g) {
+        const int s = static_cast<int>(g.stride);
+        const int p = static_cast<int>(g.padding);
+        const int ow = static_cast<int>(g.out_width);
+        alignas(32) int rows[8], cols[8];
+        for (int q = 0, oy = 0, ox = 0; q < 8; ++q) {
+            rows[q] = oy * s - p;
+            cols[q] = ox * s - p;
+            if (++ox == ow) {
+                ox = 0;
+                ++oy;
+            }
+        }
+        iy = _mm256_load_si256(reinterpret_cast<const __m256i*>(rows));
+        ix = _mm256_load_si256(reinterpret_cast<const __m256i*>(cols));
+        step_y = _mm256_set1_epi32(8 / ow * s);
+        step_x = _mm256_set1_epi32(8 % ow * s);
+        wrap_x = _mm256_set1_epi32(ow * s);
+        last_x = _mm256_set1_epi32((ow - 1) * s - p);
+        next_y = _mm256_set1_epi32(s);
+    }
+
+    __attribute__((target("avx2"))) void advance() {
+        ix = _mm256_add_epi32(ix, step_x);
+        iy = _mm256_add_epi32(iy, step_y);
+        const __m256i carry = _mm256_cmpgt_epi32(ix, last_x);
+        ix = _mm256_sub_epi32(ix, _mm256_and_si256(carry, wrap_x));
+        iy = _mm256_add_epi32(iy, _mm256_and_si256(carry, next_y));
+    }
+};
+
+// The multi-row layout over one plane, two vectors at a time.
+__attribute__((target("avx2"))) void depthwise_lanes(const ConvGeometry& g,
+                                                     const DepthwiseLanes& d,
+                                                     float* out) {
+    LaneWalk walk(g);
+    const std::size_t n = g.out_height * g.out_width;
+    for (std::size_t n0 = 0; n0 < n; n0 += 16) {
+        __m256i iy[2], ix[2];
+        iy[0] = walk.iy, ix[0] = walk.ix;
+        if (n0 + 8 >= n) {
+            depthwise_lane_tile<1>(d, iy, ix, out + n0, n - n0);
+            break;
+        }
+        walk.advance();
+        iy[1] = walk.iy, ix[1] = walk.ix;
+        walk.advance();
+        depthwise_lane_tile<2>(d, iy, ix, out + n0, n - n0);
+    }
+}
+
+// Every plane in the layout its output width picks. The row layout reads a
+// zero-bordered copy of each plane (none when p == 0), whose border is
+// zeroed once per call.
+__attribute__((target("avx2"))) void avx2_depthwise_conv2d(
+    const ConvGeometry& g, const float* weight, const float* image, float* out,
+    ScratchArena& arena) {
+    const std::size_t taps = g.kernel * g.kernel;
+    const std::size_t in_plane = g.height * g.width;
+    const std::size_t out_plane = g.out_height * g.out_width;
+    const __m256i width_m1 = _mm256_set1_epi32(static_cast<int>(g.width) - 1);
+    if (g.out_width < 8) {
+        DepthwiseLanes d{nullptr, nullptr, g.kernel, static_cast<int>(g.width),
+                         _mm256_set1_epi32(static_cast<int>(g.height) - 1),
+                         width_m1};
+        for (std::size_t c = 0; c < g.channels; ++c) {
+            d.plane = image + c * in_plane;
+            d.taps = weight + c * taps;
+            depthwise_lanes(g, d, out + c * out_plane);
+        }
+        return;
+    }
+    ConvGeometry plane = g;
+    plane.channels = 1;
+    const std::size_t pitch = g.width + 2 * g.padding;
+    float* padded = nullptr;
+    if (g.padding > 0) {
+        const std::size_t size = (g.height + 2 * g.padding) * pitch;
+        padded = arena.floats(size);
+        std::fill_n(padded, size, 0.0f);
+    }
+    DepthwiseRows d{nullptr, pitch, g.stride, g.kernel, nullptr,
+                    _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                                       _mm256_set1_epi32(static_cast<int>(g.stride))),
+                    width_m1};
+    for (std::size_t c = 0; c < g.channels; ++c) {
+        d.plane = image + c * in_plane;
+        if (padded) {
+            copy_inside_border(plane, d.plane, padded);
+            d.plane = padded;
+        }
+        d.taps = weight + c * taps;
+        depthwise_rows(g, d, out + c * out_plane);
     }
 }
 
@@ -453,8 +764,8 @@ __attribute__((target("avx2"))) void avx2_clamp(float* data, std::size_t n,
 }
 
 const Kernels kAvx2Table{
-    "avx2",    avx2_gemm_accumulate, avx2_conv2d_image, avx2_relu,
-    avx2_relu6, avx2_add,            avx2_clamp,
+    "avx2",    avx2_gemm_accumulate, avx2_conv2d_image, avx2_depthwise_conv2d,
+    avx2_relu, avx2_relu6,           avx2_add,          avx2_clamp,
 };
 
 }  // namespace

@@ -3,7 +3,8 @@
 // that previously lived in nn/gemm.cpp; the compiler auto-vectorizes the
 // inner loop (SSE on x86 baselines) without changing results, because each
 // output element's additions stay in ascending-k order. A convolution is
-// lowered explicitly: im2col, then that GEMM.
+// lowered explicitly: im2col, then that GEMM. A depthwise convolution is the
+// direct loop nest, one branch per tap skipping those on the padding.
 
 #include <algorithm>
 #include <cstddef>
@@ -59,6 +60,37 @@ void generic_conv2d_image(const ConvGeometry& g, std::size_t M,
     im2col(g, image, cols);
     std::memset(out, 0, M * N * sizeof(float));
     generic_gemm_accumulate(M, N, K, weight, cols, out);
+}
+
+void generic_depthwise_conv2d(const ConvGeometry& g, const float* weight,
+                              const float* image, float* out, ScratchArena&) {
+    const auto H = static_cast<std::int64_t>(g.height);
+    const auto W = static_cast<std::int64_t>(g.width);
+    const auto kernel = static_cast<std::int64_t>(g.kernel);
+    const auto stride = static_cast<std::int64_t>(g.stride);
+    const auto padding = static_cast<std::int64_t>(g.padding);
+    const auto OH = static_cast<std::int64_t>(g.out_height);
+    const auto OW = static_cast<std::int64_t>(g.out_width);
+    for (std::size_t c = 0; c < g.channels; ++c) {
+        const float* src = image + c * g.height * g.width;
+        const float* k = weight + c * g.kernel * g.kernel;
+        float* dst = out + c * g.out_height * g.out_width;
+        for (std::int64_t y = 0; y < OH; ++y) {
+            for (std::int64_t x2 = 0; x2 < OW; ++x2) {
+                float acc = 0.0f;
+                for (std::int64_t kh = 0; kh < kernel; ++kh) {
+                    const std::int64_t in_y = y * stride + kh - padding;
+                    if (in_y < 0 || in_y >= H) continue;
+                    for (std::int64_t kw = 0; kw < kernel; ++kw) {
+                        const std::int64_t in_x = x2 * stride + kw - padding;
+                        if (in_x < 0 || in_x >= W) continue;
+                        acc += src[in_y * W + in_x] * k[kh * kernel + kw];
+                    }
+                }
+                dst[y * OW + x2] = acc;
+            }
+        }
+    }
 }
 
 void generic_relu(const float* src, float* dst, std::size_t n) {
@@ -119,9 +151,10 @@ void im2col(const ConvGeometry& g, const float* image, float* cols) {
 
 const Kernels& generic_kernels() noexcept {
     static const Kernels table{
-        "generic",     generic_gemm_accumulate, generic_conv2d_image,
-        generic_relu,  generic_relu6,           generic_add,
-        generic_clamp,
+        "generic",           generic_gemm_accumulate,
+        generic_conv2d_image, generic_depthwise_conv2d,
+        generic_relu,        generic_relu6,
+        generic_add,         generic_clamp,
     };
     return table;
 }

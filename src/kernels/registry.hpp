@@ -1,8 +1,8 @@
 #pragma once
 // Kernel-dispatch library: the compute primitives behind the inference
-// engine (GEMM, the standard convolution's forward pass, activations,
-// elementwise, clamp), resolved once at startup against the CPU the process
-// actually runs on.
+// engine (GEMM, the standard and depthwise convolutions' forward passes,
+// activations, elementwise, clamp), resolved once at startup against the
+// CPU the process actually runs on.
 //
 // Two backends exist: "generic" (portable blocked loops, the reference
 // implementation) and "avx2" (8-wide x86 vectors). The dispatch contract
@@ -93,7 +93,7 @@ struct Kernels {
     /// Padding is multiplied, not skipped: a tap on the padding adds
     /// weight * +0.0f, so a faulty inf weight makes NaN of exactly the
     /// outputs whose window puts that tap on the padding, as the im2col
-    /// GEMM does (DepthwiseConv2d, by contrast, skips its padding taps).
+    /// GEMM does (depthwise_conv2d, by contrast, skips its padding taps).
     /// Workspace comes from @p arena (grow-only; valid for this call only).
     /// generic writes the K x N im2col matrix there and runs its GEMM; avx2
     /// writes a zero-bordered (C, H+2p, W+2p) copy of the image (none when
@@ -101,6 +101,23 @@ struct Kernels {
     void (*conv2d_image)(const ConvGeometry& g, std::size_t M,
                          const float* weight, const float* image, float* out,
                          ScratchArena& arena);
+
+    /// The depthwise forward pass over the g.channels planes of one image:
+    /// plane c of @p out (OH x OW, overwritten) is plane c of @p image
+    /// (H x W) convolved with the K x K taps at weight + c*K*K.
+    /// DepthwiseConv2d::forward passes every channel of an image;
+    /// forward_row_cached passes channels = 1 and that channel's pointers,
+    /// so a recomputed plane is the full forward's by construction. Each
+    /// output starts at +0.0f and gets one mul, then one add, per tap in
+    /// ascending (kh, kw) order. Taps on the padding are SKIPPED, never
+    /// multiplied: a faulty inf or NaN weight times a padded zero would be
+    /// NaN (Conv2d's im2col GEMM, by contrast, multiplies them). Workspace
+    /// comes from @p arena (grow-only; valid for this call only): generic
+    /// needs none; avx2 writes a zero-bordered copy of one plane there when
+    /// OW >= 8 and p > 0.
+    void (*depthwise_conv2d)(const ConvGeometry& g, const float* weight,
+                             const float* image, float* out,
+                             ScratchArena& arena);
 
     /// dst[i] = src[i] > 0 ? src[i] : 0 (NaN -> 0, -0 -> +0).
     void (*relu)(const float* src, float* dst, std::size_t n);

@@ -250,29 +250,6 @@ Shape DepthwiseConv2d::output_shape(std::span<const Shape> inputs) const {
                  conv_out_size(in[3], kernel_, stride_, padding_)};
 }
 
-void DepthwiseConv2d::forward_plane(std::int64_t c, const float* src,
-                                    std::int64_t H, std::int64_t W,
-                                    float* dst, std::int64_t OH,
-                                    std::int64_t OW) const {
-    const float* k =
-        weight_.data() + static_cast<std::size_t>(c * kernel_ * kernel_);
-    for (std::int64_t y = 0; y < OH; ++y) {
-        for (std::int64_t x2 = 0; x2 < OW; ++x2) {
-            float acc = 0.0f;
-            for (std::int64_t kh = 0; kh < kernel_; ++kh) {
-                const std::int64_t in_y = y * stride_ + kh - padding_;
-                if (in_y < 0 || in_y >= H) continue;
-                for (std::int64_t kw = 0; kw < kernel_; ++kw) {
-                    const std::int64_t in_x = x2 * stride_ + kw - padding_;
-                    if (in_x < 0 || in_x >= W) continue;
-                    acc += src[in_y * W + in_x] * k[kh * kernel_ + kw];
-                }
-            }
-            dst[y * OW + x2] = acc;
-        }
-    }
-}
-
 void DepthwiseConv2d::forward(std::span<const Tensor* const> inputs,
                               Tensor& out) const {
     const Tensor& x = *inputs[0];
@@ -280,15 +257,16 @@ void DepthwiseConv2d::forward(std::span<const Tensor* const> inputs,
     const Shape out_shape = output_shape(std::array{in});
     ensure_shape(out, out_shape);
 
-    const std::int64_t N = in[0], H = in[2], W = in[3];
-    const std::int64_t OH = out_shape[2], OW = out_shape[3];
-    for (std::int64_t n = 0; n < N; ++n)
-        for (std::int64_t c = 0; c < channels_; ++c) {
-            const auto p = static_cast<std::size_t>(n * channels_ + c);
-            forward_plane(c, x.data() + p * static_cast<std::size_t>(H * W), H,
-                          W, out.data() + p * static_cast<std::size_t>(OH * OW),
-                          OH, OW);
-        }
+    const kernels::ConvGeometry g =
+        conv_geometry(channels_, in[2], in[3], kernel_, stride_, padding_);
+    const std::size_t in_image = g.channels * g.height * g.width;
+    const std::size_t out_image = g.channels * g.out_height * g.out_width;
+    const kernels::Kernels& k = kernels::active();
+    for (std::int64_t n = 0; n < in[0]; ++n)
+        k.depthwise_conv2d(g, weight_.data(),
+                           x.data() + static_cast<std::size_t>(n) * in_image,
+                           out.data() + static_cast<std::size_t>(n) * out_image,
+                           arena_);
 }
 
 void DepthwiseConv2d::forward_row_cached(std::span<const Tensor* const> inputs,
@@ -299,15 +277,19 @@ void DepthwiseConv2d::forward_row_cached(std::span<const Tensor* const> inputs,
     const Shape out_shape = output_shape(std::array{in});
     ensure_shape(out, out_shape);
 
-    const std::int64_t N = in[0], H = in[2], W = in[3];
-    const std::int64_t OH = out_shape[2], OW = out_shape[3];
-    const std::int64_t c = row_of_weight(weight_index);
-    for (std::int64_t n = 0; n < N; ++n) {
-        const auto p = static_cast<std::size_t>(n * channels_ + c);
-        forward_plane(c, x.data() + p * static_cast<std::size_t>(H * W), H, W,
-                      out.data() + p * static_cast<std::size_t>(OH * OW), OH,
-                      OW);
-    }
+    // Channel c's plane of every image, through the same kernel entry as
+    // forward() with channels = 1.
+    const kernels::ConvGeometry g =
+        conv_geometry(1, in[2], in[3], kernel_, stride_, padding_);
+    const std::size_t in_plane = g.height * g.width;
+    const std::size_t out_plane = g.out_height * g.out_width;
+    const auto c = static_cast<std::size_t>(row_of_weight(weight_index));
+    const auto C = static_cast<std::size_t>(channels_);
+    const kernels::Kernels& k = kernels::active();
+    for (std::size_t n = 0; n < static_cast<std::size_t>(in[0]); ++n)
+        k.depthwise_conv2d(g, weight_.data() + c * g.kernel * g.kernel,
+                           x.data() + (n * C + c) * in_plane,
+                           out.data() + (n * C + c) * out_plane, arena_);
 }
 
 std::unique_ptr<Layer> DepthwiseConv2d::clone() const {

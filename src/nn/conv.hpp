@@ -1,7 +1,9 @@
 #pragma once
 // 2-D convolutions: standard (the kernel backend's conv2d_image — explicit
 // im2col + GEMM on the generic backend, GEMM panels packed straight from the
-// input on AVX2; a plain GEMM when pointwise) and depthwise (direct loops).
+// input on AVX2; a plain GEMM when pointwise) and depthwise (the kernel
+// backend's depthwise_conv2d — the direct loop nest on the generic backend,
+// 8 outputs per vector on AVX2).
 // Convolution weights are THE fault-injection target of the paper; both
 // classes expose their weight tensor through Layer::injectable_weight().
 // Biases are intentionally absent: the CIFAR ResNet / MobileNetV2 conv
@@ -113,7 +115,8 @@ public:
         std::uint64_t weight_index) const override {
         return static_cast<std::int64_t>(weight_index) / (kernel_ * kernel_);
     }
-    /// Recomputes one channel plane per image; nothing to cache.
+    /// Recomputes one channel plane per image (depthwise_conv2d with
+    /// channels = 1); nothing to cache.
     void forward_row_cached(std::span<const Tensor* const> inputs,
                             std::uint64_t weight_index, Tensor& cache,
                             Tensor& out) const override;
@@ -129,18 +132,17 @@ public:
     [[nodiscard]] std::int64_t kernel() const { return kernel_; }
     [[nodiscard]] std::int64_t stride() const { return stride_; }
     [[nodiscard]] std::int64_t padding() const { return padding_; }
+    /// Current forward workspace footprint (grow-only; see arena_ below).
+    [[nodiscard]] std::size_t workspace_bytes() const { return arena_.bytes(); }
 
 private:
-    /// Channel @p c's output plane @p dst (OH x OW) from its input plane
-    /// @p src (H x W): the one loop nest forward() and forward_row_cached()
-    /// share, so a recomputed row matches the full forward by construction.
-    void forward_plane(std::int64_t c, const float* src, std::int64_t H,
-                       std::int64_t W, float* dst, std::int64_t OH,
-                       std::int64_t OW) const;
-
     std::int64_t channels_, kernel_, stride_, padding_;
     Tensor weight_;       // (C, 1, K, K)
     Tensor weight_grad_;  // same shape
+    /// Grow-only workspace of depthwise_conv2d, reused across forward calls,
+    /// images and channels: one zero-bordered input plane on AVX2 (empty on
+    /// the generic backend). Single-threaded by construction, as Conv2d's.
+    mutable kernels::ScratchArena arena_;
 };
 
 }  // namespace statfi::nn

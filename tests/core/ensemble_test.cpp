@@ -351,10 +351,12 @@ TEST(EnsembleForward, MatchesOnResNet20) {
 }
 
 TEST(EnsembleForward, MatchesOnMobileNetV2) {
-    // The expand pointwise conv of the last residual block (its Add reads
-    // the stacked block input); that block's depthwise conv; the FC.
-    expect_deep_identity("mobilenetv2",
-                         {"block15.expand", "block15.depthwise", "fc"});
+    // The stride-2 depthwise conv of block 13 (8x8 -> 4x4), whose suffix
+    // runs the stride-1 depthwise convs of blocks 14-16; the expand
+    // pointwise conv of the last residual block (its Add reads the stacked
+    // block input); that block's depthwise conv; the FC.
+    expect_deep_identity("mobilenetv2", {"block13.depthwise", "block15.expand",
+                                         "block15.depthwise", "fc"});
 }
 
 }  // namespace

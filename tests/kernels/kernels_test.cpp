@@ -1,8 +1,9 @@
 // Tests for the kernel-dispatch library: the bit-identity contract between
 // the generic and native backends (the property every fault-injection
 // campaign leans on — see src/kernels/registry.hpp), from single GEMMs and
-// conv forwards up to whole-network forwards, backend selection, and the
-// Conv2d workspace behind each backend's conv2d_image.
+// conv and depthwise forwards up to whole-network forwards, backend
+// selection, and the workspace behind each backend's conv2d_image and
+// depthwise_conv2d.
 
 #include "kernels/registry.hpp"
 
@@ -116,14 +117,14 @@ std::vector<std::string> backends() {
     return names;
 }
 
-/// @p conv's forward over @p x on backend @p backend; the selection goes
+/// @p layer's forward over @p x on backend @p backend; the selection goes
 /// back to "auto" afterwards.
-Tensor conv_forward(const nn::Conv2d& conv, const Tensor& x,
+Tensor conv_forward(const nn::Layer& layer, const Tensor& x,
                     const std::string& backend) {
     select(backend);
     Tensor out;
     const Tensor* in = &x;
-    conv.forward(std::span<const Tensor* const>(&in, 1), out);
+    layer.forward(std::span<const Tensor* const>(&in, 1), out);
     select("auto");
     return out;
 }
@@ -136,6 +137,7 @@ TEST(Kernels, GenericAlwaysAvailable) {
     EXPECT_STREQ(generic_kernels().name, "generic");
     ASSERT_NE(generic_kernels().gemm_accumulate, nullptr);
     ASSERT_NE(generic_kernels().conv2d_image, nullptr);
+    ASSERT_NE(generic_kernels().depthwise_conv2d, nullptr);
     ASSERT_NE(generic_kernels().relu, nullptr);
     ASSERT_NE(generic_kernels().relu6, nullptr);
     ASSERT_NE(generic_kernels().add, nullptr);
@@ -457,6 +459,113 @@ TEST(Kernels, ConvPaddingTapsAreMultipliedNotSkipped) {
     }
 }
 
+// -- depthwise forward: generic (direct loops) vs native -------------------
+// The native depthwise_conv2d runs 8 outputs per vector: along one output
+// row when OW >= 8 (the last block overlapping the one before), across rows
+// when OW < 8 (a short last vector). The sweep crosses both layouts, their
+// loads (stride 1, 2, and the gather at 3), planes narrower than one vector
+// (H = W <= 7) and padding at or beyond the kernel, where whole tap rows
+// and columns, or every tap of an output, lie on the padding.
+
+TEST(Kernels, DepthwiseForwardBitIdentical) {
+    // DepthwiseConv2d::forward, and forward_row_cached on every channel
+    // over an output whose other planes must stay untouched, on each
+    // backend against the generic forward. Inputs and weights come from
+    // awkward() at one in 12 (most sums inf or NaN) and one in 200 (most
+    // sums finite, so a misplaced or multiplied-in product shows).
+    stats::Rng rng(1717);
+    std::size_t runs = 0;
+    auto check = [&](std::int64_t k, std::int64_t stride, std::int64_t pad,
+                     std::int64_t hw, std::int64_t C, std::size_t one_in) {
+        nn::DepthwiseConv2d dw(C, k, stride, pad);
+        Tensor x(Shape({2, C, hw, hw}));
+        const auto xs = awkward(x.numel(), rng, one_in);
+        std::copy(xs.begin(), xs.end(), x.data());
+        const auto w = awkward(dw.weight().numel(), rng, one_in);
+        std::copy(w.begin(), w.end(), dw.weight().data());
+        const Tensor ref = conv_forward(dw, x, "generic");
+        const auto want = values(ref);
+        const std::int64_t plane = ref.shape()[2] * ref.shape()[3];
+        const Tensor* in = &x;
+        for (const std::string& backend : backends()) {
+            const auto where = ::testing::Message()
+                               << backend << " k=" << k << " s=" << stride
+                               << " p=" << pad << " hw=" << hw << " C=" << C
+                               << " 1-in-" << one_in;
+            EXPECT_TRUE(same_bits_modulo_nan_payload(
+                want, values(conv_forward(dw, x, backend))))
+                << where << " forward";
+            select(backend);
+            for (std::int64_t c = 0; c < C; ++c) {
+                Tensor out = ref;
+                for (std::int64_t n = 0; n < 2; ++n)
+                    std::fill_n(out.data() + (n * C + c) * plane, plane, 1234.5f);
+                Tensor cache;
+                dw.forward_row_cached(std::span<const Tensor* const>(&in, 1),
+                                      static_cast<std::uint64_t>(c * k * k),
+                                      cache, out);
+                EXPECT_TRUE(same_bits_modulo_nan_payload(want, values(out)))
+                    << where << " row c=" << c;
+            }
+            select("auto");
+        }
+        ++runs;
+    };
+    for (const std::int64_t k : {1, 3, 5})
+        for (const std::int64_t stride : {1, 2, 3})
+            for (const std::int64_t pad : {0, 1, 2, 3})
+                for (const std::int64_t hw :
+                     {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 32, 33})
+                    for (const std::int64_t C : {1, 3, 8})
+                        for (const std::size_t one_in : {12, 200})
+                            if (hw + 2 * pad >= k)
+                                check(k, stride, pad, hw, C, one_in);
+    EXPECT_EQ(runs, 2664u);
+}
+
+TEST(Kernels, DepthwisePaddingTapsAreSkippedNotMultiplied) {
+    // One +inf weight tap, positive finite inputs: the outputs whose window
+    // puts that tap on a padding cell skip it and stay finite, the rest of
+    // its channel is +inf, and every other channel is finite. A backend
+    // that multiplied the padded zero (inf * 0 = NaN) fails. Planes of 17
+    // and 4 run the row and the multi-row layouts.
+    for (const std::int64_t stride : {1, 2}) {
+        for (const std::int64_t hw : {4, 17}) {
+            const std::int64_t C = 3, K = 3, P = 1;
+            const std::int64_t co = 1, kh = 0, kw = 2;
+            nn::DepthwiseConv2d dw(C, K, stride, P);
+            for (std::size_t i = 0; i < dw.weight().numel(); ++i)
+                dw.weight().data()[i] = 0.25f + 0.01f * static_cast<float>(i % 7);
+            dw.weight().data()[(co * K + kh) * K + kw] = kInf;
+            Tensor x(Shape({1, C, hw, hw}));
+            for (std::size_t i = 0; i < x.numel(); ++i)
+                x.data()[i] = 0.5f + 0.125f * static_cast<float>(i % 5);
+            for (const std::string& backend : backends()) {
+                const Tensor out = conv_forward(dw, x, backend);
+                const std::int64_t OH = out.shape()[2], OW = out.shape()[3];
+                for (std::int64_t c = 0; c < C; ++c)
+                    for (std::int64_t y = 0; y < OH; ++y)
+                        for (std::int64_t x2 = 0; x2 < OW; ++x2) {
+                            const float v = out.data()[(c * OH + y) * OW + x2];
+                            const std::int64_t iy = y * stride + kh - P;
+                            const std::int64_t ix = x2 * stride + kw - P;
+                            const bool on_pad =
+                                iy < 0 || iy >= hw || ix < 0 || ix >= hw;
+                            const auto where = ::testing::Message()
+                                               << backend << " s=" << stride
+                                               << " hw=" << hw << " c=" << c
+                                               << " y=" << y << " x=" << x2;
+                            if (c != co || on_pad) {
+                                EXPECT_TRUE(std::isfinite(v)) << where;
+                            } else {
+                                EXPECT_EQ(v, kInf) << where;
+                            }
+                        }
+            }
+        }
+    }
+}
+
 // -- whole-network forward: generic vs native ------------------------------
 // ResNet-20 and MobileNetV2 feed their convs through full register tiles,
 // tile edges and column tails that MicroNet's 6- to 14-row convs barely
@@ -504,43 +613,61 @@ TEST(ScratchArena, GrowOnlyReuse) {
     EXPECT_EQ(arena.bytes(), 250 * sizeof(float));
 }
 
-/// @p conv's forward over a seeded (batch, C, hw, hw) input on @p backend.
-void run_conv(const nn::Conv2d& conv, std::int64_t batch, std::int64_t hw,
-              const std::string& backend) {
-    Tensor x(Shape({batch, conv.in_channels(), hw, hw}));
+/// @p layer's forward over a seeded (batch, channels, hw, hw) input on
+/// @p backend.
+void run_conv(const nn::Layer& layer, std::int64_t channels,
+              std::int64_t batch, std::int64_t hw, const std::string& backend) {
+    Tensor x(Shape({batch, channels, hw, hw}));
     stats::Rng rng(7);
     for (std::size_t i = 0; i < x.numel(); ++i)
         x.data()[i] = static_cast<float>(rng.uniform01());
-    conv_forward(conv, x, backend);
+    conv_forward(layer, x, backend);
+}
+
+void run_conv(const nn::Conv2d& conv, std::int64_t batch, std::int64_t hw,
+              const std::string& backend) {
+    run_conv(conv, conv.in_channels(), batch, hw, backend);
+}
+
+/// The grow-only contract on @p layer (fresh, 3 input channels, 3x3,
+/// stride 1, pad 1); @p needs_workspace says whether this backend's
+/// kernel takes any.
+template <class ConvLayer>
+void expect_grow_only(const ConvLayer& layer, const std::string& backend,
+                      bool needs_workspace) {
+    EXPECT_EQ(layer.workspace_bytes(), 0u);
+    auto run = [&](std::int64_t batch, std::int64_t hw) {
+        run_conv(layer, 3, batch, hw, backend);
+    };
+
+    run(1, 8);
+    const std::size_t small = layer.workspace_bytes();
+    EXPECT_EQ(small > 0, needs_workspace);
+    // The workspace is per image (the batch loop reuses it), so a wider
+    // ensemble batch must not grow it — ensemble width costs
+    // activations, not conv workspace.
+    run(8, 8);
+    EXPECT_EQ(layer.workspace_bytes(), small);
+    // A larger spatial input grows it...
+    run(1, 16);
+    const std::size_t big = layer.workspace_bytes();
+    EXPECT_EQ(big > small, needs_workspace);
+    // ...and once warmed at the largest shape, no later forward shrinks
+    // or reallocates it (the no-allocation hot-loop invariant).
+    run(4, 8);
+    EXPECT_EQ(layer.workspace_bytes(), big);
+    run(1, 16);
+    EXPECT_EQ(layer.workspace_bytes(), big);
 }
 
 TEST(ConvWorkspace, GrowOnlyAcrossInputShapes) {
     for (const std::string& backend : backends()) {
         SCOPED_TRACE(backend);
-        nn::Conv2d conv(3, 4, 3, 1, 1);
-        EXPECT_EQ(conv.workspace_bytes(), 0u);
-        auto run = [&](std::int64_t batch, std::int64_t hw) {
-            run_conv(conv, batch, hw, backend);
-        };
-
-        run(1, 8);
-        const std::size_t small = conv.workspace_bytes();
-        EXPECT_GT(small, 0u);
-        // The workspace is per image (the batch loop reuses it), so a wider
-        // ensemble batch must not grow it — ensemble width costs
-        // activations, not conv workspace.
-        run(8, 8);
-        EXPECT_EQ(conv.workspace_bytes(), small);
-        // A larger spatial input grows it...
-        run(1, 16);
-        const std::size_t big = conv.workspace_bytes();
-        EXPECT_GT(big, small);
-        // ...and once warmed at the largest shape, no later forward shrinks
-        // or reallocates it (the no-allocation hot-loop invariant).
-        run(4, 8);
-        EXPECT_EQ(conv.workspace_bytes(), big);
-        run(1, 16);
-        EXPECT_EQ(conv.workspace_bytes(), big);
+        expect_grow_only(nn::Conv2d(3, 4, 3, 1, 1), backend, true);
+        // The generic depthwise loop reads the input in place; the native
+        // one pads one plane at a time.
+        expect_grow_only(nn::DepthwiseConv2d(3, 3, 1, 1), backend,
+                         backend != "generic");
     }
 }
 
@@ -580,23 +707,36 @@ TEST(ConvWorkspace, NativeNeverWritesTheIm2colMatrix) {
     }
 }
 
+/// A clone of @p layer, after a forward over @p x warmed its workspace,
+/// computes the same output.
+template <class ConvLayer>
+void expect_clone_matches(const ConvLayer& layer, const Tensor& x,
+                          const std::string& backend, bool needs_workspace) {
+    const Tensor out = conv_forward(layer, x, backend);
+    ASSERT_EQ(layer.workspace_bytes() > 0, needs_workspace);
+    // Cloned layers (campaign workers) own their own arena.
+    const auto copy = layer.clone();
+    const Tensor out2 =
+        conv_forward(static_cast<const ConvLayer&>(*copy), x, backend);
+    EXPECT_EQ(out.numel(), out2.numel());
+    EXPECT_EQ(0, std::memcmp(out.data(), out2.data(),
+                             static_cast<std::size_t>(out.numel()) *
+                                 sizeof(float)));
+}
+
 TEST(ConvWorkspace, CloneStartsIndependent) {
+    Tensor x(Shape({3, 2, 6, 6}));
+    for (std::size_t i = 0; i < x.numel(); ++i)
+        x.data()[i] = static_cast<float>(i % 5) - 2.0f;
+    Tensor wide(Shape({3, 2, 9, 9}));
+    for (std::size_t i = 0; i < wide.numel(); ++i)
+        wide.data()[i] = static_cast<float>(i % 5) - 2.0f;
     for (const std::string& backend : backends()) {
         SCOPED_TRACE(backend);
-        nn::Conv2d conv(2, 2, 3, 1, 1);
-        Tensor x(Shape({3, 2, 6, 6}));
-        for (std::size_t i = 0; i < x.numel(); ++i)
-            x.data()[i] = static_cast<float>(i % 5) - 2.0f;
-        const Tensor out = conv_forward(conv, x, backend);
-        ASSERT_GT(conv.workspace_bytes(), 0u);
-        // Cloned layers (campaign workers) own their own arena.
-        const auto copy = conv.clone();
-        const Tensor out2 =
-            conv_forward(static_cast<const nn::Conv2d&>(*copy), x, backend);
-        EXPECT_EQ(out.numel(), out2.numel());
-        EXPECT_EQ(0, std::memcmp(out.data(), out2.data(),
-                                 static_cast<std::size_t>(out.numel()) *
-                                     sizeof(float)));
+        expect_clone_matches(nn::Conv2d(2, 2, 3, 1, 1), x, backend, true);
+        // 9-wide planes take the native depthwise kernel's padded path.
+        expect_clone_matches(nn::DepthwiseConv2d(2, 3, 1, 1), wide, backend,
+                             backend != "generic");
     }
 }
 
