@@ -8,8 +8,8 @@
 #include <iostream>
 
 #include "core/estimator.hpp"
-#include "core/testbed.hpp"
 #include "report/table.hpp"
+#include "shard/testbed.hpp"
 #include "stats/stratified.hpp"
 
 using namespace statfi;
@@ -18,7 +18,7 @@ namespace {
 
 /// Replays a custom per-layer allocation and returns (avg, max) abs error.
 std::pair<double, double> replay_allocation(
-    core::Testbed& testbed, const std::vector<std::uint64_t>& allocation,
+    shard::Testbed& testbed, const std::vector<std::uint64_t>& allocation,
     const std::string& label) {
     const auto& universe = testbed.universe();
     const auto& truth = testbed.ground_truth();
@@ -47,7 +47,7 @@ std::pair<double, double> replay_allocation(
 }  // namespace
 
 int main() {
-    core::Testbed testbed;
+    shard::Testbed testbed;
     const auto& universe = testbed.universe();
     const auto& truth = testbed.ground_truth();
 

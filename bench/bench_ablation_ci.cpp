@@ -7,14 +7,14 @@
 #include <iostream>
 
 #include "core/estimator.hpp"
-#include "core/testbed.hpp"
 #include "report/table.hpp"
+#include "shard/testbed.hpp"
 #include "stats/intervals.hpp"
 
 using namespace statfi;
 
 int main() {
-    core::Testbed testbed;
+    shard::Testbed testbed;
     const auto& universe = testbed.universe();
     const auto& truth = testbed.ground_truth();
     const stats::SampleSpec spec;

@@ -11,14 +11,14 @@
 
 #include "core/data_aware.hpp"
 #include "core/estimator.hpp"
-#include "core/testbed.hpp"
 #include "report/table.hpp"
+#include "shard/testbed.hpp"
 
 using namespace statfi;
 using fault::DataType;
 
 int main() {
-    core::Testbed testbed;
+    shard::Testbed testbed;
     auto& net = testbed.network();
     const stats::SampleSpec spec;
 

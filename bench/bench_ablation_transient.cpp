@@ -8,13 +8,13 @@
 #include <iostream>
 
 #include "core/estimator.hpp"
-#include "core/testbed.hpp"
 #include "report/table.hpp"
+#include "shard/testbed.hpp"
 
 using namespace statfi;
 
 int main() {
-    core::Testbed testbed;
+    shard::Testbed testbed;
     auto& net = testbed.network();
     stats::SampleSpec spec;
     spec.error_margin = 0.02;  // single-core budget; same spec for all models

@@ -8,13 +8,13 @@
 #include <iostream>
 
 #include "core/estimator.hpp"
-#include "core/testbed.hpp"
 #include "report/table.hpp"
+#include "shard/testbed.hpp"
 
 using namespace statfi;
 
 int main() {
-    core::Testbed testbed;
+    shard::Testbed testbed;
     std::cout << "Exhaustive fault-injection census (validation substrate)\n\n";
     std::cout << "model: MicroNet (" << testbed.network().total_weight_count()
               << " injectable weights)\n"

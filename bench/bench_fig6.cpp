@@ -12,15 +12,15 @@
 
 #include "core/data_aware.hpp"
 #include "core/estimator.hpp"
-#include "core/testbed.hpp"
 #include "report/table.hpp"
+#include "shard/testbed.hpp"
 
 using namespace statfi;
 
 namespace {
 
 /// Layer-0 estimate of one replayed sample of the given plan.
-core::Estimate layer0_estimate(const core::Testbed& testbed,
+core::Estimate layer0_estimate(const shard::Testbed& testbed,
                                const fault::FaultUniverse& universe,
                                const core::CampaignPlan& plan,
                                const core::ExhaustiveOutcomes& truth,
@@ -36,7 +36,7 @@ core::Estimate layer0_estimate(const core::Testbed& testbed,
 }  // namespace
 
 int main() {
-    core::Testbed testbed;
+    shard::Testbed testbed;
     const auto& universe = testbed.universe();
     const auto& truth = testbed.ground_truth();
     const stats::SampleSpec spec;

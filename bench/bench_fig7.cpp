@@ -9,15 +9,15 @@
 
 #include "core/data_aware.hpp"
 #include "core/estimator.hpp"
-#include "core/testbed.hpp"
 #include "models/mobilenetv2.hpp"
 #include "nn/init.hpp"
 #include "report/table.hpp"
+#include "shard/testbed.hpp"
 
 using namespace statfi;
 
 int main() {
-    core::Testbed testbed;
+    shard::Testbed testbed;
     const auto& universe = testbed.universe();
     const auto& truth = testbed.ground_truth();
     const stats::SampleSpec spec;

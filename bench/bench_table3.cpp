@@ -14,13 +14,13 @@
 
 #include "core/data_aware.hpp"
 #include "core/estimator.hpp"
-#include "core/testbed.hpp"
 #include "report/table.hpp"
+#include "shard/testbed.hpp"
 
 using namespace statfi;
 
 int main() {
-    core::Testbed testbed;
+    shard::Testbed testbed;
     const auto& universe = testbed.universe();
     const auto& truth = testbed.ground_truth();
     const stats::SampleSpec spec;  // e=1%, 99% confidence

@@ -14,12 +14,12 @@
 
 #include "core/data_aware.hpp"
 #include "core/estimator.hpp"
-#include "core/testbed.hpp"
 #include "report/table.hpp"
+#include "shard/testbed.hpp"
 
 int main() {
     using namespace statfi;
-    core::Testbed testbed;
+    shard::Testbed testbed;
     const auto& universe = testbed.universe();
     std::cout << "substrate: MicroNet, test accuracy "
               << report::fmt_percent(testbed.test_accuracy(), 1) << "%, N = "

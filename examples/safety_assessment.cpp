@@ -16,8 +16,8 @@
 #include "core/data_aware.hpp"
 #include "core/estimator.hpp"
 #include "core/fit.hpp"
-#include "core/testbed.hpp"
 #include "report/table.hpp"
+#include "shard/testbed.hpp"
 
 int main(int argc, char** argv) {
     using namespace statfi;
@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    core::Testbed testbed;
+    shard::Testbed testbed;
     const auto& universe = testbed.universe();
     std::cout << "device under assessment: MicroNet, "
               << report::fmt_double(core::weight_storage_mbit(universe), 3)

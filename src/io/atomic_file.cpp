@@ -1,5 +1,6 @@
 #include "io/atomic_file.hpp"
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -28,10 +29,13 @@ long current_pid() {
 
 void write_file_atomic(const std::string& path,
                        const std::function<void(std::ostream&)>& writer) {
-    // Pid-suffixed temporary: concurrent writers (e.g. two bench binaries
-    // racing on a cold cache) never clobber each other's half-written file;
-    // last rename wins with a complete artifact either way.
-    const std::string tmp = path + ".tmp" + std::to_string(current_pid());
+    // A temporary unique to this call (pid + process-wide counter): two
+    // writers of one path, whether two processes racing on a cold cache or
+    // two threads saving the same trained weights, never share or clobber a
+    // half-written file; last rename wins with a complete artifact.
+    static std::atomic<std::uint64_t> calls{0};
+    const std::string tmp = path + ".tmp" + std::to_string(current_pid()) +
+                            "." + std::to_string(calls.fetch_add(1));
     {
         std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
         if (!os) throw std::runtime_error("write_file_atomic: cannot open " + tmp);

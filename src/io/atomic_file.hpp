@@ -13,9 +13,11 @@
 
 namespace statfi::io {
 
-/// Stream @p writer into "<path>.tmp<pid>", then atomically rename onto
-/// @p path. The temporary is removed on any failure. Throws
-/// std::runtime_error when the file cannot be written or renamed.
+/// Stream @p writer into "<path>.tmp<pid>.<n>", a temporary unique to the
+/// call, then atomically rename onto @p path; concurrent writers of one path
+/// all succeed and the last rename wins. The temporary is removed on any
+/// failure. Throws std::runtime_error when the file cannot be written or
+/// renamed.
 void write_file_atomic(const std::string& path,
                        const std::function<void(std::ostream&)>& writer);
 

@@ -15,7 +15,7 @@ namespace {
 constexpr char kMagic[4] = {'S', 'F', 'I', 'W'};
 // v2 appends a CRC32 trailer over everything after the version word and is
 // written atomically (temp + rename); v1 files fail the version check and
-// the caller (the testbed weight cache) retrains.
+// the caller (build_fixture's weight cache) retrains.
 constexpr std::uint32_t kVersion = 2;
 
 struct NamedParam {

@@ -1,15 +1,69 @@
 #include "shard/fixture.hpp"
 
+#include <cstdlib>
+#include <filesystem>
 #include <iostream>
 
 #include "formats/quantized_store.hpp"
 #include "kernels/registry.hpp"
 #include "models/registry.hpp"
 #include "nn/init.hpp"
+#include "nn/serialize.hpp"
 #include "nn/trainer.hpp"
 #include "report/table.hpp"
 
 namespace statfi::shard {
+
+namespace {
+
+constexpr std::int64_t kTrainImages = 1024;
+constexpr int kEpochs = 8;
+
+/// Load the recipe's cached trained weights into @p net, or train @p net
+/// from its Kaiming init and cache them. A file that fails to load is
+/// refused: an artifact_refused event on @p log (optional), and its reason
+/// on the training line.
+void load_or_train(nn::Network& net, const CampaignRecipe& recipe,
+                   const data::SyntheticSpec& spec, telemetry::EventLog* log) {
+    const std::string path = cache_directory() + "/" + recipe.model + "_s" +
+                             std::to_string(recipe.seed) + "_t" +
+                             std::to_string(kTrainImages) + "_e" +
+                             std::to_string(kEpochs) + ".sfiw";
+    std::string refused;
+    if (std::filesystem::exists(path)) {
+        // load_parameters writes each tensor as it validates it, so load
+        // into a fresh network: a refused file leaves `net` at its init.
+        auto cached = models::build_model(recipe.model);
+        try {
+            nn::load_parameters(cached, path);
+            net = std::move(cached);
+            return;
+        } catch (const std::exception& e) {
+            refused = std::string(" (cached weights refused: ") + e.what() + ")";
+            if (log)
+                log->emit(telemetry::Event("artifact_refused")
+                              .field("kind", "weights")
+                              .field("path", path)
+                              .field("reason", e.what()));
+        }
+    }
+    std::cerr << "training " << recipe.model << " on synthetic data" << refused
+              << "...\n";
+    const auto train = data::make_synthetic(spec, kTrainImages, "train");
+    auto train_rng = stats::Rng(recipe.seed).fork("train");
+    nn::train_classifier(net, train.images, train.labels, kEpochs, 32,
+                         nn::SgdConfig{}, train_rng);
+    nn::save_parameters(net, path);
+}
+
+}  // namespace
+
+std::string cache_directory() {
+    const char* env = std::getenv("STATFI_CACHE_DIR");
+    const std::string dir = env && *env ? env : ".statfi_cache";
+    std::filesystem::create_directories(dir);
+    return dir;
+}
 
 CampaignFixture build_fixture(const CampaignRecipe& recipe,
                               telemetry::Session* telemetry) {
@@ -18,22 +72,17 @@ CampaignFixture build_fixture(const CampaignRecipe& recipe,
     stats::Rng rng(recipe.seed);
     auto init_rng = rng.fork("init");
     nn::init_network_kaiming(net, init_rng);
+    data::SyntheticSpec spec;
+    spec.seed = recipe.seed;
     double test_accuracy = 0.0;
     if (recipe.train) {
-        data::SyntheticSpec spec;
-        spec.seed = recipe.seed;
-        const auto train = data::make_synthetic(spec, 1024, "train");
-        std::cerr << "training " << recipe.model << " on synthetic data...\n";
-        auto train_rng = rng.fork("train");
-        nn::train_classifier(net, train.images, train.labels, 8, 32,
-                             nn::SgdConfig{}, train_rng);
+        load_or_train(net, recipe, spec,
+                      telemetry ? telemetry->events() : nullptr);
         const auto test = data::make_synthetic(spec, 256, "test");
         test_accuracy = nn::top1_accuracy(net.forward(test.images), test.labels);
         std::cerr << "test accuracy: "
                   << report::fmt_percent(test_accuracy, 1) << "%\n";
     }
-    data::SyntheticSpec spec;
-    spec.seed = recipe.seed;
     auto eval = data::make_synthetic(spec, recipe.images, "test");
     core::ExecutorConfig config;
     config.policy = recipe.policy;

@@ -26,15 +26,27 @@ struct CampaignFixture {
     double test_accuracy = 0.0;
 };
 
+/// The directory every cached artifact of this process lives in:
+/// $STATFI_CACHE_DIR, default ".statfi_cache" (created if missing).
+std::string cache_directory();
+
 /// Rebuild the campaign fixture from a recipe: build the model, initialize
 /// Kaiming from Rng(seed).fork("init"), optionally train on 1024 synthetic
 /// images (Rng(seed).fork("train")), generate the evaluation set, and
 /// enumerate the recipe's fault-model universe for its dtype (stuck-at,
 /// bit-flip, multi-bit, or activation — fault::FaultUniverse::make). The
 /// recipe's mitigation config is carried into the executor config, so every
-/// runner deploys the same hardened network. Training progress goes to
-/// stderr. @p telemetry (optional, borrowed) records the build as the
-/// "fixture_build" phase.
+/// runner deploys the same hardened network.
+///
+/// Training is cached: the trained weights live in cache_directory() as
+/// "<model>_s<seed>_t1024_e8.sfiw", keyed by the training identity alone,
+/// so every recipe, process and thread that trains one (model, seed) after
+/// the first loads them. A file that fails to load is refused (an
+/// `artifact_refused` event when @p telemetry has an event log) and the
+/// network is trained again from its Kaiming init and re-saved. Without
+/// recipe.train the cache directory is neither created nor read. Training
+/// goes to stderr. @p telemetry (optional, borrowed) records the build as
+/// the "fixture_build" phase.
 CampaignFixture build_fixture(const CampaignRecipe& recipe,
                               telemetry::Session* telemetry = nullptr);
 

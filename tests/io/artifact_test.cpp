@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include "io/artifact.hpp"
+#include "io/atomic_file.hpp"
 
 namespace statfi::io {
 namespace {
@@ -131,6 +135,43 @@ TEST_F(ArtifactTest, FlippedTrailerByteIsCaughtByChecksum) {
     bytes[bytes.size() - 1] ^= 0x01;  // the stored CRC itself
     write_raw(bytes);
     expect_failure("checksum mismatch");
+}
+
+TEST_F(ArtifactTest, ConcurrentWritersOfOnePathAllSucceed) {
+    // Two daemon workers may save the same trained weights at once: every
+    // writer of one path must return, and the survivor is one writer's
+    // complete bytes, never a mix or a torn file.
+    constexpr int kWriters = 4;
+    constexpr int kRounds = 50;
+    std::vector<std::string> bytes;
+    for (int w = 0; w < kWriters; ++w)
+        bytes.emplace_back(std::size_t{1} << 16, static_cast<char>('a' + w));
+    std::vector<int> failures(kWriters, 0);
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w)
+        writers.emplace_back([&, w] {
+            for (int r = 0; r < kRounds; ++r) {
+                try {
+                    write_file_atomic(path_, [&](std::ostream& os) {
+                        os << bytes[static_cast<std::size_t>(w)];
+                    });
+                } catch (const std::exception&) {
+                    ++failures[static_cast<std::size_t>(w)];
+                }
+            }
+        });
+    for (auto& t : writers) t.join();
+    for (int w = 0; w < kWriters; ++w)
+        EXPECT_EQ(failures[static_cast<std::size_t>(w)], 0) << "writer " << w;
+    const std::string survivor = raw();
+    EXPECT_NE(std::find(bytes.begin(), bytes.end(), survivor), bytes.end())
+        << "final file (" << survivor.size()
+        << " bytes) is no single writer's bytes";
+    std::size_t entries = 0;
+    for ([[maybe_unused]] const auto& e :
+         std::filesystem::directory_iterator(dir_))
+        ++entries;
+    EXPECT_EQ(entries, 1u);  // no temporary left behind
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -102,8 +103,14 @@ protected:
                (std::string("statfi_service_test_") + info->name());
         fs::remove_all(dir_);
         fs::create_directories(dir_);
+        // Trained weights are cached per (model, seed); a per-test cache
+        // keeps the training jobs below slow enough to pin a worker.
+        setenv("STATFI_CACHE_DIR", (dir_ / "cache").c_str(), 1);
     }
-    void TearDown() override { fs::remove_all(dir_); }
+    void TearDown() override {
+        unsetenv("STATFI_CACHE_DIR");
+        fs::remove_all(dir_);
+    }
 
     DaemonOptions options(std::size_t workers = 2) const {
         DaemonOptions o;

@@ -76,6 +76,9 @@ REQUIRED = {
     # tail dropped, or discarded for a fingerprint mismatch; `note` names
     # which.
     "journal_recovered": {"valid_bytes": NUM, "tail_dropped": bool, "note": str},
+    # A cached artifact that failed to load and is rebuilt instead: `kind`
+    # names which ("weights"), `reason` the loader's error.
+    "artifact_refused": {"kind": str, "path": str, "reason": str},
     "stratum_update": {
         "stratum": NUM,
         "layer": NUM,

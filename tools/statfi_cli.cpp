@@ -27,7 +27,9 @@
 // Approaches: exhaustive | network-wise | layer-wise | data-unaware |
 // data-aware. --train fits the model on the synthetic dataset first
 // (recommended for micronet; the big topologies run with Kaiming weights and
-// the golden-mismatch policy unless trained).
+// the golden-mismatch policy unless trained). Trained weights are cached
+// per (model, seed) under $STATFI_CACHE_DIR (default .statfi_cache), which
+// also holds the default checkpoint journals.
 //
 // Durability: `exhaustive` and `shard run` journal every classified fault to
 // a checkpoint file. Ctrl-C flushes the journal and exits cleanly; rerunning
@@ -97,7 +99,6 @@
 #include "core/data_aware.hpp"
 #include "core/engine.hpp"
 #include "core/estimator.hpp"
-#include "core/testbed.hpp"
 #include "data/synthetic.hpp"
 #include "formats/format.hpp"
 #include "io/atomic_file.hpp"
@@ -109,6 +110,7 @@
 #include "report/observatory.hpp"
 #include "report/table.hpp"
 #include "service/daemon.hpp"
+#include "service/recipe_json.hpp"
 #include "shard/driver.hpp"
 #include "shard/fixture.hpp"
 #include "shard/manifest.hpp"
@@ -244,7 +246,8 @@ struct Options {
         "                              interrupted run\n"
         "  --journal PATH              campaign/activation/exhaustive:\n"
         "                              checkpoint journal path (default:\n"
-        "                              under the cache directory)\n"
+        "                              named by the campaign, under the\n"
+        "                              cache directory)\n"
         "  --json                      one JSON document on stdout; all human\n"
         "                              output and progress on stderr\n"
         "  --out PATH                  exhaustive/shard merge: save the dense\n"
@@ -611,6 +614,16 @@ shard::CampaignRecipe recipe_from(const Options& opt) {
     return recipe;
 }
 
+/// The checkpoint journal of a direct campaign: --journal, else one named
+/// by the campaign it holds (the daemon's recipe fingerprint covers every
+/// recipe field), so two campaigns never share a default journal.
+std::string journal_path(const Options& opt, const std::string& command,
+                         const shard::CampaignRecipe& recipe) {
+    if (!opt.journal.empty()) return opt.journal;
+    return shard::cache_directory() + "/cli_" + command + "_" +
+           service::recipe_fingerprint(recipe) + ".sfij";
+}
+
 int cmd_models() {
     report::Table table({"Name", "Input", "Weights", "Description"});
     for (const auto& info : models::available_models()) {
@@ -786,15 +799,7 @@ int cmd_campaign(const Options& opt) {
     core::DurabilityOptions durability;
     durability.model_id = opt.model;
     durability.cancel = &g_interrupt;
-    durability.journal_path =
-        opt.journal.empty()
-            ? core::cache_directory() + "/cli_campaign_" + opt.model + "_" +
-                  recipe.fault_model.describe() + "_" +
-                  core::to_string(plan.approach) + "_" +
-                  fault::to_string(opt.dtype) + "_" + opt.policy + "_n" +
-                  std::to_string(opt.images) + "_s" + std::to_string(opt.seed) +
-                  ".sfij"
-            : opt.journal;
+    durability.journal_path = journal_path(opt, "campaign", recipe);
     if (!opt.resume) std::filesystem::remove(durability.journal_path);
 
     std::signal(SIGINT, handle_sigint);
@@ -900,13 +905,7 @@ int cmd_exhaustive(const Options& opt) {
     core::DurabilityOptions durability;
     durability.model_id = opt.model;
     durability.cancel = &g_interrupt;
-    durability.journal_path =
-        opt.journal.empty()
-            ? core::cache_directory() + "/cli_exhaustive_" + opt.model + "_" +
-                  fault::to_string(opt.dtype) + "_" + opt.policy + "_n" +
-                  std::to_string(opt.images) + "_s" + std::to_string(opt.seed) +
-                  ".sfij"
-            : opt.journal;
+    durability.journal_path = journal_path(opt, "exhaustive", recipe);
     // Without --resume any leftover journal is discarded so the census
     // restarts from scratch; with --resume a matching journal continues.
     if (!opt.resume) std::filesystem::remove(durability.journal_path);
