@@ -3,80 +3,57 @@
 // sampling, and planning. Not a paper table; quantifies DESIGN.md §5's
 // claims (partial re-execution speedup, masked short-circuit).
 //
-// Besides the google-benchmark suite, `bench_perf --telemetry-json PATH`
-// measures the telemetry subsystem's overhead: the engine census with
-// telemetry off vs on (metrics + tracing), alternating reps, best-of wall
-// per mode, outcomes checked bit-identical. Fails when the enabled run
-// costs more than 3% — the "observability is near-free" claim in DESIGN.md
-// §5.12 (BENCH_telemetry.json).
+// `bench_perf --gates` runs the repository's two overhead gates instead:
+// the same fixture with its instrumentation off and on, in one process,
+// kPairs times each. Pair i runs off then on when i is even and on then off
+// when i is odd; its overhead is on / off - 1. stats::judge_overhead reads
+// the median and quartiles of the overheads against the 3% ceiling:
+// `pass`, `exceeded`, or `unresolved` when the pairs spread too widely for
+// this machine to tell. Each gate also checks what the on side must
+// produce and that instrumentation never changes an outcome.
 //
-// `bench_perf --observatory-json PATH` extends that gate to the FULL
-// observatory of DESIGN.md §5.13: metrics + tracing + JSONL event log on
-// disk + the live campaign routes (/status folding that log on every
-// poll), vs the bare engine. Same alternating-rep protocol, same 3%
-// ceiling, same bit-identity requirement (BENCH_observatory.json).
+//   observatory  the engine census on a 20,000-fault prefix, bare vs under
+//                the full observatory of DESIGN.md §5.12–§5.13: metrics,
+//                tracing, the JSONL event log, and the campaign routes
+//                polled live on a loopback port;
+//   fleet        an in-process ServiceDaemon running two census jobs with
+//                the fleet plane of DESIGN.md decision 18 off vs on.
 //
-// `bench_perf --kernels-json PATH` measures the kernel-dispatch layer and
-// the fault-batched ensemble forward (DESIGN.md decision 15): the engine
-// census in {generic, native} x {width 1, width 8} configurations, every
-// outcome table checked bit-identical, with a >= 4x faults/s gate for the
-// best configuration against the pre-kernel baseline (BENCH_kernels.json).
-//
-// `bench_perf --formats-json PATH` measures the number-format paths of
-// DESIGN.md decision 17: one census per weight format (fp32, fp16, bf16,
-// int8) on the shard fixture, each checked bit-identical across worker
-// counts, with a gate requiring the fp16 and int8 paths to stay within 10%
-// of the fp32 census throughput (BENCH_formats.json).
-//
-// `bench_perf --service-json PATH` measures the scheduler daemon of
-// DESIGN.md decision 16: an in-process ServiceDaemon on an ephemeral
-// loopback port runs a small batch of distinct campaigns across two
-// workers (jobs/second through the full submit -> schedule -> shard ->
-// merge -> publish path), then an identical resubmission measures the
-// content-addressed cache-hit latency. The served result must match a
-// direct engine run of the same recipe exactly (BENCH_service.json).
-//
-// `bench_perf --fleet-json PATH` measures the fleet observability plane of
-// DESIGN.md decision 18: the same service batch with SchedulerOptions::fleet
-// off vs on (per-shard trace sessions, the 200 ms metrics sampler whose
-// metrics.tsf /fleet reads, merged per-job trace). Alternating reps,
-// best-of wall per mode, the on-mode's artifacts validated (history
-// samples, one trace_id across daemon + every shard), served outcomes
-// identical, and the same 3% overhead ceiling (BENCH_fleet.json).
+// One JSON document goes to stdout: per gate, the fixture, the ceiling,
+// every run's wall, every pair's overhead, the median and quartiles, the
+// verdict and the checks. Progress goes to stderr. The exit code is 1 when a
+// gate reads `exceeded` or a check fails; `unresolved` exits 0.
 
 #include <benchmark/benchmark.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <array>
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
+#include <set>
 #include <string>
+#include <stop_token>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/convergence.hpp"
 #include "core/data_aware.hpp"
 #include "core/engine.hpp"
 #include "core/planner.hpp"
-#include "kernels/registry.hpp"
 #include "data/synthetic.hpp"
 #include "fault/injector.hpp"
 #include "models/registry.hpp"
 #include "nn/init.hpp"
 #include "report/json_parse.hpp"
 #include "service/daemon.hpp"
-#include "service/recipe_json.hpp"
-#include "shard/fixture.hpp"
+#include "stats/descriptive.hpp"
 #include "stats/sampling.hpp"
+#include "support/http_client.hpp"
 #include "telemetry/eventlog.hpp"
 #include "telemetry/http.hpp"
 #include "telemetry/session.hpp"
@@ -206,322 +183,55 @@ void BM_AnalyzeWeights(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeWeights);
 
-// --- kernel dispatch + ensemble forward (--kernels-json) ------------------
+// --- paired overhead gates (--gates) ---------------------------------------
 
-/// Pre-kernel census throughput on the same fixture, measured at commit
-/// 51af8be (CampaignExecutor serial census, best of two runs) on the
-/// reference single-core builder: the baseline of the kernel speedup gate.
-constexpr double kBaselineFaultsPerSecond = 14172.6;
-constexpr const char* kBaselineCommit = "51af8be";
+/// Off/on pairs per gate: the benchmark's ten-pair rule.
+constexpr int kPairs = 10;
+/// What instrumentation may cost over the bare run, as a share of its wall.
+constexpr double kCeiling = 0.03;
 
-/// One engine census under a forced kernel backend and ensemble
-/// width. A fresh engine per configuration: the golden cache must be built
-/// by the same backend that classifies (one process never mixes backends).
-struct KernelsConfigResult {
-    std::string kernels;
-    std::size_t width = 1;
-    std::uint64_t faults = 0;  ///< classified prefix of the census
-    double wall = 0.0;
-    double fps = 0.0;
-    core::ExhaustiveOutcomes outcomes;
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point start) {
+    return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// One gate's record: every run's wall, the pairs' overheads and their
+/// reading, and the named checks the runs must all pass.
+struct Gate {
+    std::string name;
+    std::string fixture;
+    std::vector<double> off, on, overheads;
+    stats::OverheadReading reading;
+    std::vector<std::pair<std::string, bool>> checks;
 };
 
-KernelsConfigResult run_kernels_config(const std::string& backend,
-                                       std::size_t width,
-                                       std::uint64_t max_faults,
-                                       std::size_t threads) {
-    kernels::select(backend);
-    auto net = models::build_model("micronet");
-    stats::Rng rng(424242);
-    nn::init_network_kaiming(net, rng);
-    const auto eval = data::make_synthetic({}, 4, "test");
-    const auto universe = fault::FaultUniverse::stuck_at(net);
-
-    core::ExecutorConfig config;
-    config.policy = core::ClassificationPolicy::GoldenMismatch;
-    config.ensemble_width = width;
-    core::CampaignEngine engine(net, eval, config, threads);
-
-    // A capped smoke run classifies the census prefix [0, max_faults).
-    core::DurabilityOptions durability;
-    durability.range_end = std::min(max_faults, universe.total());
-
-    KernelsConfigResult r;
-    r.kernels = kernels::active().name;
-    r.width = width;
-    r.faults = durability.range_end == 0 ? universe.total()
-                                         : durability.range_end;
-    const auto start = std::chrono::steady_clock::now();
-    r.outcomes = engine.run_exhaustive_durable(universe, durability).outcomes;
-    r.wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    r.fps = r.wall > 0 ? static_cast<double>(r.faults) / r.wall : 0.0;
-    std::cout << "  " << r.kernels << " width=" << width << ": " << r.fps
-              << " faults/s (" << r.wall << " s)\n";
-    return r;
+/// Time kPairs off/on pairs of @p run (its argument says which side, its
+/// result is the timed wall in seconds) and judge the overheads.
+void run_pairs(Gate& gate, const std::function<double(bool)>& run) {
+    for (int i = 0; i < kPairs; ++i) {
+        double wall[2] = {0.0, 0.0};  // [off, on]
+        const bool on_first = i % 2 == 1;
+        wall[on_first] = run(on_first);
+        wall[!on_first] = run(!on_first);
+        gate.off.push_back(wall[0]);
+        gate.on.push_back(wall[1]);
+        gate.overheads.push_back(wall[1] / wall[0] - 1.0);
+        std::cerr << gate.name << " pair " << i << ": off " << wall[0]
+                  << " s, on " << wall[1] << " s, overhead "
+                  << gate.overheads.back() * 100.0 << "%\n";
+    }
+    gate.reading = stats::judge_overhead(gate.overheads, kCeiling);
 }
 
-/// The kernel-dispatch gate: every {backend} x {width} census bit-identical,
-/// best configuration >= 4x the pre-kernel baseline (full census only —
-/// capped smoke runs skip the throughput gate, not the identity check).
-int run_kernels_report(const std::string& json_path, std::uint64_t max_faults,
-                       std::size_t threads) {
-    const bool have_native = kernels::native_kernels() != nullptr;
-    std::cout << "kernel-dispatch census sweep (cpu: "
-              << kernels::detect_cpu().describe() << ")\n";
-    std::vector<KernelsConfigResult> runs;
-    runs.push_back(run_kernels_config("generic", 1, max_faults, threads));
-    runs.push_back(run_kernels_config("generic", 8, max_faults, threads));
-    if (have_native) {
-        runs.push_back(run_kernels_config("native", 1, max_faults, threads));
-        runs.push_back(run_kernels_config("native", 8, max_faults, threads));
-    }
-    kernels::select("auto");
-
-    const std::uint64_t n = runs.front().faults;
-    bool identical = true;
-    for (std::size_t c = 1; c < runs.size(); ++c)
-        for (std::uint64_t i = 0; i < n; ++i)
-            if (runs[c].outcomes.at(i) != runs[0].outcomes.at(i)) {
-                std::cerr << "bench_perf: outcome mismatch at fault " << i
-                          << " between " << runs[0].kernels << "/w"
-                          << runs[0].width << " and " << runs[c].kernels
-                          << "/w" << runs[c].width << "\n";
-                identical = false;
-                i = n;
-            }
-
-    const double crit_rate =
-        static_cast<double>(runs[0].outcomes.critical_count(0, n)) /
-        static_cast<double>(n);
-    double best_fps = 0.0;
-    std::string best_name;
-    for (const auto& r : runs)
-        if (r.fps > best_fps) {
-            best_fps = r.fps;
-            best_name = r.kernels + "/w" + std::to_string(r.width);
-        }
-    const double speedup = best_fps / kBaselineFaultsPerSecond;
-    const bool full = max_faults == 0;
-    const bool gate_ok = !full || !have_native || speedup >= 4.0;
-
-    std::ofstream out(json_path);
-    if (!out) {
-        std::cerr << "bench_perf: cannot write " << json_path << "\n";
-        return 1;
-    }
-    out << "{\n"
-        << "  \"fixture\": \"micronet kaiming(424242), 4 synthetic test "
-           "images, GoldenMismatch, stuck-at universe\",\n"
-        << "  \"cpu\": \"" << kernels::detect_cpu().describe() << "\",\n"
-        << "  \"faults\": " << n << ",\n"
-        << "  \"full_census\": " << (full ? "true" : "false") << ",\n"
-        << "  \"workers\": " << (threads == 0 ? 0 : threads) << ",\n"
-        << "  \"outcomes_identical\": " << (identical ? "true" : "false")
-        << ",\n"
-        << "  \"critical_rate\": " << crit_rate << ",\n"
-        << "  \"configs\": [\n";
-    for (std::size_t c = 0; c < runs.size(); ++c)
-        out << "    {\"kernels\": \"" << runs[c].kernels
-            << "\", \"ensemble_width\": " << runs[c].width
-            << ", \"wall_seconds\": " << runs[c].wall
-            << ", \"faults_per_second\": " << runs[c].fps << "}"
-            << (c + 1 < runs.size() ? "," : "") << "\n";
-    out << "  ],\n"
-        << "  \"best\": {\"config\": \"" << best_name
-        << "\", \"faults_per_second\": " << best_fps
-        << ", \"speedup_vs_baseline\": " << speedup << "},\n"
-        << "  \"baseline\": {\n"
-        << "    \"commit\": \"" << kBaselineCommit << "\",\n"
-        << "    \"faults_per_second\": " << kBaselineFaultsPerSecond << "\n"
-        << "  },\n"
-        << "  \"gate\": {\"required_speedup\": 4.0, \"passed\": "
-        << (gate_ok ? "true" : "false") << "}\n"
-        << "}\n";
-    std::cout << "best: " << best_name << " at " << best_fps
-              << " faults/s = " << speedup << "x baseline ("
-              << kBaselineFaultsPerSecond << " @ " << kBaselineCommit
-              << ")\nreport written to " << json_path << "\n";
-    if (!identical) {
-        std::cerr << "bench_perf: KERNEL BACKENDS DISAGREE — bit-identity "
-                     "contract violated\n";
-        return 1;
-    }
-    if (!gate_ok) {
-        std::cerr << "bench_perf: kernel speedup gate FAILED (" << speedup
-                  << "x < 4x)\n";
-        return 1;
-    }
-    return 0;
-}
-
-// --- per-format census throughput (--formats-json) ------------------------
-
-/// One census per number format on the shard fixture (micronet recipe,
-/// seed 424242, 4 images, GoldenMismatch): the universe shrinks with the
-/// stored word width (32/16/8 bits per weight), so the comparison is on
-/// faults/second, not wall time. Each format runs once at the requested
-/// thread count and once at 2 workers; the durable-census contract says the
-/// two outcome tables must match bit for bit.
-struct FormatRunResult {
-    std::string format;
-    std::uint64_t universe = 0;
-    std::uint64_t faults = 0;
-    double wall = 0.0;
-    double fps = 0.0;
-    double crit_rate = 0.0;
-    bool identical = false;  ///< 1-worker vs 2-worker outcome tables
-};
-
-FormatRunResult run_formats_config(fault::DataType dtype,
-                                   std::uint64_t max_faults,
-                                   std::size_t threads) {
-    shard::CampaignRecipe recipe;
-    recipe.model = "micronet";
-    recipe.approach = core::Approach::Exhaustive;
-    recipe.images = 4;
-    recipe.policy = core::ClassificationPolicy::GoldenMismatch;
-    recipe.seed = 424242;
-    recipe.dtype = dtype;
-
-    FormatRunResult r;
-    r.format = fault::to_string(dtype);
-
-    auto fx = shard::build_fixture(recipe);
-    r.universe = fx.universe.total();
-    r.faults = max_faults == 0 ? r.universe
-                               : std::min(max_faults, r.universe);
-    core::DurabilityOptions durability;
-    durability.range_end = r.faults;
-
-    core::CampaignEngine engine(fx.net, fx.eval, fx.config, threads);
-    // Best of two timed runs: a single census is short enough (seconds)
-    // that one scheduler hiccup can fake a >10% "regression" against the
-    // gate. The outcomes of both passes are identical by the determinism
-    // contract, so only the wall clock differs.
-    core::ExhaustiveOutcomes outcomes;
-    r.wall = 0.0;
-    for (int pass = 0; pass < 2; ++pass) {
-        const auto start = std::chrono::steady_clock::now();
-        auto run = engine.run_exhaustive_durable(fx.universe, durability);
-        const double wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-        if (pass == 0 || wall < r.wall) r.wall = wall;
-        outcomes = std::move(run.outcomes);
-    }
-    r.fps = r.wall > 0 ? static_cast<double>(r.faults) / r.wall : 0.0;
-    r.crit_rate =
-        static_cast<double>(outcomes.critical_count(0, r.faults)) /
-        static_cast<double>(r.faults);
-
-    // Worker-count identity: a fresh fixture (deploy + golden pass from
-    // scratch) at 2 workers must classify every fault the same way.
-    auto fx2 = shard::build_fixture(recipe);
-    core::CampaignEngine engine2(fx2.net, fx2.eval, fx2.config, 2);
-    const auto run2 = engine2.run_exhaustive_durable(fx2.universe, durability);
-    r.identical = true;
-    for (std::uint64_t i = 0; r.identical && i < r.faults; ++i)
-        r.identical = outcomes.at(i) == run2.outcomes.at(i);
-
-    std::cout << "  " << r.format << ": " << r.fps << " faults/s ("
-              << r.faults << "/" << r.universe << " faults, " << r.wall
-              << " s, critical_rate " << r.crit_rate << ", workers-identical "
-              << (r.identical ? "yes" : "NO") << ")\n";
-    return r;
-}
-
-/// The format gate: every format's census bit-identical across worker
-/// counts, and the reduced-precision paths (fp16, int8) within 10% of the
-/// fp32 census throughput (full census only — capped smoke runs skip the
-/// throughput gate, not the identity checks).
-int run_formats_report(const std::string& json_path, std::uint64_t max_faults,
-                       std::size_t threads) {
-    constexpr double kMaxRegressionPct = 10.0;
-    std::cout << "per-format census sweep (micronet seed 424242, 4 images, "
-                 "GoldenMismatch)\n";
-    const fault::DataType dtypes[] = {
-        fault::DataType::Float32, fault::DataType::Float16,
-        fault::DataType::BFloat16, fault::DataType::Int8};
-    std::vector<FormatRunResult> runs;
-    for (const auto dtype : dtypes)
-        runs.push_back(run_formats_config(dtype, max_faults, threads));
-
-    bool identical = true;
-    for (const auto& r : runs) identical = identical && r.identical;
-
-    const double fp32_fps = runs.front().fps;
-    const bool full = max_faults == 0;
-    bool gate_ok = true;
-    for (const auto& r : runs) {
-        if (r.format != "fp16" && r.format != "int8") continue;
-        if (full && fp32_fps > 0 &&
-            r.fps < fp32_fps * (1.0 - kMaxRegressionPct / 100.0)) {
-            std::cerr << "bench_perf: " << r.format << " census at " << r.fps
-                      << " faults/s regresses fp32 (" << fp32_fps
-                      << ") by more than " << kMaxRegressionPct << "%\n";
-            gate_ok = false;
-        }
-    }
-
-    std::ofstream out(json_path);
-    if (!out) {
-        std::cerr << "bench_perf: cannot write " << json_path << "\n";
-        return 1;
-    }
-    out << "{\n"
-        << "  \"fixture\": \"micronet recipe seed 424242, 4 synthetic test "
-           "images, GoldenMismatch, stuck-at universe per format\",\n"
-        << "  \"full_census\": " << (full ? "true" : "false") << ",\n"
-        << "  \"workers\": " << (threads == 0 ? 0 : threads) << ",\n"
-        << "  \"workers_identical\": " << (identical ? "true" : "false")
-        << ",\n"
-        << "  \"formats\": [\n";
-    for (std::size_t c = 0; c < runs.size(); ++c) {
-        const auto& r = runs[c];
-        out << "    {\"format\": \"" << r.format << "\", \"universe\": "
-            << r.universe << ", \"faults\": " << r.faults
-            << ", \"wall_seconds\": " << r.wall
-            << ", \"faults_per_second\": " << r.fps
-            << ", \"critical_rate\": " << r.crit_rate
-            << ", \"vs_fp32\": " << (fp32_fps > 0 ? r.fps / fp32_fps : 0.0)
-            << ", \"workers_identical\": "
-            << (r.identical ? "true" : "false") << "}"
-            << (c + 1 < runs.size() ? "," : "") << "\n";
-    }
-    out << "  ],\n"
-        << "  \"gate\": {\"max_regression_pct\": " << kMaxRegressionPct
-        << ", \"gated_formats\": [\"fp16\", \"int8\"], \"passed\": "
-        << ((gate_ok && identical) ? "true" : "false") << "}\n"
-        << "}\n";
-    std::cout << "report written to " << json_path << "\n";
-    if (!identical) {
-        std::cerr << "bench_perf: FORMAT WORKER COUNTS DISAGREE — "
-                     "bit-identity contract violated\n";
-        return 1;
-    }
-    if (!gate_ok) {
-        std::cerr << "bench_perf: format throughput gate FAILED\n";
-        return 1;
-    }
-    return 0;
-}
-
-// --- telemetry overhead (--telemetry-json) --------------------------------
-
-/// The gate DESIGN.md §5.12 promises: a fully instrumented census (metrics
-/// + tracing) may cost at most this much over the null-sink run.
-constexpr double kMaxTelemetryOverheadPct = 3.0;
-constexpr int kTelemetryReps = 3;
-
-/// Telemetry off vs on over the kernel-gate census fixture, reps alternating so
-/// thermal/frequency drift hits both modes equally; best-of wall per mode.
-/// Every run's outcome table must match the first run's bit for bit
-/// (telemetry only observes), and the enabled runs' statfi_faults_total
-/// counter must equal the census size.
-int run_telemetry_report(const std::string& json_path,
-                         std::uint64_t max_faults) {
+/// `observatory`: the census prefix bare (off) vs under a telemetry::Session
+/// with metrics, tracing and the JSONL event log, plus add_campaign_routes
+/// on an ephemeral loopback port that a client polls (/status, which folds
+/// the log, and /metrics) every 50 ms while the census runs. Every run's
+/// outcome table must equal the first run's, and every on run must count
+/// the prefix in statfi_faults_total, log events and answer requests.
+Gate observatory_gate() {
+    constexpr std::uint64_t kFaults = 20000;
     const auto make_net = [] {
         auto net = models::build_model("micronet");
         stats::Rng rng(424242);
@@ -531,123 +241,14 @@ int run_telemetry_report(const std::string& json_path,
     const auto eval = data::make_synthetic({}, 4, "test");
     core::ExecutorConfig config;
     config.policy = core::ClassificationPolicy::GoldenMismatch;
-
     auto reference_net = make_net();
     const auto universe = fault::FaultUniverse::stuck_at(reference_net);
-    const std::uint64_t total = universe.total();
-    const std::uint64_t faults =
-        max_faults == 0 ? total : std::min(max_faults, total);
     core::DurabilityOptions durability;
-    durability.range_end = faults;
-
-    core::ExhaustiveOutcomes reference;
-    double best_wall[2] = {1e300, 1e300};  // [disabled, enabled]
-    bool identical = true;
-    std::uint64_t faults_counter = 0;
-    for (int rep = 0; rep < kTelemetryReps; ++rep) {
-        for (int mode = 0; mode < 2; ++mode) {
-            auto net = make_net();
-            std::unique_ptr<telemetry::Session> session;
-            if (mode == 1) session = std::make_unique<telemetry::Session>();
-            core::CampaignEngine engine(net, eval, config, 1, session.get());
-            const auto start = std::chrono::steady_clock::now();
-            const auto run = engine.run_exhaustive_durable(universe, durability);
-            const double wall = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - start)
-                                    .count();
-            best_wall[mode] = std::min(best_wall[mode], wall);
-            if (rep == 0 && mode == 0) {
-                reference = run.outcomes;
-            } else {
-                for (std::uint64_t i = 0; identical && i < faults; ++i)
-                    identical = run.outcomes.at(i) == reference.at(i);
-            }
-            if (session) {
-                const auto snap = session->metrics().snapshot();
-                if (const auto* m = snap.find("statfi_faults_total"))
-                    faults_counter = m->counter;
-            }
-        }
-    }
-
-    const double overhead_pct =
-        (best_wall[1] - best_wall[0]) / best_wall[0] * 100.0;
-    const bool counter_matches = faults_counter == faults;
-    const bool pass =
-        identical && counter_matches && overhead_pct <= kMaxTelemetryOverheadPct;
-
-    std::ofstream out(json_path);
-    if (!out) {
-        std::cerr << "bench_perf: cannot write " << json_path << "\n";
-        return 1;
-    }
-    out << "{\n"
-        << "  \"fixture\": \"micronet kaiming(424242), 4 synthetic test "
-           "images, GoldenMismatch, stuck-at universe\",\n"
-        << "  \"universe\": " << total << ",\n"
-        << "  \"faults\": " << faults << ",\n"
-        << "  \"reps_per_mode\": " << kTelemetryReps << ",\n"
-        << "  \"disabled_wall_seconds\": " << best_wall[0] << ",\n"
-        << "  \"enabled_wall_seconds\": " << best_wall[1] << ",\n"
-        << "  \"disabled_faults_per_second\": "
-        << static_cast<double>(faults) / best_wall[0] << ",\n"
-        << "  \"enabled_faults_per_second\": "
-        << static_cast<double>(faults) / best_wall[1] << ",\n"
-        << "  \"overhead_pct\": " << overhead_pct << ",\n"
-        << "  \"max_overhead_pct\": " << kMaxTelemetryOverheadPct << ",\n"
-        << "  \"bit_identical\": " << (identical ? "true" : "false") << ",\n"
-        << "  \"faults_counter_matches\": "
-        << (counter_matches ? "true" : "false") << ",\n"
-        << "  \"pass\": " << (pass ? "true" : "false") << "\n"
-        << "}\n";
-    std::cout << "telemetry overhead: " << overhead_pct << "% (off "
-              << best_wall[0] << " s, on " << best_wall[1]
-              << " s, gate " << kMaxTelemetryOverheadPct
-              << "%), bit_identical " << (identical ? "yes" : "NO")
-              << ", faults counter " << faults_counter << "/" << faults
-              << "\nreport written to " << json_path << "\n";
-    if (!pass)
-        std::cerr << "bench_perf: telemetry gate FAILED (overhead "
-                  << overhead_pct << "% > " << kMaxTelemetryOverheadPct
-                  << "%, or divergence above)\n";
-    return pass ? 0 : 1;
-}
-
-// --- full observatory overhead (--observatory-json) -----------------------
-
-std::string service_http(std::uint16_t port, const std::string& request);
-
-/// The kernel-gate census bare vs under the full observatory: metrics,
-/// tracing, the JSONL event log streamed to disk, and the campaign routes
-/// (add_campaign_routes) on an ephemeral loopback port that a client
-/// thread actually polls (/status, which folds the log, and /metrics every
-/// ~50 ms) — an idle server would measure nothing and once reported
-/// http_requests_served: 0. Alternating reps, best-of wall per mode; the
-/// instrumented run must stay within kMaxTelemetryOverheadPct of the bare
-/// run and its outcome table must match bit for bit.
-int run_observatory_report(const std::string& json_path,
-                           std::uint64_t max_faults) {
-    const auto make_net = [] {
-        auto net = models::build_model("micronet");
-        stats::Rng rng(424242);
-        nn::init_network_kaiming(net, rng);
-        return net;
-    };
-    const auto eval = data::make_synthetic({}, 4, "test");
-    core::ExecutorConfig config;
-    config.policy = core::ClassificationPolicy::GoldenMismatch;
-
-    auto reference_net = make_net();
-    const auto universe = fault::FaultUniverse::stuck_at(reference_net);
-    const std::uint64_t total = universe.total();
-    const std::uint64_t faults =
-        max_faults == 0 ? total : std::min(max_faults, total);
-    core::DurabilityOptions durability;
-    durability.range_end = faults;
+    durability.range_end = std::min(kFaults, universe.total());
+    const std::uint64_t faults = durability.range_end;
 
     const auto log_path = std::filesystem::temp_directory_path() /
-                          "statfi_observatory_bench.jsonl";
-
+                          "statfi_observatory_gate.jsonl";
     core::CampaignHeaderInfo header;
     header.command = "bench";
     header.model = "micronet";
@@ -657,491 +258,229 @@ int run_observatory_report(const std::string& json_path,
     header.seed = 424242;
     header.images = 4;
 
+    Gate gate;
+    gate.name = "observatory";
+    gate.fixture =
+        "micronet kaiming(424242), 4 synthetic test images, GoldenMismatch, "
+        "first " + std::to_string(faults) + " stuck-at faults of " +
+        std::to_string(universe.total()) + ", 1 worker";
     core::ExhaustiveOutcomes reference;
-    double best_wall[2] = {1e300, 1e300};  // [bare, observatory]
-    bool identical = true;
-    std::uint64_t events_logged = 0;
-    std::uint64_t requests_served = 0;
-    for (int rep = 0; rep < kTelemetryReps; ++rep) {
-        for (int mode = 0; mode < 2; ++mode) {
-            auto net = make_net();
-            std::unique_ptr<telemetry::Session> session;
-            std::unique_ptr<telemetry::HttpServer> server;
-            std::atomic<bool> poll_stop{false};
-            std::thread poller;
-            if (mode == 1) {
-                session = std::make_unique<telemetry::Session>();
-                session->open_event_log(log_path.string());
-                core::emit_campaign_header(*session->events(), header);
-                server = std::make_unique<telemetry::HttpServer>(
-                    telemetry::HttpServer::Options{});
-                telemetry::add_campaign_routes(*server, *session);
-                server->start();
-                // A live observer: the overhead being gated includes
-                // answering real requests while the census runs.
-                const std::uint16_t port = server->port();
-                poller = std::thread([port, &poll_stop] {
-                    while (!poll_stop.load(std::memory_order_relaxed)) {
-                        service_http(port, "GET /status HTTP/1.1\r\n"
-                                           "Connection: close\r\n\r\n");
-                        service_http(port, "GET /metrics HTTP/1.1\r\n"
-                                           "Connection: close\r\n\r\n");
+    bool have_reference = false;
+    bool identical = true, counted = true, logged = true, served = true;
+    run_pairs(gate, [&](bool on) {
+        auto net = make_net();
+        std::unique_ptr<telemetry::Session> session;
+        std::unique_ptr<telemetry::HttpServer> server;
+        std::jthread poller;  // after the server: stopped and joined first
+        if (on) {
+            session = std::make_unique<telemetry::Session>();
+            session->open_event_log(log_path.string());
+            core::emit_campaign_header(*session->events(), header);
+            server = std::make_unique<telemetry::HttpServer>(
+                telemetry::HttpServer::Options{});
+            telemetry::add_campaign_routes(*server, *session);
+            server->start();
+            poller = std::jthread(
+                [port = server->port()](std::stop_token stop) {
+                    while (!stop.stop_requested()) {
+                        testsupport::http_get(port, "/status");
+                        testsupport::http_get(port, "/metrics");
                         std::this_thread::sleep_for(
                             std::chrono::milliseconds(50));
                     }
                 });
-            }
-            core::CampaignEngine engine(net, eval, config, 1, session.get());
-            const auto start = std::chrono::steady_clock::now();
-            const auto run = engine.run_exhaustive_durable(universe, durability);
-            const double wall = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - start)
-                                    .count();
-            if (poller.joinable()) {
-                poll_stop.store(true, std::memory_order_relaxed);
-                poller.join();
-            }
-            best_wall[mode] = std::min(best_wall[mode], wall);
-            if (rep == 0 && mode == 0) {
-                reference = run.outcomes;
-            } else {
-                for (std::uint64_t i = 0; identical && i < faults; ++i)
-                    identical = run.outcomes.at(i) == reference.at(i);
-            }
-            if (session) {
-                core::emit_campaign_end(
-                    *session->events(), run.complete, faults,
-                    run.outcomes.critical_count(0, faults), wall);
-                events_logged = session->events()->events_written();
-                requests_served = server->requests_served();
-            }
         }
-    }
+        core::CampaignEngine engine(net, eval, config, 1, session.get());
+        const auto start = Clock::now();
+        const auto run = engine.run_exhaustive_durable(universe, durability);
+        const double wall = seconds_since(start);
+        if (!have_reference) {
+            reference = run.outcomes;
+            have_reference = true;
+        }
+        for (std::uint64_t i = 0; identical && i < faults; ++i)
+            identical = run.outcomes.at(i) == reference.at(i);
+        if (session) {
+            const auto snap = session->metrics().snapshot();
+            const auto* m = snap.find("statfi_faults_total");
+            counted = counted && m && m->counter == faults;
+            core::emit_campaign_end(*session->events(), run.complete, faults,
+                                    run.outcomes.critical_count(0, faults),
+                                    wall);
+            // at least the header and campaign_end, and the poller's first
+            // /status and /metrics
+            logged = logged && session->events()->events_written() >= 2;
+            served = served && server->requests_served() >= 2;
+        }
+        return wall;
+    });
     std::filesystem::remove(log_path);
-
-    const double overhead_pct =
-        (best_wall[1] - best_wall[0]) / best_wall[0] * 100.0;
-    const bool logged = events_logged >= 2;  // header + campaign_end minimum
-    // The poller issues /status + /metrics pairs for the whole run; zero
-    // served requests would mean the "live observer" leg measured nothing.
-    const bool served = requests_served >= 2;
-    const bool pass = identical && logged && served &&
-                      overhead_pct <= kMaxTelemetryOverheadPct;
-
-    std::ofstream out(json_path);
-    if (!out) {
-        std::cerr << "bench_perf: cannot write " << json_path << "\n";
-        return 1;
-    }
-    out << "{\n"
-        << "  \"fixture\": \"micronet kaiming(424242), 4 synthetic test "
-           "images, GoldenMismatch, stuck-at universe\",\n"
-        << "  \"instrumentation\": \"metrics + tracing + JSONL event log + "
-           "campaign routes, /status folding the log (ephemeral loopback "
-           "port)\",\n"
-        << "  \"universe\": " << total << ",\n"
-        << "  \"faults\": " << faults << ",\n"
-        << "  \"reps_per_mode\": " << kTelemetryReps << ",\n"
-        << "  \"bare_wall_seconds\": " << best_wall[0] << ",\n"
-        << "  \"observatory_wall_seconds\": " << best_wall[1] << ",\n"
-        << "  \"bare_faults_per_second\": "
-        << static_cast<double>(faults) / best_wall[0] << ",\n"
-        << "  \"observatory_faults_per_second\": "
-        << static_cast<double>(faults) / best_wall[1] << ",\n"
-        << "  \"overhead_pct\": " << overhead_pct << ",\n"
-        << "  \"max_overhead_pct\": " << kMaxTelemetryOverheadPct << ",\n"
-        << "  \"events_logged\": " << events_logged << ",\n"
-        << "  \"http_requests_served\": " << requests_served << ",\n"
-        << "  \"bit_identical\": " << (identical ? "true" : "false") << ",\n"
-        << "  \"pass\": " << (pass ? "true" : "false") << "\n"
-        << "}\n";
-    std::cout << "observatory overhead: " << overhead_pct << "% (bare "
-              << best_wall[0] << " s, instrumented " << best_wall[1]
-              << " s, gate " << kMaxTelemetryOverheadPct
-              << "%), bit_identical " << (identical ? "yes" : "NO") << ", "
-              << events_logged << " events logged, " << requests_served
-              << " HTTP requests served\nreport written to " << json_path
-              << "\n";
-    if (!pass)
-        std::cerr << "bench_perf: observatory gate FAILED (overhead "
-                  << overhead_pct << "% > " << kMaxTelemetryOverheadPct
-                  << "%, zero requests served, or divergence above)\n";
-    return pass ? 0 : 1;
+    gate.checks = {{"outcomes_identical", identical},
+                   {"faults_counter_matches", counted},
+                   {"events_logged", logged},
+                   {"requests_served", served}};
+    return gate;
 }
 
-// --- service scheduling throughput (--service-json) -----------------------
-
-/// Minimal loopback HTTP client for driving the in-process daemon.
-std::string service_http(std::uint16_t port, const std::string& request) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return "";
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-        ::close(fd);
-        return "";
-    }
-    std::size_t sent = 0;
-    while (sent < request.size()) {
-        const ssize_t n = ::send(fd, request.data() + sent,
-                                 request.size() - sent, MSG_NOSIGNAL);
-        if (n <= 0) break;
-        sent += static_cast<std::size_t>(n);
-    }
-    std::string response;
-    char buf[4096];
-    for (;;) {
-        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n <= 0) break;
-        response.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-    return response;
-}
-
-report::JsonValue service_get_json(std::uint16_t port,
-                                   const std::string& path) {
-    const std::string response = service_http(
-        port, "GET " + path + " HTTP/1.1\r\nConnection: close\r\n\r\n");
-    const auto split = response.find("\r\n\r\n");
-    if (split == std::string::npos) return {};
-    return report::parse_json(response.substr(split + 4));
-}
-
-report::JsonValue service_post_json(std::uint16_t port,
-                                    const std::string& path,
-                                    const std::string& body) {
-    const std::string response = service_http(
-        port, "POST " + path + " HTTP/1.1\r\nContent-Length: " +
-                  std::to_string(body.size()) +
-                  "\r\nConnection: close\r\n\r\n" + body);
-    const auto split = response.find("\r\n\r\n");
-    if (split == std::string::npos) return {};
-    return report::parse_json(response.substr(split + 4));
+report::JsonValue get_json(std::uint16_t port, const std::string& target) {
+    const std::string body =
+        testsupport::http_body(testsupport::http_get(port, target));
+    return body.empty() ? report::JsonValue{} : report::parse_json(body);
 }
 
 /// Poll a job to its terminal state; returns the final status document.
-report::JsonValue service_await(std::uint16_t port, std::uint64_t id) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(120);
+report::JsonValue await_job(std::uint16_t port, std::uint64_t id) {
+    const auto deadline = Clock::now() + std::chrono::seconds(120);
     for (;;) {
-        const auto status = service_get_json(
-            port, "/campaigns/" + std::to_string(id) + "/status");
+        const auto status =
+            get_json(port, "/campaigns/" + std::to_string(id) + "/status");
         const std::string state = status.get_str("state");
-        if (state == "done" || state == "failed" ||
-            std::chrono::steady_clock::now() > deadline)
+        if (state == "done" || state == "failed" || Clock::now() > deadline)
             return status;
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
 }
 
-/// Jobs/second through the full service path, cache-hit latency for an
-/// identical resubmission, and served-result identity against a direct
-/// engine run of the same recipe.
-int run_service_report(const std::string& json_path) {
-    constexpr std::size_t kJobs = 4;
-    constexpr std::size_t kWorkers = 2;
-
-    const auto state_dir =
-        std::filesystem::temp_directory_path() / "statfi_service_bench";
-    std::filesystem::remove_all(state_dir);
-
-    service::DaemonOptions options;
-    options.port = 0;  // ephemeral
-    options.workers = kWorkers;
-    options.default_shards = 2;
-    options.state_dir = state_dir.string();
-    service::ServiceDaemon daemon(options);
-    daemon.start();
-    const std::uint16_t port = daemon.port();
-
-    const auto recipe = [](std::uint64_t seed) {
-        return std::string(R"({"model":"micronet","approach":"exhaustive",)"
-                           R"("images":2,"policy":"golden","seed":)") +
-               std::to_string(seed) + "}";
-    };
-
-    // Batch of distinct campaigns: submit all, then poll each to done.
-    const auto batch_start = std::chrono::steady_clock::now();
-    std::vector<std::uint64_t> ids;
-    for (std::size_t j = 0; j < kJobs; ++j)
-        ids.push_back(
-            service_post_json(port, "/campaigns", recipe(100 + j)).get_uint("id"));
-    bool all_done = true;
-    std::uint64_t classified = 0;
-    for (const std::uint64_t id : ids) {
-        const auto status = service_await(port, id);
-        all_done = all_done && status.get_str("state") == "done";
-        classified += status.get_uint("classified");
-    }
-    const double batch_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      batch_start)
-            .count();
-
-    // Identical resubmission: POST-to-done latency of a pure cache hit.
-    const auto hit_start = std::chrono::steady_clock::now();
-    const std::uint64_t hit_id =
-        service_post_json(port, "/campaigns", recipe(100)).get_uint("id");
-    const auto hit_status = service_await(port, hit_id);
-    const double hit_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      hit_start)
-            .count();
-    const bool cache_hit = hit_status.get_bool("cache_hit") &&
-                           hit_status.get_uint("classified") == 0;
-
-    // Served result vs the direct engine path on the same recipe.
-    const auto result = service_get_json(
-        port, "/campaigns/" + std::to_string(ids[0]) + "/result.json");
-    daemon.stop();
-    const auto sub = service::parse_submission(recipe(100));
-    auto fx = shard::build_fixture(sub.recipe);
-    core::CampaignEngine engine(fx.net, fx.eval, fx.config);
-    const auto direct = engine.run_exhaustive_durable(fx.universe, {});
-    const bool identical =
-        result.get_uint("total_injected") == fx.universe.total() &&
-        result.get_uint("total_critical") ==
-            direct.outcomes.critical_count(0, fx.universe.total());
-
-    std::filesystem::remove_all(state_dir);
-    const bool pass = all_done && cache_hit && identical;
-
-    std::ofstream out(json_path);
-    if (!out) {
-        std::cerr << "bench_perf: cannot write " << json_path << "\n";
-        return 1;
-    }
-    out << "{\n"
-        << "  \"fixture\": \"micronet exhaustive census, 2 synthetic test "
-           "images, GoldenMismatch, distinct seeds\",\n"
-        << "  \"jobs\": " << kJobs << ",\n"
-        << "  \"workers\": " << kWorkers << ",\n"
-        << "  \"shards_per_job\": " << options.default_shards << ",\n"
-        << "  \"classified_total\": " << classified << ",\n"
-        << "  \"batch_wall_seconds\": " << batch_wall << ",\n"
-        << "  \"jobs_per_second\": "
-        << static_cast<double>(kJobs) / batch_wall << ",\n"
-        << "  \"cache_hit_seconds\": " << hit_wall << ",\n"
-        << "  \"cache_hit\": " << (cache_hit ? "true" : "false") << ",\n"
-        << "  \"result_identical_to_direct\": "
-        << (identical ? "true" : "false") << ",\n"
-        << "  \"pass\": " << (pass ? "true" : "false") << "\n"
-        << "}\n";
-    std::cout << "service scheduling: " << kJobs << " jobs in " << batch_wall
-              << " s (" << static_cast<double>(kJobs) / batch_wall
-              << " jobs/s, " << kWorkers << " workers), cache hit in "
-              << hit_wall << " s, identical "
-              << (identical ? "yes" : "NO") << "\nreport written to "
-              << json_path << "\n";
-    if (!pass)
-        std::cerr << "bench_perf: service gate FAILED (incomplete jobs, "
-                     "missed cache, or result divergence above)\n";
-    return pass ? 0 : 1;
-}
-
-// --- fleet observability plane overhead (--fleet-json) --------------------
-
-/// One daemon life with the fleet plane on or off: submit @p jobs distinct
-/// campaigns, await them, and collect the served outcomes plus (fleet mode)
-/// the plane's artifacts — metrics history samples, the merged trace's
-/// process count and trace id, and the /fleet listing.
-struct FleetModeResult {
-    double wall = 0.0;
-    bool all_done = true;
-    bool fleet_listed = true;
-    std::vector<std::array<std::uint64_t, 2>> outcomes;  ///< injected, critical
-    std::uint64_t history_samples = 0;
-    std::size_t trace_processes = 0;
-    std::string trace_id;
-};
-
-FleetModeResult run_fleet_mode(bool fleet, std::size_t jobs) {
-    const auto state_dir =
-        std::filesystem::temp_directory_path() /
-        (fleet ? "statfi_fleet_bench_on" : "statfi_fleet_bench_off");
-    std::filesystem::remove_all(state_dir);
-    service::DaemonOptions options;
-    options.port = 0;  // ephemeral
-    options.workers = 2;
-    options.default_shards = 3;
-    options.state_dir = state_dir.string();
-    options.fleet = fleet;
-    service::ServiceDaemon daemon(options);
-    daemon.start();
-    const std::uint16_t port = daemon.port();
-
-    FleetModeResult r;
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<std::uint64_t> ids;
-    for (std::size_t j = 0; j < jobs; ++j)
-        ids.push_back(
-            service_post_json(
-                port, "/campaigns",
-                std::string(
-                    R"({"model":"micronet","approach":"exhaustive",)"
-                    R"("images":4,"policy":"golden","seed":)") +
-                    std::to_string(500 + j) + "}")
-                .get_uint("id"));
-    for (const std::uint64_t id : ids) {
-        const auto status = service_await(port, id);
-        r.all_done = r.all_done && status.get_str("state") == "done";
-    }
-    r.wall = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           start)
-                 .count();
-
-    for (const std::uint64_t id : ids) {
-        const auto result = service_get_json(
-            port, "/campaigns/" + std::to_string(id) + "/result.json");
-        r.outcomes.push_back({result.get_uint("total_injected"),
-                              result.get_uint("total_critical")});
-    }
-    const auto fleet_view = service_get_json(port, "/fleet");
-    const report::JsonValue* listed = fleet_view.find("jobs");
-    r.fleet_listed = listed && listed->array.size() == jobs;
-    if (fleet) {
-        const auto history = service_get_json(
-            port, "/campaigns/" + std::to_string(ids[0]) + "/history");
-        if (const report::JsonValue* samples = history.find("samples"))
-            r.history_samples = samples->array.size();
-        const auto trace = service_get_json(
-            port, "/campaigns/" + std::to_string(ids[0]) + "/trace");
-        for (const report::JsonValue& e : trace.array) {
-            if (e.get_str("name") == "process_name") ++r.trace_processes;
-            if (e.get_str("name") == "statfi_trace") {
-                const report::JsonValue* args = e.find("args");
-                const std::string id_text =
-                    args ? args->get_str("trace_id") : "";
-                if (r.trace_id.empty())
-                    r.trace_id = id_text;
-                else if (r.trace_id != id_text)
-                    r.trace_id = "MISMATCH";
-            }
-        }
-    }
-    daemon.stop();
-    std::filesystem::remove_all(state_dir);
-    return r;
-}
-
-/// The service batch with the fleet plane off vs on: same alternating-rep,
-/// best-of-wall protocol and 3% ceiling as the telemetry gates, plus
-/// artifact validation (history sampled, one trace_id across daemon + every
-/// shard, /fleet listing) and served-outcome identity across modes.
-int run_fleet_report(const std::string& json_path) {
+/// `fleet`: an in-process ServiceDaemon with DaemonOptions::fleet off vs on
+/// (per-shard trace sessions, the metrics sampler whose metrics.tsf /fleet
+/// reads, the merged per-job trace), timed from the first submission to the
+/// last job done. Every job must end done and be listed by /fleet, every
+/// run must serve the first run's (injected, critical) counts, and every on
+/// run must leave a metrics history and a merged trace of the daemon and
+/// the three shards under one trace id.
+Gate fleet_gate() {
     constexpr std::size_t kJobs = 2;
-    // Daemon-lifetime walls jitter by a few percent run-to-run (thread
-    // scheduling, page-cache warmth), which dwarfs the plane's true cost;
-    // best-of-5 per mode converges where best-of-3 still bounces.
-    constexpr int kReps = 5;
-    double best_wall[2] = {1e300, 1e300};  // [off, on]
-    FleetModeResult last[2];
-    bool all_done = true;
-    for (int rep = 0; rep < kReps; ++rep) {
-        for (int mode = 0; mode < 2; ++mode) {
-            FleetModeResult r = run_fleet_mode(mode == 1, kJobs);
-            all_done = all_done && r.all_done && r.fleet_listed;
-            best_wall[mode] = std::min(best_wall[mode], r.wall);
-            last[mode] = std::move(r);
-        }
-    }
-    const bool identical = last[0].outcomes == last[1].outcomes &&
-                           !last[0].outcomes.empty();
-    const double overhead_pct =
-        (best_wall[1] - best_wall[0]) / best_wall[0] * 100.0;
-    // daemon + 3 shards = 4 processes minimum under one non-empty trace id
-    const bool artifacts = last[1].history_samples >= 1 &&
-                           last[1].trace_processes >= 4 &&
-                           !last[1].trace_id.empty() &&
-                           last[1].trace_id != "MISMATCH";
-    const bool pass = all_done && identical && artifacts &&
-                      overhead_pct <= kMaxTelemetryOverheadPct;
+    Gate gate;
+    gate.name = "fleet";
+    gate.fixture =
+        "2 micronet exhaustive census jobs (seeds 500, 501), 2 synthetic test "
+        "images, GoldenMismatch, 2 workers, 3 shards per job";
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> reference;
+    bool done = true, listed = true, identical = true, history = true,
+         traced = true;
+    run_pairs(gate, [&](bool on) {
+        const auto state_dir =
+            std::filesystem::temp_directory_path() / "statfi_fleet_gate";
+        std::filesystem::remove_all(state_dir);
+        service::DaemonOptions options;
+        options.port = 0;  // ephemeral
+        options.workers = 2;
+        options.default_shards = 3;
+        options.state_dir = state_dir.string();
+        options.fleet = on;
+        service::ServiceDaemon daemon(options);
+        daemon.start();
+        const std::uint16_t port = daemon.port();
 
-    std::ofstream out(json_path);
-    if (!out) {
-        std::cerr << "bench_perf: cannot write " << json_path << "\n";
-        return 1;
+        const auto start = Clock::now();
+        std::vector<std::uint64_t> ids;
+        for (std::size_t j = 0; j < kJobs; ++j) {
+            const std::string recipe =
+                R"({"model":"micronet","approach":"exhaustive","images":2,)"
+                R"("policy":"golden","seed":)" +
+                std::to_string(500 + j) + "}";
+            const std::string accepted = testsupport::http_body(
+                testsupport::http_post(port, "/campaigns", recipe));
+            ids.push_back(report::parse_json(accepted).get_uint("id"));
+        }
+        for (const std::uint64_t id : ids)
+            done = done && await_job(port, id).get_str("state") == "done";
+        const double wall = seconds_since(start);
+
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> served;
+        for (const std::uint64_t id : ids) {
+            const auto result = get_json(
+                port, "/campaigns/" + std::to_string(id) + "/result.json");
+            served.emplace_back(result.get_uint("total_injected"),
+                                result.get_uint("total_critical"));
+        }
+        if (reference.empty()) reference = served;
+        identical = identical && served == reference;
+        const report::JsonValue* jobs = get_json(port, "/fleet").find("jobs");
+        listed = listed && jobs && jobs->array.size() == kJobs;
+        if (on) {
+            const std::string job = "/campaigns/" + std::to_string(ids[0]);
+            const report::JsonValue* samples =
+                get_json(port, job + "/history").find("samples");
+            history = history && samples && !samples->array.empty();
+            std::size_t processes = 0;
+            std::set<std::string> trace_ids;
+            for (const report::JsonValue& e :
+                 get_json(port, job + "/trace").array) {
+                if (e.get_str("name") == "process_name") ++processes;
+                const report::JsonValue* args = e.find("args");
+                if (e.get_str("name") == "statfi_trace" && args)
+                    trace_ids.insert(args->get_str("trace_id"));
+            }
+            // daemon + 3 shards, all under one non-empty trace id
+            traced = traced && processes >= 4 && trace_ids.size() == 1 &&
+                     !trace_ids.begin()->empty();
+        }
+        daemon.stop();
+        std::filesystem::remove_all(state_dir);
+        return wall;
+    });
+    gate.checks = {{"jobs_done", done},
+                   {"fleet_lists_jobs", listed},
+                   {"outcomes_identical", identical},
+                   {"history_sampled", history},
+                   {"trace_merged", traced}};
+    return gate;
+}
+
+void print_doubles(std::ostream& out, const std::vector<double>& xs) {
+    out << "[";
+    for (std::size_t i = 0; i < xs.size(); ++i)
+        out << (i ? ", " : "") << xs[i];
+    out << "]";
+}
+
+/// Run both gates, print their JSON document on stdout, and return the
+/// exit code: 1 when a gate exceeds its ceiling or fails a check.
+int run_gates() {
+    std::vector<Gate> gates;
+    gates.push_back(observatory_gate());
+    gates.push_back(fleet_gate());
+
+    bool failed = false;
+    std::cout << "{\n  \"pairs\": " << kPairs << ",\n  \"gates\": {\n";
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+        const Gate& gate = gates[g];
+        const auto& r = gate.reading;
+        failed = failed || r.verdict == stats::GateVerdict::Exceeded;
+        std::cout << "    \"" << gate.name << "\": {\n"
+                  << "      \"fixture\": \"" << gate.fixture << "\",\n"
+                  << "      \"ceiling\": " << kCeiling << ",\n"
+                  << "      \"off_wall_seconds\": ";
+        print_doubles(std::cout, gate.off);
+        std::cout << ",\n      \"on_wall_seconds\": ";
+        print_doubles(std::cout, gate.on);
+        std::cout << ",\n      \"overheads\": ";
+        print_doubles(std::cout, gate.overheads);
+        std::cout << ",\n      \"median\": " << r.median
+                  << ",\n      \"q1\": " << r.q1 << ",\n      \"q3\": " << r.q3
+                  << ",\n      \"verdict\": \"" << stats::to_string(r.verdict)
+                  << "\",\n      \"checks\": {";
+        for (std::size_t c = 0; c < gate.checks.size(); ++c) {
+            const auto& [name, ok] = gate.checks[c];
+            failed = failed || !ok;
+            std::cout << (c ? ", " : "") << "\"" << name
+                      << "\": " << (ok ? "true" : "false");
+        }
+        std::cout << "}\n    }" << (g + 1 < gates.size() ? "," : "") << "\n";
+        std::cerr << gate.name << ": median " << r.median * 100.0 << "% [q1 "
+                  << r.q1 * 100.0 << "%, q3 " << r.q3 * 100.0 << "%] vs "
+                  << kCeiling * 100.0 << "% -> "
+                  << stats::to_string(r.verdict) << "\n";
     }
-    out << "{\n"
-        << "  \"fixture\": \"micronet exhaustive census, 4 synthetic test "
-           "images, GoldenMismatch, distinct seeds, 3 shards/job\",\n"
-        << "  \"instrumentation\": \"fleet plane: per-shard trace sessions "
-           "+ 200ms metrics sampler (metrics.tsf, read by /fleet) + merged "
-           "trace\",\n"
-        << "  \"jobs\": " << kJobs << ",\n"
-        << "  \"reps_per_mode\": " << kReps << ",\n"
-        << "  \"off_wall_seconds\": " << best_wall[0] << ",\n"
-        << "  \"on_wall_seconds\": " << best_wall[1] << ",\n"
-        << "  \"jobs_per_second\": "
-        << static_cast<double>(kJobs) / best_wall[1] << ",\n"
-        << "  \"overhead_pct\": " << overhead_pct << ",\n"
-        << "  \"max_overhead_pct\": " << kMaxTelemetryOverheadPct << ",\n"
-        << "  \"history_samples\": " << last[1].history_samples << ",\n"
-        << "  \"trace_processes\": " << last[1].trace_processes << ",\n"
-        << "  \"trace_id\": \"" << last[1].trace_id << "\",\n"
-        << "  \"bit_identical\": " << (identical ? "true" : "false") << ",\n"
-        << "  \"pass\": " << (pass ? "true" : "false") << "\n"
-        << "}\n";
-    std::cout << "fleet plane overhead: " << overhead_pct << "% (off "
-              << best_wall[0] << " s, on " << best_wall[1] << " s, gate "
-              << kMaxTelemetryOverheadPct << "%), outcomes identical "
-              << (identical ? "yes" : "NO") << ", "
-              << last[1].history_samples << " history sample(s), "
-              << last[1].trace_processes << " trace process(es) under trace "
-              << last[1].trace_id << "\nreport written to " << json_path
-              << "\n";
-    if (!pass)
-        std::cerr << "bench_perf: fleet gate FAILED (overhead "
-                  << overhead_pct << "% > " << kMaxTelemetryOverheadPct
-                  << "%, missing artifacts, or divergence above)\n";
-    return pass ? 0 : 1;
+    std::cout << "  }\n}\n";
+    return failed ? 1 : 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    std::string formats_json_path;
-    std::string kernels_json_path;
-    std::string telemetry_json_path;
-    std::string observatory_json_path;
-    std::string service_json_path;
-    std::string fleet_json_path;
-    std::uint64_t max_faults = 0;  // 0 = full census
-    std::size_t threads = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--formats-json" && i + 1 < argc) {
-            formats_json_path = argv[++i];
-        } else if (arg == "--kernels-json" && i + 1 < argc) {
-            kernels_json_path = argv[++i];
-        } else if (arg == "--telemetry-json" && i + 1 < argc) {
-            telemetry_json_path = argv[++i];
-        } else if (arg == "--observatory-json" && i + 1 < argc) {
-            observatory_json_path = argv[++i];
-        } else if (arg == "--service-json" && i + 1 < argc) {
-            service_json_path = argv[++i];
-        } else if (arg == "--fleet-json" && i + 1 < argc) {
-            fleet_json_path = argv[++i];
-        } else if (arg == "--faults" && i + 1 < argc) {
-            max_faults = std::stoull(argv[++i]);
-        } else if (arg == "--threads" && i + 1 < argc) {
-            threads = std::stoul(argv[++i]);
-        }
-    }
-    if (!fleet_json_path.empty()) return run_fleet_report(fleet_json_path);
-    if (!service_json_path.empty())
-        return run_service_report(service_json_path);
-    if (!observatory_json_path.empty())
-        return run_observatory_report(observatory_json_path, max_faults);
-    if (!telemetry_json_path.empty())
-        return run_telemetry_report(telemetry_json_path, max_faults);
-    if (!formats_json_path.empty())
-        return run_formats_report(formats_json_path, max_faults, threads);
-    if (!kernels_json_path.empty())
-        return run_kernels_report(kernels_json_path, max_faults, threads);
+    if (argc == 2 && std::strcmp(argv[1], "--gates") == 0) return run_gates();
 
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

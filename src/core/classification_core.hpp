@@ -113,7 +113,8 @@ public:
     void evaluate_group(std::span<const fault::Fault> faults,
                         FaultOutcome* out);
 
-    /// Ensemble workspace footprint in bytes (diagnostics for bench_perf).
+    /// Ensemble workspace footprint in bytes (the benchmark's
+    /// core.ensemble_mb).
     [[nodiscard]] std::size_t ensemble_bytes() const noexcept;
 
     /// Attach telemetry: this core reports into @p session's per-worker

@@ -56,6 +56,29 @@ double quantile(std::span<const double> xs, double q) {
 
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 
+const char* to_string(GateVerdict verdict) {
+    switch (verdict) {
+        case GateVerdict::Pass: return "pass";
+        case GateVerdict::Exceeded: return "exceeded";
+        case GateVerdict::Unresolved: return "unresolved";
+    }
+    return "unresolved";
+}
+
+OverheadReading judge_overhead(std::span<const double> overheads,
+                               double ceiling) {
+    OverheadReading r;
+    r.median = median(overheads);
+    r.q1 = quantile(overheads, 0.25);
+    r.q3 = quantile(overheads, 0.75);
+    const bool resolved = r.q3 - r.q1 < ceiling;
+    if (resolved && r.median <= ceiling)
+        r.verdict = GateVerdict::Pass;
+    else if (resolved || r.q1 > ceiling)
+        r.verdict = GateVerdict::Exceeded;
+    return r;
+}
+
 Fences tukey_fences(std::span<const double> xs, double k) {
     const double q1 = quantile(xs, 0.25);
     const double q3 = quantile(xs, 0.75);

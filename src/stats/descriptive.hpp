@@ -20,6 +20,25 @@ double max_of(std::span<const double> xs);
 double quantile(std::span<const double> xs, double q);
 double median(std::span<const double> xs);
 
+/// The verdict of a paired overhead gate (`bench_perf --gates`), read from
+/// per-pair overheads o_i = on_i / off_i - 1 against a ceiling c by their
+/// median m and quartiles q1, q3 (type 7, as quantile()):
+///   Pass        q3 - q1 < c and m <= c;
+///   Exceeded    q3 - q1 < c and m > c, or q1 > c;
+///   Unresolved  otherwise: the pairs spread too widely to tell.
+enum class GateVerdict { Pass, Exceeded, Unresolved };
+const char* to_string(GateVerdict verdict);
+
+struct OverheadReading {
+    double median = 0.0;
+    double q1 = 0.0;
+    double q3 = 0.0;
+    GateVerdict verdict = GateVerdict::Unresolved;
+};
+/// Throws std::domain_error on empty input, as quantile() does.
+OverheadReading judge_overhead(std::span<const double> overheads,
+                               double ceiling);
+
 /// Tukey fences: [Q1 - k*IQR, Q3 + k*IQR]; the classic outlier rule uses
 /// k = 1.5.
 struct Fences {

@@ -10,17 +10,13 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
 
+#include "../support/http_client.hpp"
 #include "core/engine.hpp"
 #include "report/json_parse.hpp"
 #include "service/recipe_json.hpp"
@@ -33,63 +29,19 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// --- A minimal loopback HTTP client -----------------------------------------
+// --- HTTP helpers -----------------------------------------------------------
 
-std::string http_exchange(std::uint16_t port, const std::string& request) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return "";
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-        ::close(fd);
-        return "";
-    }
-    std::size_t sent = 0;
-    while (sent < request.size()) {
-        const ssize_t n =
-            ::send(fd, request.data() + sent, request.size() - sent,
-                   MSG_NOSIGNAL);
-        if (n <= 0) break;
-        sent += static_cast<std::size_t>(n);
-    }
-    std::string response;
-    char buf[4096];
-    for (;;) {
-        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n <= 0) break;
-        response.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-    return response;
-}
-
-std::string get(std::uint16_t port, const std::string& target) {
-    return http_exchange(port, "GET " + target +
-                              " HTTP/1.1\r\nHost: x\r\nConnection: close"
-                              "\r\n\r\n");
-}
-
-std::string post(std::uint16_t port, const std::string& target,
-                 const std::string& body) {
-    return http_exchange(port, "POST " + target + " HTTP/1.1\r\nHost: x\r\n" +
-                              "Content-Length: " + std::to_string(body.size()) +
-                              "\r\nConnection: close\r\n\r\n" + body);
-}
+using testsupport::http_body;
+using testsupport::http_get;
+using testsupport::http_post;
 
 std::string status_line(const std::string& response) {
     const auto eol = response.find("\r\n");
     return eol == std::string::npos ? response : response.substr(0, eol);
 }
 
-std::string body_of(const std::string& response) {
-    const auto pos = response.find("\r\n\r\n");
-    return pos == std::string::npos ? "" : response.substr(pos + 4);
-}
-
 report::JsonValue body_json(const std::string& response) {
-    return report::parse_json(body_of(response));
+    return report::parse_json(http_body(response));
 }
 
 // --- Fixture ----------------------------------------------------------------
@@ -128,7 +80,7 @@ protected:
                               std::chrono::seconds(timeout_s);
         for (;;) {
             const auto doc =
-                body_json(get(port, "/campaigns/" + std::to_string(id)));
+                body_json(http_get(port, "/campaigns/" + std::to_string(id)));
             const std::string state = doc.get_str("state");
             if (state == "done" || state == "failed") return doc;
             if (std::chrono::steady_clock::now() > deadline) {
@@ -158,24 +110,25 @@ TEST_F(ServiceTest, IndexHealthzAndBadSubmissions) {
     daemon.start();
     const auto port = daemon.port();
 
-    EXPECT_NE(body_of(get(port, "/")).find("POST /campaigns"),
+    EXPECT_NE(http_body(http_get(port, "/")).find("POST /campaigns"),
               std::string::npos);
-    const auto health = body_json(get(port, "/healthz"));
+    const auto health = body_json(http_get(port, "/healthz"));
     EXPECT_EQ(health.get_str("status"), "ok");
     EXPECT_EQ(health.get_uint("jobs"), 0u);
 
     // Malformed bodies are a 400 naming the first problem, not a job.
-    EXPECT_NE(status_line(post(port, "/campaigns", "not json")).find("400"),
-              std::string::npos);
-    const auto typo = post(port, "/campaigns",
-                           R"({"model":"micronet","margni":0.05})");
+    EXPECT_NE(
+        status_line(http_post(port, "/campaigns", "not json")).find("400"),
+        std::string::npos);
+    const auto typo = http_post(port, "/campaigns",
+                                R"({"model":"micronet","margni":0.05})");
     EXPECT_NE(status_line(typo).find("400"), std::string::npos);
-    EXPECT_NE(body_of(typo).find("margni"), std::string::npos);
+    EXPECT_NE(http_body(typo).find("margni"), std::string::npos);
 
     // Unknown jobs and artifacts 404 with an explanation.
-    EXPECT_NE(status_line(get(port, "/campaigns/99")).find("404"),
+    EXPECT_NE(status_line(http_get(port, "/campaigns/99")).find("404"),
               std::string::npos);
-    EXPECT_NE(status_line(get(port, "/campaigns/zzz")).find("404"),
+    EXPECT_NE(status_line(http_get(port, "/campaigns/zzz")).find("404"),
               std::string::npos);
     daemon.stop();
 }
@@ -185,7 +138,8 @@ TEST_F(ServiceTest, CensusOutcomesAreBitIdenticalToDirectRun) {
     daemon.start();
     const auto port = daemon.port();
 
-    const auto accepted = body_json(post(port, "/campaigns", kCensusRecipe));
+    const auto accepted =
+        body_json(http_post(port, "/campaigns", kCensusRecipe));
     const std::uint64_t id = accepted.get_uint("id");
     ASSERT_GT(id, 0u);
     const std::string fingerprint = accepted.get_str("fingerprint");
@@ -211,18 +165,18 @@ TEST_F(ServiceTest, CensusOutcomesAreBitIdenticalToDirectRun) {
         ASSERT_EQ(served.at(i), direct.at(i)) << "fault " << i;
 
     // The artifact endpoints serve what the cache holds.
-    EXPECT_NE(body_of(get(port, "/campaigns/" + std::to_string(id) +
-                                    "/report.html"))
+    EXPECT_NE(http_body(http_get(port, "/campaigns/" + std::to_string(id) +
+                                         "/report.html"))
                   .find("observatory"),
               std::string::npos);
     const auto result = body_json(
-        get(port, "/campaigns/" + std::to_string(id) + "/result.json"));
+        http_get(port, "/campaigns/" + std::to_string(id) + "/result.json"));
     EXPECT_EQ(result.get_str("model"), "micronet");
     EXPECT_EQ(result.get_uint("total_injected"), direct.size());
     EXPECT_EQ(result.get_uint("total_critical"),
               direct.critical_count(0, direct.size()));
-    const auto events =
-        body_of(get(port, "/campaigns/" + std::to_string(id) + "/events"));
+    const auto events = http_body(
+        http_get(port, "/campaigns/" + std::to_string(id) + "/events"));
     EXPECT_NE(events.find("campaign_header"), std::string::npos);
     EXPECT_NE(events.find("shard_end"), std::string::npos);
     daemon.stop();
@@ -234,7 +188,7 @@ TEST_F(ServiceTest, StatisticalResultMatchesDirectMergeOfSameManifest) {
     const auto port = daemon.port();
 
     const auto accepted =
-        body_json(post(port, "/campaigns", kStatisticalRecipe));
+        body_json(http_post(port, "/campaigns", kStatisticalRecipe));
     const std::uint64_t id = accepted.get_uint("id");
     const std::string fingerprint = accepted.get_str("fingerprint");
     const auto done = await_done(port, id);
@@ -251,7 +205,7 @@ TEST_F(ServiceTest, StatisticalResultMatchesDirectMergeOfSameManifest) {
     ASSERT_EQ(merged.kind, shard::CampaignKind::Statistical);
 
     const auto result = body_json(
-        get(port, "/campaigns/" + std::to_string(id) + "/result.json"));
+        http_get(port, "/campaigns/" + std::to_string(id) + "/result.json"));
     EXPECT_EQ(result.get_uint("total_injected"),
               merged.result.total_injected());
     EXPECT_EQ(result.get_uint("total_critical"),
@@ -270,13 +224,13 @@ TEST_F(ServiceTest, IdenticalResubmissionCompletesFromCacheWithoutInference) {
     daemon.start();
     const auto port = daemon.port();
 
-    const auto first = body_json(post(port, "/campaigns", kCensusRecipe));
+    const auto first = body_json(http_post(port, "/campaigns", kCensusRecipe));
     const auto first_done = await_done(port, first.get_uint("id"));
     ASSERT_EQ(first_done.get_str("state"), "done");
 
     // Same campaign, different key order and an irrelevant shard width —
     // identical fingerprint, so the cache must answer it outright.
-    const auto second = body_json(post(
+    const auto second = body_json(http_post(
         port, "/campaigns",
         R"({"seed":424,"policy":"golden","images":2,)"
         R"("approach":"exhaustive","model":"micronet","shards":4})"));
@@ -302,20 +256,20 @@ TEST_F(ServiceTest, RunsCampaignsConcurrentlyAcrossWorkers) {
     // Four distinct recipes across two workers; all must land.
     std::vector<std::uint64_t> ids;
     for (int seed = 1; seed <= 4; ++seed)
-        ids.push_back(body_json(post(port, "/campaigns",
-                                     R"({"model":"micronet","approach":)"
-                                     R"("exhaustive","images":2,"policy":)"
-                                     R"("golden","seed":)" +
-                                         std::to_string(seed) + "}"))
+        ids.push_back(body_json(http_post(port, "/campaigns",
+                                          R"({"model":"micronet","approach":)"
+                                          R"("exhaustive","images":2,"policy":)"
+                                          R"("golden","seed":)" +
+                                              std::to_string(seed) + "}"))
                           .get_uint("id"));
     for (const std::uint64_t id : ids)
         EXPECT_EQ(await_done(port, id).get_str("state"), "done");
-    const auto health = body_json(get(port, "/healthz"));
+    const auto health = body_json(http_get(port, "/healthz"));
     EXPECT_EQ(health.get_uint("jobs"), 4u);
     EXPECT_EQ(health.get_uint("completed"), 4u);
     EXPECT_EQ(health.get_uint("failed"), 0u);
 
-    const auto list = body_json(get(port, "/campaigns"));
+    const auto list = body_json(http_get(port, "/campaigns"));
     const auto* jobs = list.find("jobs");
     ASSERT_NE(jobs, nullptr);
     EXPECT_EQ(jobs->array.size(), 4u);
@@ -335,9 +289,9 @@ TEST_F(ServiceTest, InFlightDuplicateFoldsOntoTheActiveJob) {
     const std::string queued =
         R"({"model":"micronet","approach":"exhaustive","images":2,)"
         R"("policy":"golden","seed":12})";
-    const auto a = body_json(post(port, "/campaigns", slow));
-    const auto b = body_json(post(port, "/campaigns", queued));
-    const auto dup = post(port, "/campaigns", queued);
+    const auto a = body_json(http_post(port, "/campaigns", slow));
+    const auto b = body_json(http_post(port, "/campaigns", queued));
+    const auto dup = http_post(port, "/campaigns", queued);
     EXPECT_NE(status_line(dup).find("200"), std::string::npos);
     const auto dup_doc = body_json(dup);
     EXPECT_TRUE(dup_doc.get_bool("deduplicated"));
@@ -346,7 +300,7 @@ TEST_F(ServiceTest, InFlightDuplicateFoldsOntoTheActiveJob) {
     EXPECT_EQ(await_done(port, a.get_uint("id")).get_str("state"), "done");
     EXPECT_EQ(await_done(port, b.get_uint("id")).get_str("state"), "done");
     // The fold created no third job.
-    EXPECT_EQ(body_json(get(port, "/healthz")).get_uint("jobs"), 2u);
+    EXPECT_EQ(body_json(http_get(port, "/healthz")).get_uint("jobs"), 2u);
     daemon.stop();
 }
 
@@ -362,13 +316,13 @@ TEST_F(ServiceTest, StoppedDaemonHandsQueueToItsSuccessor) {
         // A slow (training) job the worker claims, plus one it cannot get
         // to — then stop. The claimed job checkpoints and requeues; the
         // queued one must simply survive.
-        const auto a = body_json(post(
+        const auto a = body_json(http_post(
             port, "/campaigns",
             R"({"model":"micronet","train":true,"approach":"exhaustive",)"
             R"("images":2,"policy":"golden","seed":21})"));
         slow_id = a.get_uint("id");
         fingerprint = a.get_str("fingerprint");
-        const auto b = body_json(post(
+        const auto b = body_json(http_post(
             port, "/campaigns",
             R"({"model":"micronet","approach":"exhaustive","images":2,)"
             R"("policy":"golden","seed":22})"));

@@ -47,6 +47,55 @@ TEST(Quantile, RejectsBadInput) {
     EXPECT_THROW(quantile(std::vector<double>{1.0}, 1.5), std::domain_error);
 }
 
+// Paired overhead gate, ceiling c = 3%.
+constexpr double kCeiling = 0.03;
+
+TEST(JudgeOverhead, NarrowSpreadUnderCeilingPasses) {
+    const std::vector<double> o{0.000, 0.004, 0.010, 0.012, 0.020};
+    const auto r = judge_overhead(o, kCeiling);
+    EXPECT_DOUBLE_EQ(r.median, 0.010);
+    EXPECT_DOUBLE_EQ(r.q1, 0.004);
+    EXPECT_DOUBLE_EQ(r.q3, 0.012);
+    EXPECT_EQ(r.verdict, GateVerdict::Pass);
+    EXPECT_STREQ(to_string(r.verdict), "pass");
+}
+
+TEST(JudgeOverhead, MedianExactlyAtCeilingPasses) {
+    const std::vector<double> o{0.02, 0.03, 0.04};
+    const auto r = judge_overhead(o, kCeiling);
+    EXPECT_EQ(r.median, kCeiling);
+    EXPECT_EQ(r.verdict, GateVerdict::Pass);
+}
+
+TEST(JudgeOverhead, NarrowSpreadOverCeilingExceeds) {
+    const std::vector<double> o{0.05, 0.06, 0.07};
+    const auto r = judge_overhead(o, kCeiling);
+    EXPECT_LT(r.q3 - r.q1, kCeiling);
+    EXPECT_EQ(r.verdict, GateVerdict::Exceeded);
+    EXPECT_STREQ(to_string(r.verdict), "exceeded");
+}
+
+TEST(JudgeOverhead, WideSpreadWithQ1OverCeilingExceeds) {
+    const std::vector<double> o{0.04, 0.05, 0.20, 0.30};
+    const auto r = judge_overhead(o, kCeiling);
+    EXPECT_GT(r.q3 - r.q1, kCeiling);
+    EXPECT_GT(r.q1, kCeiling);
+    EXPECT_EQ(r.verdict, GateVerdict::Exceeded);
+}
+
+TEST(JudgeOverhead, WideSpreadStraddlingCeilingIsUnresolved) {
+    const std::vector<double> o{-0.10, -0.02, 0.02, 0.10};
+    const auto r = judge_overhead(o, kCeiling);
+    EXPECT_GT(r.q3 - r.q1, kCeiling);
+    EXPECT_LT(r.q1, kCeiling);
+    EXPECT_EQ(r.verdict, GateVerdict::Unresolved);
+    EXPECT_STREQ(to_string(r.verdict), "unresolved");
+}
+
+TEST(JudgeOverhead, EmptyInputThrows) {
+    EXPECT_THROW(judge_overhead({}, kCeiling), std::domain_error);
+}
+
 TEST(TukeyFences, SymmetricData) {
     const std::vector<double> xs{1, 2, 3, 4, 5, 6, 7, 8};
     const auto f = tukey_fences(xs);

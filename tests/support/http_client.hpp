@@ -1,7 +1,7 @@
 #pragma once
-// A minimal blocking loopback HTTP/1.1 client for tests: one request per
-// connection (Connection: close), raw POSIX sockets, so a test sees exactly
-// the bytes a scraper would.
+// A minimal blocking loopback HTTP/1.1 client for tests and bench_perf: one
+// request per connection (Connection: close), raw POSIX sockets, so a caller
+// sees exactly the bytes a scraper would.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -50,6 +50,15 @@ inline std::string http_get(std::uint16_t port, const std::string& target,
     return http_exchange(port, method + " " + target +
                                    " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
                                    "Connection: close\r\n\r\n");
+}
+
+inline std::string http_post(std::uint16_t port, const std::string& target,
+                             const std::string& body) {
+    return http_exchange(port, "POST " + target +
+                                   " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                                   "Content-Length: " +
+                                   std::to_string(body.size()) +
+                                   "\r\nConnection: close\r\n\r\n" + body);
 }
 
 inline std::string http_body(const std::string& response) {
