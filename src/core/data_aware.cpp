@@ -1,5 +1,6 @@
 #include "core/data_aware.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -92,6 +93,19 @@ BitCriticality analyze_network(nn::Network& net, const DataAwareConfig& config) 
         all.insert(all.end(), ref.weight->data(),
                    ref.weight->data() + ref.weight->numel());
     return analyze_weights(all, config);
+}
+
+float int8_analysis_scale(nn::Network& net,
+                          std::span<const fault::QuantParams> layer_quant) {
+    if (!layer_quant.empty()) {
+        float scale = 0.0f;
+        for (const auto& qp : layer_quant) scale = std::max(scale, qp.scale);
+        return scale > 0 ? scale : 1.0f;
+    }
+    float max_abs = 0.0f;
+    for (auto& ref : net.weight_layers())
+        max_abs = std::max(max_abs, ref.weight->max_abs());
+    return max_abs > 0 ? max_abs / 127.0f : 1.0f;
 }
 
 }  // namespace statfi::core

@@ -76,4 +76,13 @@ BitCriticality analyze_weights(std::span<const float> weights,
 BitCriticality analyze_network(nn::Network& net,
                                const DataAwareConfig& config = {});
 
+/// The network-wide scale of the Int8 analysis (symmetric, per network).
+/// When a QuantizedStore was deployed its per-tensor scales in
+/// @p layer_quant are authoritative (the weights are already quantized, and
+/// re-deriving would drift) and the scale is their maximum; otherwise it is
+/// max|w| / 127 over @p net's weights, the storage view the injector
+/// corrupts. 1 when that maximum is zero.
+float int8_analysis_scale(nn::Network& net,
+                          std::span<const fault::QuantParams> layer_quant);
+
 }  // namespace statfi::core

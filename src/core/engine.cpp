@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <iostream>
 #include <mutex>
 #include <optional>
@@ -95,26 +96,9 @@ CampaignPlan CampaignEngine::plan(const fault::FaultUniverse& universe,
             DataAwareConfig analysis = spec.analysis;
             analysis.dtype = config().dtype;
             nn::Network& net = workers_.front()->net;
-            if (analysis.dtype == fault::DataType::Int8) {
-                // Symmetric per-network scheme. When the fixture deployed a
-                // QuantizedStore its per-layer scales are authoritative (the
-                // weights are already quantized; re-deriving would drift) —
-                // the network-wide analysis scale is their maximum. Otherwise
-                // fall back to the golden weights, the same storage view the
-                // injector corrupts.
-                if (!config().layer_quant.empty()) {
-                    float scale = 0.0f;
-                    for (const auto& qp : config().layer_quant)
-                        scale = std::max(scale, qp.scale);
-                    analysis.quant.scale = scale > 0 ? scale : 1.0f;
-                } else {
-                    float max_abs = 0.0f;
-                    for (auto& ref : net.weight_layers())
-                        max_abs = std::max(max_abs, ref.weight->max_abs());
-                    analysis.quant.scale =
-                        max_abs > 0 ? max_abs / 127.0f : 1.0f;
-                }
-            }
+            if (analysis.dtype == fault::DataType::Int8)
+                analysis.quant.scale =
+                    int8_analysis_scale(net, config().layer_quant);
             return plan_data_aware(universe, spec.sample,
                                    analyze_network(net, analysis));
         }
@@ -234,10 +218,13 @@ RunStatus CampaignEngine::execute(const fault::FaultUniverse& universe,
         telemetry::PhaseScope replay_scope(telemetry_, "resume_replay");
         CampaignFingerprint fp = fingerprint(universe, options.model_id);
         if (items) fp = item_space_fingerprint(std::move(fp), items->size());
+        // Only a file that was there can be recovered: a missing journal
+        // is a fresh start, not a recovery.
+        const bool existed = std::filesystem::exists(options.journal_path);
         const auto recovery =
             CampaignJournal::recover(options.journal_path, fp);
         telemetry::EventLog* log = telemetry_ ? telemetry_->events() : nullptr;
-        if (!recovery.note.empty()) {
+        if (existed && !recovery.note.empty()) {
             std::cerr << "statfi: " << recovery.note << "\n";
             if (log)
                 log->emit(telemetry::Event("journal_recovered")

@@ -59,9 +59,4 @@ void BatchNorm2d::set_statistics(const Tensor& gamma, const Tensor& beta,
     }
 }
 
-void BatchNorm2d::set_identity() {
-    scale_.fill(1.0f);
-    shift_.fill(0.0f);
-}
-
 }  // namespace statfi::nn

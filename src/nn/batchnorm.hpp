@@ -27,12 +27,7 @@ public:
     void set_statistics(const Tensor& gamma, const Tensor& beta,
                         const Tensor& running_mean, const Tensor& running_var);
 
-    /// Identity-preserving defaults (gamma=1, beta=0, mean=0, var=1).
-    void set_identity();
-
     [[nodiscard]] std::int64_t channels() const { return channels_; }
-    [[nodiscard]] const Tensor& folded_scale() const { return scale_; }
-    [[nodiscard]] const Tensor& folded_shift() const { return shift_; }
 
 private:
     std::int64_t channels_;

@@ -7,16 +7,12 @@ namespace statfi::nn {
 
 namespace {
 
-/// fan_in/fan_out for (out, in) matrices and (Cout, Cin, K, K) kernels.
-std::pair<double, double> fans(const Tensor& weight) {
+/// fan_in of (out, in) matrices and (Cout, Cin, K, K) kernels.
+double fan_in(const Tensor& weight) {
     const auto& d = weight.shape().dims();
-    if (d.size() == 2)
-        return {static_cast<double>(d[1]), static_cast<double>(d[0])};
-    if (d.size() == 4) {
-        const double receptive = static_cast<double>(d[2] * d[3]);
-        return {static_cast<double>(d[1]) * receptive,
-                static_cast<double>(d[0]) * receptive};
-    }
+    if (d.size() == 2) return static_cast<double>(d[1]);
+    if (d.size() == 4)
+        return static_cast<double>(d[1]) * static_cast<double>(d[2] * d[3]);
     throw std::invalid_argument("init: unsupported weight rank " +
                                 std::to_string(d.size()));
 }
@@ -24,19 +20,10 @@ std::pair<double, double> fans(const Tensor& weight) {
 }  // namespace
 
 void kaiming_normal(Tensor& weight, stats::Rng& rng) {
-    const auto [fan_in, fan_out] = fans(weight);
-    (void)fan_out;
     // Depthwise kernels have fan_in = K*K (Cin dim is 1); guard against 0.
-    const double std = std::sqrt(2.0 / std::max(fan_in, 1.0));
+    const double std = std::sqrt(2.0 / std::max(fan_in(weight), 1.0));
     for (std::size_t i = 0; i < weight.numel(); ++i)
         weight[i] = static_cast<float>(rng.normal(0.0, std));
-}
-
-void xavier_uniform(Tensor& weight, stats::Rng& rng) {
-    const auto [fan_in, fan_out] = fans(weight);
-    const double a = std::sqrt(6.0 / std::max(fan_in + fan_out, 1.0));
-    for (std::size_t i = 0; i < weight.numel(); ++i)
-        weight[i] = static_cast<float>(rng.uniform(-a, a));
 }
 
 void init_network_kaiming(Network& net, stats::Rng& rng) {

@@ -13,9 +13,6 @@ namespace statfi::nn {
 /// fan_in = Cin*K*K for conv weights (Cout,Cin,K,K), in_features for (out,in).
 void kaiming_normal(Tensor& weight, stats::Rng& rng);
 
-/// Xavier/Glorot uniform init: U(-a, a), a = sqrt(6/(fan_in + fan_out)).
-void xavier_uniform(Tensor& weight, stats::Rng& rng);
-
 /// Initialize every injectable weight in the network with Kaiming-normal
 /// (streams forked per layer name so layer order doesn't matter).
 void init_network_kaiming(Network& net, stats::Rng& rng);

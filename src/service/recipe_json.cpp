@@ -1,10 +1,11 @@
 #include "service/recipe_json.hpp"
 
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
-#include "models/registry.hpp"
+#include "formats/format.hpp"
 #include "report/json.hpp"
 #include "report/json_parse.hpp"
 
@@ -41,28 +42,13 @@ std::uint64_t need_uint(const std::string& key, const report::JsonValue& v) {
     return static_cast<std::uint64_t>(n);
 }
 
-core::ClassificationPolicy parse_policy(const std::string& s) {
-    if (s == "any") return core::ClassificationPolicy::AnyMisprediction;
-    if (s == "golden") return core::ClassificationPolicy::GoldenMismatch;
-    if (s == "drop") return core::ClassificationPolicy::AccuracyDrop;
-    fail("unknown policy '" + s + "' (expected any|golden|drop)");
-}
-
-const char* policy_name(core::ClassificationPolicy policy) {
-    switch (policy) {
-        case core::ClassificationPolicy::AnyMisprediction: return "any";
-        case core::ClassificationPolicy::GoldenMismatch: return "golden";
-        case core::ClassificationPolicy::AccuracyDrop: return "drop";
+fault::DataType parse_format(const std::string& key,
+                             const report::JsonValue& v) {
+    try {
+        return formats::parse_format(need_str(key, v));
+    } catch (const std::invalid_argument& e) {
+        fail(e.what());
     }
-    return "any";
-}
-
-fault::DataType parse_dtype(const std::string& s) {
-    if (s == "fp32") return fault::DataType::Float32;
-    if (s == "fp16") return fault::DataType::Float16;
-    if (s == "bf16") return fault::DataType::BFloat16;
-    if (s == "int8") return fault::DataType::Int8;
-    fail("unknown format '" + s + "' (expected fp32|fp16|bf16|int8)");
 }
 
 }  // namespace
@@ -82,34 +68,21 @@ Submission parse_submission(const std::string& body) {
     if (!doc.is_object()) fail("the submission must be a JSON object");
 
     Submission sub;
-    shard::CampaignRecipe& r = sub.recipe;
-    bool approach_given = false;
+    shard::RecipeInput input;
+    shard::CampaignRecipe& r = input.recipe;
     // "format" and "dtype" name the same field; remember which spellings
     // appeared so a submission saying both (with different values) is a
     // contradiction, not a silent last-one-wins.
-    bool dtype_given = false, format_given = false;
-    fault::DataType dtype_value = fault::DataType::Float32;
-    fault::DataType format_value = fault::DataType::Float32;
+    std::optional<fault::DataType> dtype, format;
     for (const auto& [key, value] : doc.object) {
         if (key == "model") {
             r.model = need_str(key, value);
         } else if (key == "approach") {
-            try {
-                r.approach =
-                    core::approach_from_string(need_str(key, value));
-            } catch (const std::invalid_argument& e) {
-                fail(e.what());
-            }
-            approach_given = true;
+            input.approach = need_str(key, value);
         } else if (key == "fault_model") {
-            try {
-                r.fault_model =
-                    fault::fault_model_from_string(need_str(key, value));
-            } catch (const std::invalid_argument& e) {
-                fail(e.what());
-            }
+            input.fault_model = need_str(key, value);
         } else if (key == "mbu_k") {
-            r.fault_model.mbu_k = static_cast<int>(need_uint(key, value));
+            input.mbu_k = static_cast<std::int64_t>(need_uint(key, value));
         } else if (key == "margin") {
             r.error_margin = need_num(key, value);
         } else if (key == "confidence") {
@@ -117,19 +90,15 @@ Submission parse_submission(const std::string& body) {
         } else if (key == "images") {
             r.images = static_cast<std::int64_t>(need_uint(key, value));
         } else if (key == "policy") {
-            r.policy = parse_policy(need_str(key, value));
+            input.policy = need_str(key, value);
         } else if (key == "drop_threshold") {
             r.accuracy_drop_threshold = need_num(key, value);
         } else if (key == "train") {
             r.train = need_bool(key, value);
         } else if (key == "dtype") {
-            dtype_value = parse_dtype(need_str(key, value));
-            r.dtype = dtype_value;
-            dtype_given = true;
+            dtype = parse_format(key, value);
         } else if (key == "format") {
-            format_value = parse_dtype(need_str(key, value));
-            r.dtype = format_value;
-            format_given = true;
+            format = parse_format(key, value);
         } else if (key == "seed") {
             r.seed = need_uint(key, value);
         } else if (key == "clips") {
@@ -164,33 +133,17 @@ Submission parse_submission(const std::string& body) {
         }
     }
 
-    if (dtype_given && format_given && dtype_value != format_value)
+    if (dtype && format && *dtype != *format)
         fail("'format' and 'dtype' disagree (they are aliases)");
-
-    // Cross-field validation — the same ranges the CLI enforces, so a
-    // submission can never describe a campaign the CLI could not run.
-    bool known_model = false;
-    for (const auto& info : models::available_models())
-        if (info.name == r.model) known_model = true;
-    if (!known_model) fail("unknown model '" + r.model + "'");
-    if (r.error_margin <= 0 || r.error_margin >= 1)
-        fail("'margin' must be in (0,1)");
-    if (r.confidence <= 0 || r.confidence >= 1)
-        fail("'confidence' must be in (0,1)");
-    if (r.images <= 0) fail("'images' must be positive");
-    if (r.fault_model.kind == fault::FaultModelKind::MultiBitUpset &&
-        (r.fault_model.mbu_k < 2 || r.fault_model.mbu_k > 16))
-        fail("'mbu_k' must be in [2,16]");
+    r.dtype = dtype.value_or(format.value_or(fault::DataType::Float32));
     if (sub.shards > 4096) fail("'shards' must be at most 4096");
-    // Data-aware planning needs single-bit weight strata; when the fault
-    // model has none and none was asked for, fall back to layer-wise —
-    // mirroring the CLI so the same submission and command line plan alike.
-    if (!approach_given &&
-        (r.fault_model.kind == fault::FaultModelKind::ActivationBitFlip ||
-         r.fault_model.kind == fault::FaultModelKind::MultiBitUpset))
-        r.approach = core::Approach::LayerWise;
-    else if (!approach_given)
-        r.approach = core::Approach::DataAware;
+    // The rules the CLI applies too, so a submission can never describe a
+    // campaign the CLI could not run, and the two plan alike.
+    try {
+        sub.recipe = shard::make_recipe(std::move(input));
+    } catch (const std::invalid_argument& e) {
+        fail(e.what());
+    }
     return sub;
 }
 
@@ -204,7 +157,7 @@ std::string canonical_recipe_json(const shard::CampaignRecipe& recipe) {
         .field("margin", recipe.error_margin)
         .field("confidence", recipe.confidence)
         .field("images", static_cast<std::int64_t>(recipe.images))
-        .field("policy", policy_name(recipe.policy))
+        .field("policy", shard::policy_name(recipe.policy))
         .field("drop_threshold", recipe.accuracy_drop_threshold)
         .field("train", recipe.train)
         .field("dtype", fault::to_string(recipe.dtype))

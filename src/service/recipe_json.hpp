@@ -40,11 +40,10 @@ struct Submission {
 
 /// Decode an untrusted submission document. Accepted keys: model, approach,
 /// fault_model, mbu_k, margin, confidence, images, policy, drop_threshold,
-/// train, dtype, seed, clips, tmr, shards — all optional except model's
-/// value having to name a registered topology. Unknown keys are rejected.
-/// When `approach` is absent and the fault model has no single-bit weight
-/// strata (activation, mbu), the layer-wise planner is selected, mirroring
-/// the CLI's fallback.
+/// train, dtype (or its alias format), seed, clips, tmr, shards — all
+/// optional except model's value having to name a registered topology.
+/// Unknown keys are rejected. The recipe rules (ranges, spellings, the
+/// default approach) are shard::make_recipe's, the ones the CLI applies.
 /// @throws std::invalid_argument describing the first violation.
 Submission parse_submission(const std::string& body);
 

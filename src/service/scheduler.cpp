@@ -9,15 +9,14 @@
 #include <utility>
 
 #include "core/convergence.hpp"
-#include "core/estimator.hpp"
 #include "io/atomic_file.hpp"
-#include "report/json.hpp"
 #include "report/observatory.hpp"
 #include "service/recipe_json.hpp"
 #include "shard/driver.hpp"
 #include "shard/fixture.hpp"
 #include "shard/merge.hpp"
 #include "shard/runner.hpp"
+#include "shard/summary.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/history.hpp"
 #include "telemetry/session.hpp"
@@ -28,72 +27,6 @@ namespace statfi::service {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// The deterministic merged-result document. Field names and spellings
-/// match the CLI's --json documents exactly, so "service result equals
-/// direct CLI result" is a plain comparison of the shared keys; wall
-/// times, kernel names, and anything else non-deterministic is left out,
-/// making the file byte-stable across reruns of the same recipe.
-void write_result_json(const std::string& path,
-                       const shard::ShardManifest& manifest,
-                       const shard::MergedCampaign& merged,
-                       const fault::FaultUniverse& universe) {
-    io::write_file_atomic(path, [&](std::ostream& out) {
-        const shard::CampaignRecipe& recipe = manifest.recipe;
-        report::JsonWriter json(out);
-        json.begin_object()
-            .field("model", recipe.model)
-            .field("approach", core::to_string(recipe.approach))
-            .field("fault_model", recipe.fault_model.describe())
-            .field("mitigation", recipe.mitigation.describe())
-            .field("dtype", fault::to_string(recipe.dtype))
-            .field("policy", core::to_string(recipe.policy))
-            .field("seed", recipe.seed)
-            .field("images", static_cast<std::int64_t>(recipe.images))
-            .field("universe_size", universe.total());
-        if (merged.kind == shard::CampaignKind::Census) {
-            json.field("total_injected", universe.total())
-                .field("total_critical",
-                       merged.outcomes.critical_count(0, universe.total()))
-                .field("critical_rate",
-                       merged.outcomes.network_critical_rate());
-            json.key("layers").begin_array();
-            for (int l = 0; l < universe.layer_count(); ++l)
-                json.begin_object()
-                    .field("layer", l)
-                    .field("name", universe.layer(l).name)
-                    .field("critical_rate",
-                           merged.outcomes.layer_critical_rate(universe, l))
-                    .end_object();
-            json.end_array();
-        } else {
-            core::EstimatorConfig est;
-            est.confidence = recipe.confidence;
-            const auto network =
-                core::estimate_network(universe, merged.result, est);
-            json.field("total_injected", merged.result.total_injected())
-                .field("total_critical", merged.result.total_critical());
-            json.key("network")
-                .begin_object()
-                .field("rate", network.rate)
-                .field("margin", network.margin)
-                .end_object();
-            json.key("layers").begin_array();
-            for (const auto& le :
-                 core::estimate_layers(universe, merged.result, est))
-                json.begin_object()
-                    .field("layer", le.layer)
-                    .field("name", universe.layer(le.layer).name)
-                    .field("rate", le.estimate.rate)
-                    .field("margin", le.estimate.margin)
-                    .field("injected", le.estimate.injected)
-                    .end_object();
-            json.end_array();
-        }
-        json.end_object();
-        json.finish();
-    });
-}
 
 /// Fleet history sampler: one background thread per running job that
 /// periodically folds the active shard Session's counters (plus the totals
@@ -454,8 +387,12 @@ void Scheduler::run_job(Job job, std::size_t worker) {
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - job_start)
                     .count());
-            write_result_json(ResultCache::result_json_path(dir), manifest,
-                              merged, fx.universe);
+            io::write_file_atomic(
+                ResultCache::result_json_path(dir), [&](std::ostream& out) {
+                    shard::write_summary_json(
+                        out,
+                        shard::summarize(manifest.recipe, fx.universe, merged));
+                });
             job.critical = critical;
         }
 

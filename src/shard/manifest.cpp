@@ -6,6 +6,7 @@
 
 #include "io/artifact.hpp"
 #include "io/checksum.hpp"
+#include "models/registry.hpp"
 
 namespace statfi::shard {
 
@@ -224,6 +225,61 @@ ShardManifest decode(const std::string& body) {
 }
 
 }  // namespace
+
+CampaignKind campaign_kind(const CampaignRecipe& recipe) noexcept {
+    return recipe.approach == core::Approach::Exhaustive
+               ? CampaignKind::Census
+               : CampaignKind::Statistical;
+}
+
+const char* policy_name(core::ClassificationPolicy policy) noexcept {
+    switch (policy) {
+        case core::ClassificationPolicy::AnyMisprediction: return "any";
+        case core::ClassificationPolicy::GoldenMismatch: return "golden";
+        case core::ClassificationPolicy::AccuracyDrop: return "drop";
+    }
+    return "any";
+}
+
+CampaignRecipe make_recipe(RecipeInput input) {
+    CampaignRecipe& r = input.recipe;
+    const auto fail = [](const std::string& what) {
+        throw std::invalid_argument(what);
+    };
+    bool known_model = false;
+    for (const auto& info : models::available_models())
+        known_model = known_model || info.name == r.model;
+    if (!known_model) fail("unknown model '" + r.model + "'");
+    r.fault_model = fault::fault_model_from_string(input.fault_model);
+    const bool mbu = r.fault_model.kind == fault::FaultModelKind::MultiBitUpset;
+    if (input.mbu_k && !mbu) fail("'mbu_k' applies to the mbu fault model only");
+    const std::int64_t mbu_k = input.mbu_k.value_or(r.fault_model.mbu_k);
+    if (mbu && (mbu_k < 2 || mbu_k > 16)) fail("'mbu_k' must be in [2,16]");
+    r.fault_model.mbu_k = static_cast<int>(mbu_k);
+    bool known_policy = false;
+    for (const auto policy : {core::ClassificationPolicy::AnyMisprediction,
+                              core::ClassificationPolicy::GoldenMismatch,
+                              core::ClassificationPolicy::AccuracyDrop})
+        if (input.policy == policy_name(policy)) {
+            r.policy = policy;
+            known_policy = true;
+        }
+    if (!known_policy)
+        fail("unknown policy '" + input.policy + "' (expected any|golden|drop)");
+    const bool weight_bits =
+        r.fault_model.kind == fault::FaultModelKind::WeightStuckAt ||
+        r.fault_model.kind == fault::FaultModelKind::WeightBitFlip;
+    r.approach = !input.approach.empty()
+                     ? core::approach_from_string(input.approach)
+                 : weight_bits ? core::Approach::DataAware
+                               : core::Approach::LayerWise;
+    if (r.error_margin <= 0 || r.error_margin >= 1)
+        fail("'margin' must be in (0,1)");
+    if (r.confidence <= 0 || r.confidence >= 1)
+        fail("'confidence' must be in (0,1)");
+    if (r.images <= 0) fail("'images' must be positive");
+    return r;
+}
 
 const char* to_string(CampaignKind kind) noexcept {
     switch (kind) {

@@ -26,6 +26,7 @@
 // campaign identity that every shard-result artifact must carry back.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,32 @@ struct CampaignRecipe {
     fault::MitigationConfig mitigation;
 };
 
+/// What a recipe's item space enumerates: a census for the exhaustive
+/// approach, a drawn sample for every other. Every run path (`statfi
+/// campaign`, `shard run`, the daemon's shards) branches on this.
+CampaignKind campaign_kind(const CampaignRecipe& recipe) noexcept;
+
+/// A recipe as a front end reads it (the CLI's flags, a service
+/// submission): the typed fields plus the spellings make_recipe parses.
+struct RecipeInput {
+    CampaignRecipe recipe;  ///< approach, fault_model, policy are replaced
+    /// Empty: data-aware, or layer-wise for fault models without single-bit
+    /// weight strata (activation, mbu), which data-aware cannot plan.
+    std::string approach;
+    std::string fault_model = "stuck-at";  ///< stuck-at|flip|mbu[-kN]|activation
+    std::optional<std::int64_t> mbu_k;     ///< overrides the mbu spelling's k
+    std::string policy = "any";            ///< any|golden|drop
+};
+
+/// The recipe rules every front end shares: parse the spellings, fill the
+/// default approach, and refuse an unknown model or an out-of-range value.
+/// @throws std::invalid_argument naming the first violated rule.
+CampaignRecipe make_recipe(RecipeInput input);
+
+/// The canonical spelling of a classification policy (any|golden|drop),
+/// the one make_recipe parses.
+const char* policy_name(core::ClassificationPolicy policy) noexcept;
+
 /// One shard's contiguous slice [begin, end) of the item space.
 struct ShardRange {
     std::uint64_t begin = 0;
@@ -86,9 +113,7 @@ struct ShardManifest {
     std::vector<ShardRange> shards;
 
     [[nodiscard]] CampaignKind kind() const noexcept {
-        return recipe.approach == core::Approach::Exhaustive
-                   ? CampaignKind::Census
-                   : CampaignKind::Statistical;
+        return campaign_kind(recipe);
     }
 
     /// CRC32 of the serialized payload — the identity shard results carry so

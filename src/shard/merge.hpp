@@ -26,14 +26,15 @@
 
 namespace statfi::shard {
 
-/// A merged campaign: exactly one of the two payloads is meaningful,
-/// selected by `kind`.
+/// A campaign's outcomes, merged from shards or classified directly
+/// (run_range): exactly one of the two payloads is meaningful, selected by
+/// `kind`.
 struct MergedCampaign {
     CampaignKind kind = CampaignKind::Census;
-    /// Census: the reassembled dense outcome table (size item_count).
+    /// Census: the dense outcome table over the whole universe.
     core::ExhaustiveOutcomes outcomes;
-    /// Statistical: pooled subpopulation tallies (wall_seconds is zero — the
-    /// merger does no inference).
+    /// Statistical: the subpopulation tallies (a merge's wall_seconds is
+    /// zero — the merger does no inference).
     core::CampaignResult result;
 
     /// Critical items across the whole campaign.

@@ -2,11 +2,34 @@
 
 #include <filesystem>
 
-#include "core/convergence.hpp"
-#include "shard/fixture.hpp"
-#include "shard/merge.hpp"
+#include "shard/result.hpp"
 
 namespace statfi::shard {
+
+RangeRun run_range(const CampaignRecipe& recipe, const core::CampaignPlan& plan,
+                   const CampaignFixture& fx, core::CampaignEngine& engine,
+                   core::DurabilityOptions durability,
+                   const core::ProgressFn& progress) {
+    durability.model_id = recipe.model;
+    RangeRun run;
+    run.campaign.kind = campaign_kind(recipe);
+    if (run.campaign.kind == CampaignKind::Census) {
+        // Streams the universe: no fault is materialized.
+        core::ExhaustiveRun census =
+            engine.run_exhaustive_durable(fx.universe, durability, progress);
+        static_cast<core::RunStatus&>(run) = census;
+        run.campaign.outcomes = std::move(census.outcomes);
+    } else {
+        run.items = core::draw_plan(fx.universe, plan,
+                                    stats::Rng(recipe.seed).fork("campaign"));
+        core::StatisticalRun sample = engine.run_durable(
+            fx.universe, plan, run.items, durability, progress);
+        static_cast<core::RunStatus&>(run) = sample;
+        run.campaign.result = std::move(sample.result);
+        run.outcomes = std::move(sample.outcomes);
+    }
+    return run;
+}
 
 ShardRunReport run_shard(const ShardManifest& manifest,
                          const std::string& manifest_path,
@@ -57,70 +80,35 @@ ShardRunReport run_shard(const ShardManifest& manifest,
 
     if (!options.resume) std::filesystem::remove(report.journal_path);
 
+    core::DurabilityOptions durability;
+    durability.journal_path = report.journal_path;
+    durability.cancel = options.cancel;
+    durability.range_begin = range.begin;
+    durability.range_end = range.end;
+    RangeRun run = run_range(manifest.recipe, manifest.plan, fx, engine,
+                             durability, options.progress);
+    static_cast<core::RunStatus&>(report) = run;
+    if (!run.complete) {
+        emit_shard_end();
+        return report;
+    }
+    report.critical = run.campaign.critical();
+
     ShardResult result;
     result.manifest_crc = manifest.crc();
     result.shard_id = options.shard;
     result.kind = manifest.kind();
     result.range = range;
-
-    if (manifest.kind() == CampaignKind::Census) {
-        core::DurabilityOptions durability;
-        durability.journal_path = report.journal_path;
-        durability.model_id = manifest.recipe.model;
-        durability.cancel = options.cancel;
-        durability.range_begin = range.begin;
-        durability.range_end = range.end;
-        const core::ExhaustiveRun run =
-            engine.run_exhaustive_durable(fx.universe, durability,
-                                          options.progress);
-        report.complete = run.complete;
-        report.resumed = run.resumed;
-        report.classified = run.classified;
-        if (!run.complete) {
-            emit_shard_end();
-            return report;
-        }
-        result.outcomes.resize(range.size());
-        for (std::uint64_t i = 0; i < range.size(); ++i)
-            result.outcomes[i] =
-                static_cast<std::uint8_t>(run.outcomes.at(range.begin + i));
-        report.critical = run.outcomes.critical_count(range.begin, range.end);
+    if (result.kind == CampaignKind::Census) {
+        const auto bytes = run.campaign.outcomes.bytes();
+        result.outcomes.assign(bytes.begin() + range.begin,
+                               bytes.begin() + range.end);
     } else {
-        const std::vector<core::DrawnFault> items = core::draw_plan(
-            fx.universe, manifest.plan,
-            stats::Rng(manifest.recipe.seed).fork("campaign"));
-        if (items.size() != manifest.item_count)
-            throw std::runtime_error(
-                "shard runner: drew " + std::to_string(items.size()) +
-                " items but the manifest promises " +
-                std::to_string(manifest.item_count) +
-                " — plan/draw divergence");
-        // The engine's durable statistical path: journaled ITEM indices
-        // under the item-space fingerprint, range-restricted to this slice.
-        core::DurabilityOptions durability;
-        durability.journal_path = report.journal_path;
-        durability.model_id = manifest.recipe.model;
-        durability.cancel = options.cancel;
-        durability.range_begin = range.begin;
-        durability.range_end = range.end;
-        core::StatisticalRun run = engine.run_durable(
-            fx.universe, manifest.plan, items, durability, options.progress);
-        report.complete = run.complete;
-        report.resumed = run.resumed;
-        report.classified = run.classified;
         result.outcomes = std::move(run.outcomes);
-        if (!report.complete) {
-            emit_shard_end();
-            return report;
-        }
-        for (const std::uint8_t o : result.outcomes)
-            if (static_cast<core::FaultOutcome>(o) ==
-                core::FaultOutcome::Critical)
-                ++report.critical;
         result.subpops.resize(range.size());
         result.layers.resize(range.size());
         for (std::uint64_t i = 0; i < range.size(); ++i) {
-            const auto& item = items[range.begin + i];
+            const auto& item = run.items[range.begin + i];
             result.subpops[i] = static_cast<std::uint32_t>(item.subpop);
             result.layers[i] = item.fault.layer;
         }

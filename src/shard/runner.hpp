@@ -1,7 +1,12 @@
 #pragma once
-// Shard runner: execute ONE shard of a manifest in this process, durably.
+// Range runner and shard runner.
 //
-// The runner rebuilds the campaign fixture from the manifest's recipe,
+// run_range classifies an item range of a recipe's campaign on a caller's
+// engine, census or sample: the one census-or-sample branch, run over the
+// full range by `statfi campaign` and over one slice by run_shard.
+//
+// run_shard executes ONE shard of a manifest in this process, durably. It
+// rebuilds the campaign fixture from the manifest's recipe,
 // proves the rebuild matches by comparing campaign fingerprints, and then
 // classifies its item slice through the ordinary CampaignEngine — so it
 // inherits the engine's checkpoint/resume journal, cooperative
@@ -18,12 +23,37 @@
 
 #include <string>
 
-#include "core/outcome.hpp"
+#include "core/engine.hpp"
+#include "shard/fixture.hpp"
 #include "shard/manifest.hpp"
-#include "shard/result.hpp"
+#include "shard/merge.hpp"
 #include "telemetry/session.hpp"
 
 namespace statfi::shard {
+
+/// One classified item range of a recipe's campaign: how far the run got,
+/// and its outcomes as a merge holds them.
+struct RangeRun : core::RunStatus {
+    /// Census: the universe-sized outcome table, the range's slots filled.
+    /// Sample: the tallies of the range's classified items.
+    MergedCampaign campaign;
+    /// Sample only: the whole drawn sample in canonical item order, and the
+    /// range's per-item outcome bytes (what a shard result records).
+    std::vector<core::DrawnFault> items;
+    std::vector<std::uint8_t> outcomes;
+};
+
+/// Classify items [durability.range_begin, range_end) of @p recipe's
+/// campaign on @p engine: fault indices of @p fx's universe for a census,
+/// else the sample core::draw_plan draws from @p plan with the recipe's
+/// seed. The one place a run chooses between the two (campaign_kind):
+/// `statfi campaign` runs the full range, `run_shard` its slice. The
+/// journal is fingerprinted with the recipe's model, whatever
+/// durability.model_id says.
+RangeRun run_range(const CampaignRecipe& recipe, const core::CampaignPlan& plan,
+                   const CampaignFixture& fx, core::CampaignEngine& engine,
+                   core::DurabilityOptions durability,
+                   const core::ProgressFn& progress = {});
 
 struct ShardRunOptions {
     std::uint32_t shard = 0;
@@ -36,10 +66,8 @@ struct ShardRunOptions {
     telemetry::Session* telemetry = nullptr;
 };
 
-struct ShardRunReport {
-    bool complete = false;
-    std::uint64_t resumed = 0;     ///< items replayed from the journal
-    std::uint64_t classified = 0;  ///< items classified by this run
+/// How far the shard got (complete / resumed / classified items).
+struct ShardRunReport : core::RunStatus {
     std::uint64_t critical = 0;    ///< Critical outcomes in this shard's slice
     std::string result_path;       ///< written artifact (complete runs only)
     std::string journal_path;      ///< checkpoint journal (interrupted runs)

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "models/micronet.hpp"
@@ -159,6 +160,26 @@ TEST(DataAware, AnalyzeNetworkPoolsAllWeights) {
     for (int i = 0; i < 32; ++i)
         EXPECT_DOUBLE_EQ(crit.p[static_cast<std::size_t>(i)],
                          manual.p[static_cast<std::size_t>(i)]);
+}
+
+TEST(DataAware, Int8AnalysisScalePrefersDeployedStoreScales) {
+    auto net = models::make_micronet();
+    stats::Rng rng(77);
+    nn::init_network_kaiming(net, rng);
+    // A deployed QuantizedStore's per-tensor scales are authoritative: the
+    // network-wide scale is their maximum, whatever the weights hold.
+    const std::vector<fault::QuantParams> store{{0.02f, 0}, {0.05f, 0},
+                                                {0.03f, 0}};
+    EXPECT_EQ(int8_analysis_scale(net, store), 0.05f);
+    // Without a store the scale is max|w| / 127 over every weight tensor.
+    float max_abs = 0.0f;
+    for (auto& ref : net.weight_layers())
+        max_abs = std::max(max_abs, ref.weight->max_abs());
+    ASSERT_GT(max_abs, 0.0f);
+    EXPECT_EQ(int8_analysis_scale(net, {}), max_abs / 127.0f);
+    // A zero store scale falls back to scale 1.
+    const std::vector<fault::QuantParams> zero{{0.0f, 0}};
+    EXPECT_EQ(int8_analysis_scale(net, zero), 1.0f);
 }
 
 TEST(DataAware, SingleWeightDegenerateCase) {

@@ -166,10 +166,21 @@ TEST(RecipeJson, RejectsOutOfRangeValues) {
     expect_rejected(R"({"model":"micronet","images":0})", "images");
     expect_rejected(R"({"model":"micronet","fault_model":"mbu","mbu_k":1})",
                     "mbu_k");
+    expect_rejected(R"({"model":"micronet","fault_model":"mbu-k20"})",
+                    "mbu_k");
     expect_rejected(R"({"model":"micronet","shards":5000})", "shards");
     expect_rejected(R"({"model":"nonexistent-net"})", "unknown model");
     expect_rejected(R"({"model":"micronet","policy":"whenever"})", "policy");
     expect_rejected(R"({"model":"micronet","dtype":"fp64"})", "unknown format");
+}
+
+TEST(RecipeJson, MbuKAppliesToTheMbuFaultModelOnly) {
+    expect_rejected(R"({"model":"micronet","fault_model":"flip","mbu_k":3})",
+                    "mbu_k");
+    EXPECT_EQ(parse_submission(
+                  R"({"model":"micronet","fault_model":"mbu-k4","mbu_k":3})")
+                  .recipe.fault_model.mbu_k,
+              3);
 }
 
 // --- "format" / "dtype" aliasing -------------------------------------------

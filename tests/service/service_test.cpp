@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -23,6 +24,8 @@
 #include "shard/fixture.hpp"
 #include "shard/manifest.hpp"
 #include "shard/merge.hpp"
+#include "shard/runner.hpp"
+#include "shard/summary.hpp"
 
 namespace statfi::service {
 namespace {
@@ -150,12 +153,17 @@ TEST_F(ServiceTest, CensusOutcomesAreBitIdenticalToDirectRun) {
     EXPECT_FALSE(done.get_bool("cache_hit"));
     EXPECT_GT(done.get_uint("classified"), 0u);
 
-    // The same recipe, run directly through the engine in this process —
-    // the service must not have perturbed a single outcome.
+    // The same recipe, run directly in this process the way `statfi
+    // campaign` runs it — the service must not have perturbed a single
+    // outcome.
     const Submission sub = parse_submission(kCensusRecipe);
     auto fx = shard::build_fixture(sub.recipe);
     core::CampaignEngine engine(fx.net, fx.eval, fx.config);
-    const auto direct = engine.run_exhaustive_durable(fx.universe, {}).outcomes;
+    const shard::MergedCampaign direct_run =
+        shard::run_range(sub.recipe, core::plan_exhaustive(fx.universe), fx,
+                         engine, {})
+            .campaign;
+    const core::ExhaustiveOutcomes& direct = direct_run.outcomes;
 
     const std::string cache_dir = daemon.cache().dir_of(fingerprint);
     const auto served =
@@ -169,8 +177,13 @@ TEST_F(ServiceTest, CensusOutcomesAreBitIdenticalToDirectRun) {
                                          "/report.html"))
                   .find("observatory"),
               std::string::npos);
-    const auto result = body_json(
+    const std::string result_json = http_body(
         http_get(port, "/campaigns/" + std::to_string(id) + "/result.json"));
+    std::ostringstream direct_summary;
+    shard::write_summary_json(
+        direct_summary, shard::summarize(sub.recipe, fx.universe, direct_run));
+    EXPECT_EQ(result_json, direct_summary.str());
+    const auto result = report::parse_json(result_json);
     EXPECT_EQ(result.get_str("model"), "micronet");
     EXPECT_EQ(result.get_uint("total_injected"), direct.size());
     EXPECT_EQ(result.get_uint("total_critical"),

@@ -12,6 +12,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <thread>
 
 #include "core/engine.hpp"
@@ -21,6 +22,7 @@
 #include "shard/merge.hpp"
 #include "shard/result.hpp"
 #include "shard/runner.hpp"
+#include "shard/summary.hpp"
 
 namespace statfi::shard {
 namespace {
@@ -51,31 +53,34 @@ CampaignRecipe statistical_recipe(core::Approach approach) {
 /// What `statfi shard plan` does, in-process.
 ShardManifest make_manifest(const CampaignRecipe& recipe,
                             std::uint32_t shards) {
-    auto fx = build_fixture(recipe);
-    core::CampaignEngine engine(fx.net, fx.eval, fx.config);
-    ShardManifest manifest;
-    manifest.recipe = recipe;
-    manifest.fingerprint = engine.fingerprint(fx.universe, recipe.model);
-    manifest.layer_count =
-        static_cast<std::uint32_t>(fx.universe.layer_count());
-    if (recipe.approach == core::Approach::Exhaustive) {
-        manifest.plan.approach = core::Approach::Exhaustive;
-        manifest.item_count = fx.universe.total();
-    } else {
-        manifest.plan = engine.plan(fx.universe, campaign_spec(recipe));
-        manifest.item_count = manifest.plan.total_sample_size();
-    }
+    ShardManifest manifest = freeze_manifest(recipe, build_fixture(recipe));
     manifest.shards = partition_items(manifest.item_count, shards);
     return manifest;
 }
 
+/// What `statfi campaign` does, in-process: the recipe's full item range
+/// on one fixture and one engine.
+MergedCampaign run_direct(const CampaignRecipe& recipe) {
+    auto fx = build_fixture(recipe);
+    core::CampaignEngine engine(fx.net, fx.eval, fx.config);
+    const core::CampaignPlan plan =
+        engine.plan(fx.universe, campaign_spec(recipe));
+    return run_range(recipe, plan, fx, engine, {}).campaign;
+}
+
+/// The summary document (the daemon's result.json) of @p campaign.
+std::string summary_json(const CampaignRecipe& recipe,
+                         const MergedCampaign& campaign) {
+    std::ostringstream out;
+    write_summary_json(out,
+                       summarize(recipe, build_fixture(recipe).universe,
+                                 campaign));
+    return out.str();
+}
+
 /// The unsharded census this whole suite compares against — computed once.
-const core::ExhaustiveOutcomes& reference_census() {
-    static const core::ExhaustiveOutcomes truth = [] {
-        auto fx = build_fixture(census_recipe());
-        core::CampaignEngine engine(fx.net, fx.eval, fx.config);
-        return engine.run_exhaustive_durable(fx.universe, {}).outcomes;
-    }();
+const MergedCampaign& reference_census() {
+    static const MergedCampaign truth = run_direct(census_recipe());
     return truth;
 }
 
@@ -196,11 +201,14 @@ TEST_F(ShardTest, ManifestValidateRefusesGapsAndOverlaps) {
 // --- census bit-identity ---------------------------------------------------
 
 TEST_F(ShardTest, MergedCensusIsBitIdenticalForEveryShardCount) {
+    const std::string direct =
+        summary_json(census_recipe(), reference_census());
     for (const std::uint32_t shards : {1u, 2u, 4u}) {
         SCOPED_TRACE("shards = " + std::to_string(shards));
         const MergedCampaign merged = run_sharded(census_recipe(), shards);
         ASSERT_EQ(merged.kind, CampaignKind::Census);
-        expect_identical(merged.outcomes, reference_census());
+        expect_identical(merged.outcomes, reference_census().outcomes);
+        EXPECT_EQ(summary_json(census_recipe(), merged), direct);
     }
 }
 
@@ -283,7 +291,7 @@ TEST_F(ShardTest, InterruptedCensusShardResumesToIdenticalMerge) {
     ASSERT_TRUE(run_shard(manifest, manifest_path_, rest).complete);
 
     const MergedCampaign merged = merge_shards(manifest, manifest_path_);
-    expect_identical(merged.outcomes, reference_census());
+    expect_identical(merged.outcomes, reference_census().outcomes);
 }
 
 // --- statistical identity --------------------------------------------------
@@ -294,16 +302,13 @@ TEST_F(ShardTest, MergedStatisticalCampaignMatchesDirectRun) {
           core::Approach::DataUnaware}) {
         SCOPED_TRACE(core::to_string(approach));
         const CampaignRecipe recipe = statistical_recipe(approach);
-
-        auto fx = build_fixture(recipe);
-        core::CampaignEngine engine(fx.net, fx.eval, fx.config);
-        const auto plan = engine.plan(fx.universe, campaign_spec(recipe));
-        const auto direct = engine.run(
-            fx.universe, plan, stats::Rng(recipe.seed).fork("campaign"));
+        const MergedCampaign direct = run_direct(recipe);
+        ASSERT_EQ(direct.kind, CampaignKind::Statistical);
 
         const MergedCampaign merged = run_sharded(recipe, 3);
         ASSERT_EQ(merged.kind, CampaignKind::Statistical);
-        expect_same_result(merged.result, direct);
+        expect_same_result(merged.result, direct.result);
+        EXPECT_EQ(summary_json(recipe, merged), summary_json(recipe, direct));
     }
 }
 

@@ -76,6 +76,34 @@ TEST(JournalTelemetry, StatisticalRunObservesFlushLatency) {
     EXPECT_EQ(latency->count, flushes->counter);
 }
 
+TEST(JournalTelemetry, FreshJournalIsNoRecovery) {
+    // A journal path with no file behind it is a fresh start: nothing was
+    // recovered, so there is neither an event nor a stderr note.
+    auto fx = Fixture::make();
+    DurabilityOptions options;
+    options.journal_path = journal_path("fresh.sfij");
+    options.model_id = "micronet";
+    options.range_end = 512;
+
+    std::ostringstream log;
+    telemetry::Session session;
+    session.attach_event_log(log);
+    CampaignHeaderInfo header;
+    header.command = "exhaustive";
+    header.model = "micronet";
+    emit_campaign_header(*session.events(), header);
+    CampaignEngine engine(fx.net, fx.eval, fx.config, 1, &session);
+    testing::internal::CaptureStderr();
+    const auto run = engine.run_exhaustive_durable(fx.universe, options);
+    const std::string err = testing::internal::GetCapturedStderr();
+    std::filesystem::remove(options.journal_path);
+    EXPECT_TRUE(run.complete);
+    EXPECT_EQ(run.resumed, 0u);
+
+    EXPECT_EQ(log.str().find("journal_recovered"), std::string::npos);
+    EXPECT_EQ(err.find("journal"), std::string::npos) << err;
+}
+
 TEST(JournalTelemetry, TornJournalEmitsJournalRecovered) {
     auto fx = Fixture::make();
     DurabilityOptions options;

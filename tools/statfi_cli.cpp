@@ -7,9 +7,8 @@
 //   statfi campaign --model <name> --approach <a> [--margin E] [--confidence C]
 //                   [--images N] [--policy any|golden|drop] [--train]
 //                   [--dtype T] [--seed S] [--threads N] [--json]
-//   statfi exhaustive --model <name> [--images N] [--policy ...] [--train]
-//                     [--resume] [--journal PATH] [--threads N] [--json]
-//                     [--out PATH]
+//                   [--resume] [--journal PATH] [--out PATH (census only)]
+//   statfi exhaustive ...   (= campaign --approach exhaustive)
 //   statfi shard plan    --manifest PATH --shards N --model <name>
 //                        --approach <a> [campaign options]
 //   statfi shard run     --manifest PATH --shard K [--resume] [--threads N]
@@ -31,10 +30,10 @@
 // per (model, seed) under $STATFI_CACHE_DIR (default .statfi_cache), which
 // also holds the default checkpoint journals.
 //
-// Durability: `exhaustive` and `shard run` journal every classified fault to
-// a checkpoint file. Ctrl-C flushes the journal and exits cleanly; rerunning
-// with --resume continues from the last valid record and produces outcomes
-// bit-identical to an uninterrupted run.
+// Durability: `campaign` (census or sample) and `shard run` journal every
+// classified item to a checkpoint file. Ctrl-C flushes the journal and
+// exits cleanly; rerunning with --resume continues from the last valid
+// record and produces outcomes bit-identical to an uninterrupted run.
 //
 // Scale-out: `shard plan` freezes a campaign (recipe + fingerprint + plan +
 // contiguous item ranges) into a checksummed manifest; `shard run` executes
@@ -98,7 +97,6 @@
 #include "core/convergence.hpp"
 #include "core/data_aware.hpp"
 #include "core/engine.hpp"
-#include "core/estimator.hpp"
 #include "data/synthetic.hpp"
 #include "formats/format.hpp"
 #include "io/atomic_file.hpp"
@@ -116,6 +114,7 @@
 #include "shard/manifest.hpp"
 #include "shard/merge.hpp"
 #include "shard/runner.hpp"
+#include "shard/summary.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/history.hpp"
 #include "telemetry/http.hpp"
@@ -134,11 +133,10 @@ struct Options {
     std::string command;
     std::string subcommand;  ///< for `shard`: plan|run|run-all|merge
     std::string model = "micronet";
-    std::string approach = "data-aware";
-    bool approach_set = false;  ///< --approach given explicitly
+    std::string approach;  ///< "" = the fault model's default (make_recipe)
     /// stuck-at | flip | mbu[-kN] | activation (fault::fault_model_from_string)
     std::string fault_model = "stuck-at";
-    int mbu_k = 0;  ///< --mbu-k override; 0 = the spec's own k
+    std::optional<std::int64_t> mbu_k;  ///< --mbu-k: overrides mbu-kN's k
     std::vector<std::string> clips;  ///< raw --clip NODE:LO:HI rules
     std::vector<std::string> tmrs;   ///< raw --tmr LAYER rules
     double margin = 0.01;
@@ -152,7 +150,7 @@ struct Options {
     std::string journal;    ///< override the default journal path
     std::size_t threads = 1;  ///< campaign/exhaustive workers (0 = all cores)
     bool json = false;      ///< machine-readable stdout, humans on stderr
-    std::string out;        ///< exhaustive/merge: write the outcome table here
+    std::string out;        ///< census runs/merges: write the outcome table here
     std::string manifest;   ///< shard commands: manifest path
     std::uint32_t shards = 0;  ///< shard plan: number of shards
     std::uint32_t shard = 0;   ///< shard run: which shard
@@ -189,6 +187,7 @@ struct Options {
         "  activation                  transient activation-flip campaign\n"
         "                              (campaign --fault-model activation)\n"
         "  exhaustive                  run the exhaustive census\n"
+        "                              (campaign --approach exhaustive)\n"
         "  shard plan                  write a shard manifest for a campaign\n"
         "  shard run                   run one shard of a manifest\n"
         "  shard run-all               run all shards as local subprocesses\n"
@@ -250,8 +249,8 @@ struct Options {
         "                              cache directory)\n"
         "  --json                      one JSON document on stdout; all human\n"
         "                              output and progress on stderr\n"
-        "  --out PATH                  exhaustive/shard merge: save the dense\n"
-        "                              outcome table (census) to PATH\n"
+        "  --out PATH                  census runs and census merges: save\n"
+        "                              the dense outcome table to PATH\n"
         "  --manifest PATH             shard commands: the manifest artifact\n"
         "  --shards N                  shard plan: partition into N shards\n"
         "  --shard K                   shard run: which shard to execute\n"
@@ -308,13 +307,6 @@ fault::DataType parse_dtype(const std::string& s) {
     }
 }
 
-core::ClassificationPolicy parse_policy(const std::string& s) {
-    if (s == "any") return core::ClassificationPolicy::AnyMisprediction;
-    if (s == "golden") return core::ClassificationPolicy::GoldenMismatch;
-    if (s == "drop") return core::ClassificationPolicy::AccuracyDrop;
-    usage("unknown policy '" + s + "'");
-}
-
 Options parse(int argc, char** argv) {
     if (argc < 2) usage();
     Options opt;
@@ -344,12 +336,9 @@ Options parse(int argc, char** argv) {
             continue;
         }
         if (flag == "--model") opt.model = value();
-        else if (flag == "--approach") {
-            opt.approach = value();
-            opt.approach_set = true;
-        }
+        else if (flag == "--approach") opt.approach = value();
         else if (flag == "--fault-model") opt.fault_model = value();
-        else if (flag == "--mbu-k") opt.mbu_k = std::atoi(value().c_str());
+        else if (flag == "--mbu-k") opt.mbu_k = std::atoll(value().c_str());
         else if (flag == "--clip") opt.clips.push_back(value());
         else if (flag == "--tmr") opt.tmrs.push_back(value());
         else if (flag == "--margin") opt.margin = std::atof(value().c_str());
@@ -410,15 +399,13 @@ Options parse(int argc, char** argv) {
         }
         else usage("unknown flag '" + flag + "'");
     }
-    if (opt.margin <= 0 || opt.margin >= 1) usage("--margin must be in (0,1)");
-    if (opt.confidence <= 0 || opt.confidence >= 1)
-        usage("--confidence must be in (0,1)");
-    if (opt.images <= 0) usage("--images must be positive");
     if (opt.serve_status >= 0 && opt.log_out.empty())
         usage("--serve-status needs --log-out PATH: /status is a view of "
               "that event log");
-    // `statfi activation` is `statfi campaign --fault-model activation`.
+    // `statfi activation` is `statfi campaign --fault-model activation`, and
+    // `statfi exhaustive` is `statfi campaign --approach exhaustive`.
     if (opt.command == "activation") opt.fault_model = "activation";
+    if (opt.command == "exhaustive") opt.approach = "exhaustive";
     // Resolve the kernel backend before any fixture or worker exists; a
     // bad name (or "native" on a CPU without SIMD) is a usage error.
     if (!opt.kernels.empty()) {
@@ -428,12 +415,6 @@ Options parse(int argc, char** argv) {
             usage(e.what());
         }
     }
-    // Data-aware planning needs single-bit weight strata; when the fault
-    // model has none and the user did not pick an approach, fall back to
-    // the layer-wise planner instead of erroring on the default.
-    if (!opt.approach_set && (opt.fault_model == "activation" ||
-                              opt.fault_model.rfind("mbu", 0) == 0))
-        opt.approach = "layer-wise";
     return opt;
 }
 
@@ -568,30 +549,19 @@ void close_observatory(const Options& opt, Observatory& obs, bool complete,
 /// direct commands AND the shard planner both build from, so a sharded run
 /// can never quietly diverge from `statfi campaign` / `statfi exhaustive`.
 shard::CampaignRecipe recipe_from(const Options& opt) {
-    shard::CampaignRecipe recipe;
+    shard::RecipeInput input;
+    shard::CampaignRecipe& recipe = input.recipe;
     recipe.model = opt.model;
-    try {
-        recipe.approach = core::approach_from_string(opt.approach);
-    } catch (const std::invalid_argument& e) {
-        usage(e.what());
-    }
     recipe.error_margin = opt.margin;
     recipe.confidence = opt.confidence;
     recipe.images = opt.images;
-    recipe.policy = parse_policy(opt.policy);
     recipe.train = opt.train;
     recipe.dtype = opt.dtype;
     recipe.seed = opt.seed;
-    try {
-        recipe.fault_model = fault::fault_model_from_string(opt.fault_model);
-    } catch (const std::invalid_argument& e) {
-        usage(e.what());
-    }
-    if (opt.mbu_k != 0) {
-        if (recipe.fault_model.kind != fault::FaultModelKind::MultiBitUpset)
-            usage("--mbu-k applies to --fault-model mbu only");
-        recipe.fault_model.mbu_k = opt.mbu_k;
-    }
+    input.approach = opt.approach;
+    input.fault_model = opt.fault_model;
+    input.mbu_k = opt.mbu_k;
+    input.policy = opt.policy;
     for (const std::string& raw : opt.clips) {
         // NODE:LO:HI, split from the right so LO may be negative.
         const auto last = raw.rfind(':');
@@ -611,16 +581,24 @@ shard::CampaignRecipe recipe_from(const Options& opt) {
     }
     for (const std::string& layer : opt.tmrs)
         recipe.mitigation.tmr.push_back(fault::TmrRule{layer});
-    return recipe;
+    try {
+        return shard::make_recipe(std::move(input));
+    } catch (const std::invalid_argument& e) {
+        usage(e.what());
+    }
 }
 
 /// The checkpoint journal of a direct campaign: --journal, else one named
 /// by the campaign it holds (the daemon's recipe fingerprint covers every
-/// recipe field), so two campaigns never share a default journal.
-std::string journal_path(const Options& opt, const std::string& command,
+/// recipe field), so two campaigns never share a default journal and every
+/// spelling of one census resumes it.
+std::string journal_path(const Options& opt,
                          const shard::CampaignRecipe& recipe) {
     if (!opt.journal.empty()) return opt.journal;
-    return shard::cache_directory() + "/cli_" + command + "_" +
+    const bool census =
+        shard::campaign_kind(recipe) == shard::CampaignKind::Census;
+    return shard::cache_directory() + "/cli_" +
+           (census ? "exhaustive_" : "campaign_") +
            service::recipe_fingerprint(recipe) + ".sfij";
 }
 
@@ -636,33 +614,15 @@ int cmd_models() {
     return 0;
 }
 
-core::DataAwareConfig data_aware_config(const Options& opt,
-                                        shard::CampaignFixture& fx) {
-    core::DataAwareConfig config;
-    config.dtype = opt.dtype;
-    if (opt.dtype == fault::DataType::Int8) {
-        if (!fx.config.layer_quant.empty()) {
-            // The fixture deployed a QuantizedStore: its scales are
-            // authoritative (the weights are already quantized).
-            float scale = 0.0f;
-            for (const auto& qp : fx.config.layer_quant)
-                scale = std::max(scale, qp.scale);
-            config.quant.scale = scale > 0 ? scale : 1.0f;
-        } else {
-            float max_abs = 0.0f;
-            for (auto& ref : fx.net.weight_layers())
-                max_abs = std::max(max_abs, ref.weight->max_abs());
-            config.quant.scale = max_abs > 0 ? max_abs / 127.0f : 1.0f;
-        }
-    }
-    return config;
-}
-
 int cmd_profile(const Options& opt) {
     auto recipe = recipe_from(opt);
     auto fx = shard::build_fixture(recipe);
-    const auto crit =
-        core::analyze_network(fx.net, data_aware_config(opt, fx));
+    core::DataAwareConfig config;
+    config.dtype = recipe.dtype;
+    if (recipe.dtype == fault::DataType::Int8)
+        config.quant.scale =
+            core::int8_analysis_scale(fx.net, fx.config.layer_quant);
+    const auto crit = core::analyze_network(fx.net, config);
     report::Table table({"Bit", "f1 [%]", "Davg", "p(i)"});
     for (int bit = crit.bits() - 1; bit >= 0; --bit) {
         const auto i = static_cast<std::size_t>(bit);
@@ -691,9 +651,9 @@ int cmd_plan(const Options& opt) {
                    report::fmt_u64(plan.total_sample_size())});
     table.print(std::cout);
     std::cout << "\n" << core::to_string(plan.approach) << " @ e="
-              << report::fmt_percent(opt.margin, 1) << "%, conf="
-              << report::fmt_percent(opt.confidence, 0) << "%, dtype="
-              << fault::to_string(opt.dtype) << ": injects "
+              << report::fmt_percent(recipe.error_margin, 1) << "%, conf="
+              << report::fmt_percent(recipe.confidence, 0) << "%, dtype="
+              << fault::to_string(recipe.dtype) << ": injects "
               << report::fmt_percent(
                      static_cast<double>(plan.total_sample_size()) /
                          static_cast<double>(fx.universe.total()),
@@ -702,260 +662,167 @@ int cmd_plan(const Options& opt) {
     return 0;
 }
 
-void print_estimates(std::ostream& out, const fault::FaultUniverse& universe,
-                     const core::CampaignResult& result, double confidence) {
-    core::EstimatorConfig est_config;
-    est_config.confidence = confidence;
-    const auto network = core::estimate_network(universe, result, est_config);
-    out << "\nnetwork critical-fault rate: "
-        << report::fmt_percent(network.rate, 3) << "% +- "
-        << report::fmt_percent(network.margin, 3) << "%\n\n";
+/// What a run adds to its summary in the --json document (a merge adds
+/// zeros: it runs no engine).
+struct RunFacts {
+    double golden_accuracy = 0.0;
+    bool interrupted = false;
+    double wall_seconds = 0.0;
+    std::uint64_t resumed = 0;
+    std::uint64_t classified = 0;
+};
+
+/// The human tables of a summary: the network rate, then one row per layer.
+void print_summary(std::ostream& out, const shard::CampaignSummary& s) {
+    if (s.kind == shard::CampaignKind::Census) {
+        out << "critical rate: " << report::fmt_percent(s.rate, 4) << "%\n\n";
+        report::Table table({"Layer", "Name", "Critical [%]"});
+        for (const auto& l : s.layers)
+            table.add_row({std::to_string(l.layer), l.name,
+                           report::fmt_percent(l.rate, 4)});
+        table.print(out);
+        return;
+    }
+    out << "\nnetwork critical-fault rate: " << report::fmt_percent(s.rate, 3)
+        << "% +- " << report::fmt_percent(s.margin, 3) << "%\n\n";
     report::Table table({"Layer", "Name", "Critical [%]", "Margin [%]", "FIs"});
-    for (const auto& le : core::estimate_layers(universe, result, est_config))
-        table.add_row({std::to_string(le.layer), universe.layer(le.layer).name,
-                       report::fmt_percent(le.estimate.rate, 3),
-                       report::fmt_percent(le.estimate.margin, 3),
-                       report::fmt_u64(le.estimate.injected)});
+    for (const auto& l : s.layers)
+        table.add_row({std::to_string(l.layer), l.name,
+                       report::fmt_percent(l.rate, 3),
+                       report::fmt_percent(l.margin, 3),
+                       report::fmt_u64(l.injected)});
     table.print(out);
 }
 
-/// The statistical-campaign JSON document (campaign and shard merge).
-void emit_campaign_json(const shard::CampaignRecipe& recipe,
-                        const char* command,
-                        const fault::FaultUniverse& universe,
-                        const core::CampaignResult& result,
-                        double golden_accuracy) {
-    core::EstimatorConfig est_config;
-    est_config.confidence = recipe.confidence;
-    const auto network = core::estimate_network(universe, result, est_config);
+/// The result of a campaign or a merge: under --json one document on
+/// stdout, the run's own fields and then the summary; else its tables.
+void print_result(const Options& opt, const std::string& command,
+                  const shard::CampaignSummary& summary, const RunFacts& run) {
+    if (!opt.json) {
+        print_summary(std::cout, summary);
+        return;
+    }
     report::JsonWriter json(std::cout);
     json.begin_object()
         .field("command", command)
-        .field("model", recipe.model)
-        .field("approach", core::to_string(result.approach))
-        .field("fault_model", recipe.fault_model.describe())
-        .field("mitigation", recipe.mitigation.describe())
         .field("kernels", kernels::active().name)
-        .field("dtype", fault::to_string(recipe.dtype))
-        .field("format", fault::to_string(recipe.dtype))
-        .field("policy", core::to_string(recipe.policy))
-        .field("seed", recipe.seed)
-        .field("images", static_cast<std::int64_t>(recipe.images))
-        .field("universe_size", universe.total())
-        .field("golden_accuracy", golden_accuracy)
-        .field("interrupted", result.interrupted)
-        .field("wall_seconds", result.wall_seconds)
-        .field("total_injected", result.total_injected())
-        .field("total_critical", result.total_critical());
-    json.key("network")
-        .begin_object()
-        .field("rate", network.rate)
-        .field("margin", network.margin)
-        .end_object();
-    json.key("layers").begin_array();
-    for (const auto& le : core::estimate_layers(universe, result, est_config))
-        json.begin_object()
-            .field("layer", le.layer)
-            .field("name", universe.layer(le.layer).name)
-            .field("rate", le.estimate.rate)
-            .field("margin", le.estimate.margin)
-            .field("injected", le.estimate.injected)
-            .end_object();
-    json.end_array().end_object();
-    json.finish();
-}
-
-int cmd_campaign(const Options& opt) {
-    const auto recipe = recipe_from(opt);
-    std::ostream& out = human(opt);
-    Observatory obs = open_observatory(opt, recipe, opt.command);
-    telemetry::Session* const session = obs.session.get();
-    auto fx = shard::build_fixture(recipe, session);
-    // Like --threads, --ensemble tunes throughput only: a fault's lane
-    // never depends on the other lanes in its pass.
-    if (opt.ensemble) fx.config.ensemble_width = opt.ensemble;
-    core::CampaignEngine engine(fx.net, fx.eval, fx.config, opt.threads,
-                                session);
-    const auto plan = engine.plan(fx.universe, shard::campaign_spec(recipe));
-    if (telemetry::EventLog* log = obs.events())
-        core::emit_plan_event(*log, fx.universe, plan);
-    out << core::to_string(plan.approach) << " campaign ("
-        << recipe.fault_model.describe() << "): "
-        << report::fmt_u64(plan.total_sample_size()) << " of "
-        << report::fmt_u64(fx.universe.total()) << " faults, "
-        << opt.images << " image(s) per fault, policy " << opt.policy
-        << "\n";
-    if (!recipe.mitigation.empty())
-        out << "mitigations: " << recipe.mitigation.describe() << "\n";
-    out << "golden accuracy on evaluation set: "
-        << report::fmt_percent(engine.golden_accuracy(), 1) << "%\n"
-        << "running on " << engine.worker_count()
-        << " worker(s)... (Ctrl-C checkpoints; rerun with --resume)\n";
-
-    // The canonical drawn sample (worker-count independent) + the durable
-    // run: every fault model shares the journaled, resumable path.
-    const std::vector<core::DrawnFault> items = core::draw_plan(
-        fx.universe, plan, stats::Rng(opt.seed).fork("campaign"));
-    core::DurabilityOptions durability;
-    durability.model_id = opt.model;
-    durability.cancel = &g_interrupt;
-    durability.journal_path = journal_path(opt, "campaign", recipe);
-    if (!opt.resume) std::filesystem::remove(durability.journal_path);
-
-    std::signal(SIGINT, handle_sigint);
-    const core::StatisticalRun srun = engine.run_durable(
-        fx.universe, plan, items, durability, stderr_progress());
-    std::signal(SIGINT, SIG_DFL);
-    const core::CampaignResult& result = srun.result;
-    if (srun.resumed > 0)
-        out << "resumed " << report::fmt_u64(srun.resumed)
-            << " outcome(s) from the journal, classified "
-            << report::fmt_u64(srun.classified) << " more\n";
-    if (result.interrupted)
-        out << "interrupted after "
-            << report::fmt_u64(result.total_injected()) << " of "
-            << report::fmt_u64(plan.total_sample_size())
-            << " planned injections; progress checkpointed to "
-            << durability.journal_path
-            << " (rerun with --resume); estimates below cover the "
-               "classified sample only\n";
-    else
-        std::filesystem::remove(durability.journal_path);
-    out << "done in " << report::fmt_double(result.wall_seconds, 1)
-        << "s (" << report::fmt_u64(engine.inference_count())
-        << " faulty inferences)\n";
-    close_observatory(opt, obs, !result.interrupted,
-                      result.total_injected(), result.total_critical(),
-                      result.wall_seconds);
-    if (opt.json)
-        emit_campaign_json(recipe, opt.command.c_str(), fx.universe, result,
-                           engine.golden_accuracy());
-    else
-        print_estimates(out, fx.universe, result, opt.confidence);
-    return result.interrupted ? 130 : 0;
-}
-
-void print_census_table(std::ostream& out,
-                        const fault::FaultUniverse& universe,
-                        const core::ExhaustiveOutcomes& truth) {
-    out << "critical rate: "
-        << report::fmt_percent(truth.network_critical_rate(), 4) << "%\n\n";
-    report::Table table({"Layer", "Name", "Critical [%]"});
-    for (int l = 0; l < universe.layer_count(); ++l)
-        table.add_row(
-            {std::to_string(l), universe.layer(l).name,
-             report::fmt_percent(truth.layer_critical_rate(universe, l), 4)});
-    table.print(out);
-}
-
-/// The census JSON document (exhaustive and shard merge).
-void emit_census_json(const shard::CampaignRecipe& recipe, const char* command,
-                      const std::string& out_path,
-                      const fault::FaultUniverse& universe,
-                      const core::ExhaustiveOutcomes& truth,
-                      std::uint64_t resumed, std::uint64_t classified) {
-    report::JsonWriter json(std::cout);
-    json.begin_object()
-        .field("command", command)
-        .field("model", recipe.model)
-        .field("fault_model", recipe.fault_model.describe())
-        .field("mitigation", recipe.mitigation.describe())
-        .field("kernels", kernels::active().name)
-        .field("dtype", fault::to_string(recipe.dtype))
-        .field("format", fault::to_string(recipe.dtype))
-        .field("policy", core::to_string(recipe.policy))
-        .field("seed", recipe.seed)
-        .field("images", static_cast<std::int64_t>(recipe.images))
-        .field("universe_size", universe.total())
-        .field("interrupted", false)
-        .field("resumed", resumed)
-        .field("classified", classified)
-        .field("critical_rate", truth.network_critical_rate());
-    json.key("layers").begin_array();
-    for (int l = 0; l < universe.layer_count(); ++l)
-        json.begin_object()
-            .field("layer", l)
-            .field("name", universe.layer(l).name)
-            .field("critical_rate", truth.layer_critical_rate(universe, l))
-            .end_object();
-    json.end_array();
-    if (!out_path.empty()) json.field("out", out_path);
+        .field("format", fault::to_string(summary.recipe.dtype))
+        .field("golden_accuracy", run.golden_accuracy)
+        .field("interrupted", run.interrupted)
+        .field("wall_seconds", run.wall_seconds)
+        .field("resumed", run.resumed)
+        .field("classified", run.classified);
+    if (!opt.out.empty()) json.field("out", opt.out);
+    shard::write_summary_fields(json, summary);
     json.end_object();
     json.finish();
 }
 
-int cmd_exhaustive(const Options& opt) {
-    auto recipe = recipe_from(opt);
-    recipe.approach = core::Approach::Exhaustive;
+/// `statfi campaign`, `activation` and `exhaustive`: one recipe's census or
+/// sample over its full item range, journaled and resumable.
+int cmd_campaign(const Options& opt) {
+    const auto recipe = recipe_from(opt);
+    const bool census =
+        shard::campaign_kind(recipe) == shard::CampaignKind::Census;
+    if (!census && !opt.out.empty())
+        usage("--out applies to censuses (--approach exhaustive) only");
     std::ostream& out = human(opt);
-    Observatory obs = open_observatory(opt, recipe, "exhaustive");
+    Observatory obs = open_observatory(opt, recipe, opt.command);
     telemetry::Session* const session = obs.session.get();
+    telemetry::EventLog* const log = obs.events();
     auto fx = shard::build_fixture(recipe, session);
+    // Like --threads, --ensemble tunes throughput only: a fault's lane
+    // never depends on the other lanes in its pass.
     if (opt.ensemble) fx.config.ensemble_width = opt.ensemble;
-    if (telemetry::EventLog* log = obs.events())
-        core::emit_plan_event(*log, fx.universe,
-                              core::plan_exhaustive(fx.universe));
+    // A census plans without the engine, so its log has the plan before
+    // the golden pass; data-aware sample planning needs the engine.
+    core::CampaignPlan plan;
+    if (census) {
+        plan = core::plan_exhaustive(fx.universe);
+        if (log) core::emit_plan_event(*log, fx.universe, plan);
+    }
     core::CampaignEngine engine(fx.net, fx.eval, fx.config, opt.threads,
                                 session);
-    out << "exhaustive census: " << report::fmt_u64(fx.universe.total())
-        << " faults x " << opt.images << " image(s) on "
-        << engine.worker_count()
-        << " worker(s)  (Ctrl-C checkpoints; rerun with --resume)\n";
+    if (census) {
+        out << "exhaustive census: " << report::fmt_u64(fx.universe.total())
+            << " faults x " << recipe.images << " image(s) on "
+            << engine.worker_count()
+            << " worker(s)  (Ctrl-C checkpoints; rerun with --resume)\n";
+    } else {
+        plan = engine.plan(fx.universe, shard::campaign_spec(recipe));
+        if (log) core::emit_plan_event(*log, fx.universe, plan);
+        out << core::to_string(plan.approach) << " campaign ("
+            << recipe.fault_model.describe() << "): "
+            << report::fmt_u64(plan.total_sample_size()) << " of "
+            << report::fmt_u64(fx.universe.total()) << " faults, "
+            << recipe.images << " image(s) per fault, policy " << opt.policy
+            << "\n";
+        if (!recipe.mitigation.empty())
+            out << "mitigations: " << recipe.mitigation.describe() << "\n";
+        out << "golden accuracy on evaluation set: "
+            << report::fmt_percent(engine.golden_accuracy(), 1) << "%\n"
+            << "running on " << engine.worker_count()
+            << " worker(s)... (Ctrl-C checkpoints; rerun with --resume)\n";
+    }
 
     core::DurabilityOptions durability;
-    durability.model_id = opt.model;
     durability.cancel = &g_interrupt;
-    durability.journal_path = journal_path(opt, "exhaustive", recipe);
-    // Without --resume any leftover journal is discarded so the census
+    durability.journal_path = journal_path(opt, recipe);
+    // Without --resume any leftover journal is discarded so the run
     // restarts from scratch; with --resume a matching journal continues.
     if (!opt.resume) std::filesystem::remove(durability.journal_path);
 
     std::signal(SIGINT, handle_sigint);
-    const auto census_start = std::chrono::steady_clock::now();
-    const auto run = engine.run_exhaustive_durable(fx.universe, durability,
-                                                   stderr_progress());
-    const double census_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      census_start)
-            .count();
+    const auto start = std::chrono::steady_clock::now();
+    const shard::RangeRun run = shard::run_range(
+        recipe, plan, fx, engine, durability, stderr_progress());
+    const RunFacts facts{
+        engine.golden_accuracy(), !run.complete,
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count(),
+        run.resumed, run.classified};
     std::signal(SIGINT, SIG_DFL);
     close_observatory(opt, obs, run.complete, run.resumed + run.classified,
-                      run.outcomes.critical_count(0, fx.universe.total()),
-                      census_wall);
-    if (!run.complete) {
-        std::cerr << "\ninterrupted: " << report::fmt_u64(run.classified)
-                  << " newly classified fault(s) checkpointed to "
-                  << durability.journal_path << "\nrerun with --resume to "
-                  << "continue from the journal\n";
-        if (opt.json) {
-            report::JsonWriter json(std::cout);
-            json.begin_object()
-                .field("command", "exhaustive")
-                .field("model", opt.model)
-                .field("interrupted", true)
-                .field("resumed", run.resumed)
-                .field("classified", run.classified)
-                .field("journal", durability.journal_path)
-                .end_object();
-            json.finish();
-        }
-        return 130;
-    }
-    std::filesystem::remove(durability.journal_path);
+                      run.campaign.critical(), facts.wall_seconds);
     if (run.resumed > 0)
         out << "resumed " << report::fmt_u64(run.resumed)
             << " outcome(s) from the journal, classified "
             << report::fmt_u64(run.classified) << " more\n";
+    if (!run.complete) {
+        std::cerr << "\ninterrupted: " << report::fmt_u64(run.classified)
+                  << " newly classified item(s) checkpointed to "
+                  << durability.journal_path << "\nrerun with --resume to "
+                  << "continue from the journal\n";
+        // A partial sample still estimates; a partial census is no census.
+        if (census) {
+            if (opt.json) {
+                report::JsonWriter json(std::cout);
+                json.begin_object()
+                    .field("command", opt.command)
+                    .field("model", recipe.model)
+                    .field("interrupted", true)
+                    .field("resumed", run.resumed)
+                    .field("classified", run.classified)
+                    .field("journal", durability.journal_path)
+                    .end_object();
+                json.finish();
+            }
+            return 130;
+        }
+        out << "the estimates below cover the classified sample only\n";
+    } else {
+        std::filesystem::remove(durability.journal_path);
+    }
     if (!opt.out.empty()) {
-        run.outcomes.save(opt.out);
+        run.campaign.outcomes.save(opt.out);
         out << "outcome table saved to " << opt.out << "\n";
     }
-    if (opt.json)
-        emit_census_json(recipe, "exhaustive", opt.out, fx.universe,
-                         run.outcomes, run.resumed, run.classified);
-    else
-        print_census_table(out, fx.universe, run.outcomes);
-    return 0;
+    out << "done in " << report::fmt_double(facts.wall_seconds, 1) << "s ("
+        << report::fmt_u64(engine.inference_count())
+        << " faulty inferences)\n";
+    print_result(opt, opt.command,
+                 shard::summarize(recipe, fx.universe, run.campaign), facts);
+    return run.complete ? 0 : 130;
 }
 
 // --- shard subcommands -----------------------------------------------------
@@ -1162,6 +1029,9 @@ int cmd_shard_run_all(const Options& opt) {
 int cmd_shard_merge(const Options& opt) {
     if (opt.manifest.empty()) usage("shard merge needs --manifest");
     const auto manifest = shard::ShardManifest::load(opt.manifest);
+    const bool census = manifest.kind() == shard::CampaignKind::Census;
+    if (!census && !opt.out.empty())
+        usage("--out applies to census merges only");
     Observatory obs = open_observatory(opt, manifest.recipe, "shard-merge");
     telemetry::Session* const session = obs.session.get();
     const auto merge_start = std::chrono::steady_clock::now();
@@ -1180,27 +1050,12 @@ int cmd_shard_merge(const Options& opt) {
                           std::chrono::steady_clock::now() - merge_start)
                           .count());
     std::ostream& out = human(opt);
-
-    if (merged.kind == shard::CampaignKind::Census) {
-        if (!opt.out.empty()) {
-            merged.outcomes.save(opt.out);
-            out << "merged outcome table saved to " << opt.out << "\n";
-        }
-        if (opt.json)
-            emit_census_json(manifest.recipe, "shard-merge", opt.out,
-                             fx.universe, merged.outcomes, 0, 0);
-        else
-            print_census_table(out, fx.universe, merged.outcomes);
-    } else {
-        if (!opt.out.empty())
-            usage("--out applies to census merges only");
-        if (opt.json)
-            emit_campaign_json(manifest.recipe, "shard-merge", fx.universe,
-                               merged.result, 0.0);
-        else
-            print_estimates(out, fx.universe, merged.result,
-                            manifest.recipe.confidence);
+    if (!opt.out.empty()) {
+        merged.outcomes.save(opt.out);
+        out << "merged outcome table saved to " << opt.out << "\n";
     }
+    print_result(opt, "shard-merge",
+                 shard::summarize(manifest.recipe, fx.universe, merged), {});
     out << "merged " << manifest.shards.size() << " shard(s), "
         << report::fmt_u64(manifest.item_count) << " item(s)\n";
     return 0;
@@ -1738,11 +1593,11 @@ int main(int argc, char** argv) {
         if (opt.command == "models") return cmd_models();
         if (opt.command == "profile") return cmd_profile(opt);
         if (opt.command == "plan") return cmd_plan(opt);
-        if (opt.command == "campaign") return cmd_campaign(opt);
-        // `activation` is sugar for `campaign --fault-model activation` —
-        // same durable path, same journal/resume semantics.
-        if (opt.command == "activation") return cmd_campaign(opt);
-        if (opt.command == "exhaustive") return cmd_exhaustive(opt);
+        // `activation` and `exhaustive` are sugar for `campaign
+        // --fault-model activation` and `campaign --approach exhaustive`.
+        if (opt.command == "campaign" || opt.command == "activation" ||
+            opt.command == "exhaustive")
+            return cmd_campaign(opt);
         if (opt.command == "shard") return cmd_shard(opt);
         if (opt.command == "serve") return cmd_serve(opt);
         if (opt.command == "report") return cmd_report(opt);
