@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "io/atomic_file.hpp"
 #include "report/json.hpp"
@@ -202,6 +201,10 @@ void ServiceDaemon::start() {
 }
 
 void ServiceDaemon::stop() {
+    // The follow streams wait on the queue in the handler threads that
+    // http_.stop() joins: release them first, through the queue mutex.
+    stopping_.store(true, std::memory_order_relaxed);
+    queue_.wake();
     http_.stop();
     scheduler_.stop();
 }
@@ -338,12 +341,19 @@ HttpResponse ServiceDaemon::follow_events(std::uint64_t id,
     // Chunked live tail: stream whatever the log already holds, then new
     // bytes as the scheduler appends them, and finish once the job turns
     // terminal (one final drain catches the tail written while we checked).
-    // The sink goes false on client disconnect or server stop, and a safety
+    // Between drains it waits for the queue's version to move: the
+    // scheduler follows every line it appends with a transition or a
+    // wake(), and the version is read before the drain, so a line written
+    // after the drain ends the wait at once. The sink goes false on client
+    // disconnect or server stop, stop() ends the wait, and a safety
     // deadline bounds a follow of a job that never finishes.
     HttpResponse response(200, "application/x-ndjson", "");
     response.stream = [this, id, path](const telemetry::ChunkSink& sink) {
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::minutes(10);
+        const auto stopping = [this] {
+            return stopping_.load(std::memory_order_relaxed);
+        };
         std::uint64_t offset = 0;
         const auto drain = [&]() -> bool {  // false = client gone
             std::string fresh;
@@ -352,16 +362,16 @@ HttpResponse ServiceDaemon::follow_events(std::uint64_t id,
             return sink(fresh);
         };
         for (;;) {
+            const std::uint64_t seen = queue_.version();
             if (!drain()) return;
             const std::optional<Job> job = queue_.get(id);
             if (!job || job->terminal()) {
                 drain();
                 return;
             }
-            if (http_.stopping() ||
-                std::chrono::steady_clock::now() > deadline)
+            if (stopping() || std::chrono::steady_clock::now() > deadline)
                 return;
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            queue_.wait_change(seen, stopping, deadline);
         }
     };
     return response;

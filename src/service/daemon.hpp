@@ -19,7 +19,8 @@
 //   GET  /campaigns/<id>/events         the campaign's JSONL event log;
 //                                       ?follow=1 switches to a chunked
 //                                       live tail that ends when the job
-//                                       turns terminal
+//                                       turns terminal (it waits on the
+//                                       queue's change count, no polling)
 //   GET  /campaigns/<id>/history        durable metrics history (JSON view
 //                                       of the cache entry's metrics.tsf)
 //   GET  /campaigns/<id>/trace          merged Chrome trace (daemon spans +
@@ -36,6 +37,7 @@
 // Artifact endpoints serve straight from the cache entry, so many clients
 // can poll and download concurrently without touching the scheduler.
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -72,8 +74,9 @@ public:
     ~ServiceDaemon();
 
     void start();
-    /// Graceful shutdown: stop accepting HTTP, cancel in-flight shards
-    /// (they checkpoint and requeue), join everything. Idempotent.
+    /// Graceful shutdown: end every events?follow=1 stream, stop accepting
+    /// HTTP, cancel in-flight shards (they checkpoint and requeue), join
+    /// everything. Idempotent.
     void stop();
 
     [[nodiscard]] std::uint16_t port() const noexcept { return http_.port(); }
@@ -91,6 +94,7 @@ private:
     telemetry::HttpResponse healthz() const;
 
     DaemonOptions options_;
+    std::atomic<bool> stopping_{false};  ///< ends the follow streams
     ResultCache cache_;
     JobQueue queue_;
     ServiceLog log_;

@@ -165,6 +165,19 @@ std::uint64_t JobQueue::submit(Job job) {
 
 std::optional<Job> JobQueue::claim() {
     std::lock_guard<std::mutex> lock(mutex_);
+    return claim_locked();
+}
+
+std::optional<Job> JobQueue::wait_claim(const std::function<bool()>& stop) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        if (stop()) return std::nullopt;
+        if (std::optional<Job> job = claim_locked()) return job;
+        changed_.wait(lock);
+    }
+}
+
+std::optional<Job> JobQueue::claim_locked() {
     for (Job& job : jobs_) {
         if (job.state != JobState::Queued) continue;
         job.state = JobState::Planning;
@@ -184,6 +197,26 @@ void JobQueue::update(const Job& job) {
     }
     throw std::invalid_argument("job queue: no job with id " +
                                 std::to_string(job.id));
+}
+
+std::uint64_t JobQueue::version() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return version_;
+}
+
+std::uint64_t JobQueue::wait_change(
+    std::uint64_t seen, const std::function<bool()>& stop,
+    std::chrono::steady_clock::time_point deadline) const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    changed_.wait_until(lock, deadline,
+                        [&] { return version_ != seen || stop(); });
+    return version_;
+}
+
+void JobQueue::wake() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++version_;
+    changed_.notify_all();
 }
 
 std::optional<Job> JobQueue::get(std::uint64_t id) const {
@@ -219,28 +252,32 @@ std::size_t JobQueue::size() const {
     return jobs_.size();
 }
 
-void JobQueue::save_locked() const {
-    std::string payload;
-    put_u64(payload, next_id_);
-    put_u32(payload, static_cast<std::uint32_t>(jobs_.size()));
+void JobQueue::save_locked() {
+    // Waiters first, so an I/O error below still announces the in-memory
+    // change; none of them runs before this thread releases the mutex.
+    ++version_;
+    changed_.notify_all();
+    payload_.clear();  // keeps its capacity: no allocation once grown
+    put_u64(payload_, next_id_);
+    put_u32(payload_, static_cast<std::uint32_t>(jobs_.size()));
     for (const Job& job : jobs_) {
-        put_u64(payload, job.id);
-        put_u8(payload, static_cast<std::uint8_t>(job.state));
-        put_u32(payload, job.shards);
-        put_str(payload, job.fingerprint);
-        put_str(payload, job.recipe_json);
-        put_u8(payload, job.cache_hit ? 1 : 0);
-        put_u64(payload, job.shards_total);
-        put_u64(payload, job.shards_done);
-        put_u64(payload, job.cached_shards);
-        put_u64(payload, job.resumed);
-        put_u64(payload, job.classified);
-        put_u64(payload, job.critical);
-        put_u64(payload, job.injected);
-        put_u64(payload, job.trace_id);
-        put_str(payload, job.error);
+        put_u64(payload_, job.id);
+        put_u8(payload_, static_cast<std::uint8_t>(job.state));
+        put_u32(payload_, job.shards);
+        put_str(payload_, job.fingerprint);
+        put_str(payload_, job.recipe_json);
+        put_u8(payload_, job.cache_hit ? 1 : 0);
+        put_u64(payload_, job.shards_total);
+        put_u64(payload_, job.shards_done);
+        put_u64(payload_, job.cached_shards);
+        put_u64(payload_, job.resumed);
+        put_u64(payload_, job.classified);
+        put_u64(payload_, job.critical);
+        put_u64(payload_, job.injected);
+        put_u64(payload_, job.trace_id);
+        put_str(payload_, job.error);
     }
-    io::write_framed_atomic(path_, kMagic, kVersion, payload);
+    io::write_framed_atomic(path_, kMagic, kVersion, payload_);
 }
 
 }  // namespace statfi::service

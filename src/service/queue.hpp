@@ -21,8 +21,23 @@
 // re-parsed on load, so the queue file never encodes recipe structure
 // twice and a queue written by one daemon version rehydrates exactly like
 // a fresh submission.
+//
+// Wake rule: the queue is also the daemon's event source. A version
+// counter, guarded by the queue mutex, is bumped by every persisted
+// transition (submit, claim, update) and by wake(), and each bump notifies
+// every waiter of one condition variable. The scheduler's workers block in
+// wait_claim() and the events?follow=1 streams in wait_change(), so neither
+// polls. Whoever sets a stop flag a waiter's predicate reads, or appends an
+// event-log line no transition follows, calls wake(), which takes the
+// mutex: a waiter between its predicate check and its wait cannot miss it.
+//
+// Every save serialises into one reused buffer, so a transition allocates
+// nothing in proportion to the jobs the queue holds.
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -85,8 +100,28 @@ public:
     /// persists, and a copy is returned. Empty when nothing is queued.
     std::optional<Job> claim();
 
+    /// claim(), waiting while nothing is queued. Empty once @p stop returns
+    /// true; @p stop is read under the queue mutex, so whoever makes it
+    /// true must then call wake().
+    std::optional<Job> wait_claim(const std::function<bool()>& stop);
+
     /// Store @p job back by id (state transitions, counters) and persist.
     void update(const Job& job);
+
+    /// The change count: it moves on every transition and every wake().
+    [[nodiscard]] std::uint64_t version() const;
+
+    /// Wait until version() differs from @p seen, @p stop returns true or
+    /// @p deadline passes; returns at once when a change landed after
+    /// @p seen was read. Returns the version it saw last.
+    std::uint64_t wait_change(std::uint64_t seen,
+                              const std::function<bool()>& stop,
+                              std::chrono::steady_clock::time_point deadline)
+        const;
+
+    /// Bump the version and wake every waiter, with no transition: after a
+    /// stop flag is set, or an event-log line no transition follows.
+    void wake();
 
     [[nodiscard]] std::optional<Job> get(std::uint64_t id) const;
     [[nodiscard]] std::vector<Job> snapshot() const;
@@ -102,12 +137,17 @@ public:
     [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
 private:
-    void save_locked() const;
+    std::optional<Job> claim_locked();
+    /// Bump the version, notify and persist; the caller holds mutex_.
+    void save_locked();
 
     mutable std::mutex mutex_;
+    mutable std::condition_variable changed_;
+    std::uint64_t version_ = 0;
     std::string path_;
     std::vector<Job> jobs_;
     std::uint64_t next_id_ = 1;
+    std::string payload_;  ///< save_locked's reused serialisation buffer
 };
 
 }  // namespace statfi::service

@@ -192,18 +192,17 @@ void Scheduler::start() {
 
 void Scheduler::stop() {
     cancel_.request_stop();
+    // Through the queue mutex: a worker between its stop check and its wait
+    // in wait_claim() sees the token or gets this notify.
+    queue_.wake();
     for (std::thread& t : workers_)
         if (t.joinable()) t.join();
     workers_.clear();
 }
 
 void Scheduler::worker_loop(std::size_t worker) {
-    while (!stopping()) {
-        std::optional<Job> job = queue_.claim();
-        if (!job) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-            continue;
-        }
+    while (std::optional<Job> job =
+               queue_.wait_claim([this] { return stopping(); })) {
         active_.fetch_add(1, std::memory_order_relaxed);
         run_job(std::move(*job), worker);
         active_.fetch_sub(1, std::memory_order_relaxed);
@@ -317,6 +316,9 @@ void Scheduler::run_job(Job job, std::size_t worker) {
                                 .field("shard", std::uint64_t{k})
                                 .field("range_begin", manifest.shards[k].begin)
                                 .field("range_end", manifest.shards[k].end));
+                // No transition follows until the shard ends: tell the
+                // events?follow=1 streams now.
+                queue_.wake();
                 if (shard::shard_result_valid(manifest, manifest_path, k)) {
                     ++job.cached_shards;
                     ++job.shards_done;

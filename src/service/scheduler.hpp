@@ -20,10 +20,16 @@
 //                  interrupted shards are resumed (the runner's own
 //                  --resume semantics).
 //
-// Shutdown: stop() fires an internal cancellation token that every
-// in-flight shard run polls; the engine checkpoints to its journal, the
-// job transitions back to Queued (persisted), and the worker joins. A
-// restarted daemon re-claims the job and resumes from the journals.
+// Idle workers block in JobQueue::wait_claim(), which a submission (or a
+// requeue) wakes at once; nothing polls. The worker also wakes the queue
+// after each shard_begin line, so an events?follow=1 stream shows the shard
+// when it starts rather than at its end.
+//
+// Shutdown: stop() fires an internal cancellation token, which every
+// in-flight shard run polls, and wakes the queue so idle workers return;
+// the engine checkpoints to its journal, the job transitions back to
+// Queued (persisted), and the worker joins. A restarted daemon re-claims
+// the job and resumes from the journals.
 // Jobs-level concurrency (not shard-level): N workers run N campaigns
 // concurrently, and one campaign's shards run sequentially in its worker —
 // matching the service's goal of multi-campaign throughput with bounded

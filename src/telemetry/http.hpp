@@ -123,13 +123,6 @@ public:
         return requests_.load(std::memory_order_relaxed);
     }
 
-    /// True once stop() has begun — long-running stream handlers poll this
-    /// (their ChunkSink also starts returning false) so shutdown never
-    /// waits on a follow stream.
-    [[nodiscard]] bool stopping() const noexcept {
-        return stop_.load(std::memory_order_relaxed);
-    }
-
 private:
     struct Route {
         std::string method;

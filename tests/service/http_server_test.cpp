@@ -14,9 +14,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <thread>
+
+#include "../support/http_client.hpp"
 
 namespace statfi::telemetry {
 namespace {
@@ -282,27 +283,7 @@ TEST(HttpServer, HandlerExceptionIs500NotCrash) {
 // HttpResponse::stream; these tests pin the chunked framing, the slow-reader
 // and disconnect paths, and that none of it disturbs the failure taxonomy.
 
-/// Decode an HTTP/1.1 chunked body. Returns false on framing errors;
-/// @p terminated reports whether the 0-size final chunk arrived.
-bool dechunk(const std::string& raw, std::string& body, bool& terminated) {
-    body.clear();
-    terminated = false;
-    std::size_t pos = 0;
-    while (pos < raw.size()) {
-        const auto eol = raw.find("\r\n", pos);
-        if (eol == std::string::npos) return false;
-        const unsigned long size =
-            std::strtoul(raw.substr(pos, eol - pos).c_str(), nullptr, 16);
-        if (size == 0) {
-            terminated = true;
-            return true;
-        }
-        if (eol + 2 + size + 2 > raw.size()) return false;
-        body.append(raw, eol + 2, size);
-        pos = eol + 2 + size + 2;
-    }
-    return true;  // well-formed so far, just not terminated
-}
+using testsupport::dechunk;
 
 TEST(HttpServer, StreamedResponseIsChunkedAndComplete) {
     HttpServer server(ServerFixture::tight());

@@ -4,7 +4,8 @@
 // run of the same recipe, (2) an identical resubmission completes from the
 // content-addressed cache without re-running a single shard, and (3) a
 // stopped daemon hands accepted jobs to its successor on the same state
-// directory, losing nothing.
+// directory, losing nothing. ServiceFollowTest pins events?follow=1: the
+// whole log in order, ending with the job, and ended at once by stop().
 
 #include "service/daemon.hpp"
 
@@ -13,12 +14,16 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "../support/http_client.hpp"
 #include "core/engine.hpp"
+#include "io/atomic_file.hpp"
 #include "report/json_parse.hpp"
 #include "service/recipe_json.hpp"
 #include "shard/fixture.hpp"
@@ -361,6 +366,134 @@ TEST_F(ServiceTest, StoppedDaemonHandsQueueToItsSuccessor) {
     const auto done_b = await_done(second.port(), queued_id);
     EXPECT_EQ(done_b.get_str("state"), "done") << done_b.get_str("error");
     second.stop();
+}
+
+// --- events?follow=1 ----------------------------------------------------------
+
+class ServiceFollowTest : public ServiceTest {
+protected:
+    /// Follow job @p id's event log until the stream ends; its dechunked
+    /// body. The read is bounded, so a follow that never ends fails.
+    static std::string follow(std::uint16_t port, std::uint64_t id) {
+        testsupport::HttpStream stream(
+            port, "/campaigns/" + std::to_string(id) + "/events?follow=1");
+        EXPECT_TRUE(stream.read_to_close(std::chrono::seconds(120)))
+            << "the follow of job " << id << " did not end";
+        std::string body;
+        bool terminated = false;
+        EXPECT_TRUE(
+            testsupport::dechunk(http_body(stream.response()), body, terminated));
+        EXPECT_TRUE(terminated);
+        return body;
+    }
+
+    /// Each line's type, with the shard number of shard_* lines (else -1).
+    static std::vector<std::pair<std::string, std::int64_t>> events_of(
+        const std::string& log) {
+        std::vector<std::pair<std::string, std::int64_t>> out;
+        std::istringstream lines(log);
+        for (std::string line; std::getline(lines, line);) {
+            const auto event = report::parse_json(line);
+            const std::string type = event.get_str("type");
+            out.emplace_back(type,
+                             type.rfind("shard_", 0) == 0
+                                 ? static_cast<std::int64_t>(
+                                       event.get_uint("shard"))
+                                 : -1);
+        }
+        return out;
+    }
+
+    static std::string entry_log(ServiceDaemon& daemon,
+                                 const std::string& fingerprint) {
+        std::string log;
+        EXPECT_TRUE(io::read_file(
+            ResultCache::events_path(daemon.cache().dir_of(fingerprint)), log));
+        return log;
+    }
+};
+
+TEST_F(ServiceFollowTest, FollowOfACacheHitStreamsTheEntryLogAndCloses) {
+    ServiceDaemon daemon(options());
+    daemon.start();
+    const auto port = daemon.port();
+    const auto first =
+        body_json(http_post(port, "/campaigns", kStatisticalRecipe));
+    ASSERT_EQ(await_done(port, first.get_uint("id")).get_str("state"), "done");
+
+    const auto hit =
+        body_json(http_post(port, "/campaigns", kStatisticalRecipe));
+    ASSERT_TRUE(hit.get_bool("cached"));
+    const std::uint64_t id = hit.get_uint("id");
+    const std::string body = follow(port, id);
+    EXPECT_EQ(daemon.queue().get(id)->state, JobState::Done);
+    EXPECT_EQ(body, entry_log(daemon, hit.get_str("fingerprint")));
+    const auto events = events_of(body);
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.front().first, "campaign_header");
+    EXPECT_EQ(events.back().first, "campaign_end");
+    daemon.stop();
+}
+
+TEST_F(ServiceFollowTest, FollowOfAFreshJobDeliversItsLogInOrderAndEndsWithIt) {
+    ServiceDaemon daemon(options());
+    daemon.start();
+    const auto port = daemon.port();
+    const auto accepted =
+        body_json(http_post(port, "/campaigns", kStatisticalRecipe));
+    const std::uint64_t id = accepted.get_uint("id");
+    const std::string body = follow(port, id);
+    // The stream ended because the job did, and carried its whole log once.
+    EXPECT_EQ(daemon.queue().get(id)->state, JobState::Done);
+    EXPECT_EQ(body, entry_log(daemon, accepted.get_str("fingerprint")));
+
+    const auto events = events_of(body);
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.front().first, "campaign_header");
+    EXPECT_EQ(events.back().first, "campaign_end");
+    std::vector<std::pair<std::string, std::int64_t>> shards, expected;
+    for (const auto& event : events)
+        if (event.second >= 0) shards.push_back(event);
+    for (std::int64_t k = 0; k < 3; ++k) {
+        expected.emplace_back("shard_begin", k);
+        expected.emplace_back("shard_end", k);
+    }
+    EXPECT_EQ(shards, expected);
+    daemon.stop();
+}
+
+TEST_F(ServiceFollowTest, StopEndsAFollowOfARunningShardAtOnce) {
+    ServiceDaemon daemon(options());
+    daemon.start();
+    const auto port = daemon.port();
+    // One census shard of several seconds: between its shard_begin and its
+    // end no transition and no event-log line wakes the follower. (Training
+    // would hold the job as well, but it cannot be cancelled, so stop()
+    // would wait it out.)
+    const std::uint64_t id =
+        body_json(http_post(
+                      port, "/campaigns",
+                      R"({"model":"micronet","approach":"exhaustive",)"
+                      R"("images":16,"policy":"golden","seed":41,"shards":1})"))
+            .get_uint("id");
+    testsupport::HttpStream stream(
+        port, "/campaigns/" + std::to_string(id) + "/events?follow=1");
+    ASSERT_TRUE(stream.read_until("shard_begin", std::chrono::seconds(300)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));  // waiting
+
+    auto stopped = std::async(std::launch::async, [&] { daemon.stop(); });
+    // stop() itself must end the follow: left alone, the shard's end would.
+    EXPECT_TRUE(stream.read_to_close(std::chrono::seconds(10)));
+    EXPECT_EQ(daemon.queue().get(id)->shards_done, 0u)
+        << "the follow outlived the shard";
+    if (stopped.wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+        ADD_FAILURE() << "stop() did not return";
+        daemon.queue().wake();
+    }
+    stopped.get();
+    // The cancelled shard checkpointed and the job went back to the queue.
+    EXPECT_EQ(daemon.queue().get(id)->state, JobState::Queued);
 }
 
 }  // namespace

@@ -80,6 +80,7 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -307,6 +308,19 @@ fault::DataType parse_dtype(const std::string& s) {
     }
 }
 
+/// The whole of @p text as a T (an integer type or double), or a usage
+/// error naming @p flag: "abc" or "7x" must not run as 0 or 7, and a value
+/// out of T's range is refused rather than wrapped.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || stop != end)
+        usage(flag + " expects a number, got '" + text + "'");
+    return value;
+}
+
 Options parse(int argc, char** argv) {
     if (argc < 2) usage();
     Options opt;
@@ -338,46 +352,53 @@ Options parse(int argc, char** argv) {
         if (flag == "--model") opt.model = value();
         else if (flag == "--approach") opt.approach = value();
         else if (flag == "--fault-model") opt.fault_model = value();
-        else if (flag == "--mbu-k") opt.mbu_k = std::atoll(value().c_str());
+        else if (flag == "--mbu-k")
+            opt.mbu_k = parse_number<std::int64_t>(flag, value());
         else if (flag == "--clip") opt.clips.push_back(value());
         else if (flag == "--tmr") opt.tmrs.push_back(value());
-        else if (flag == "--margin") opt.margin = std::atof(value().c_str());
-        else if (flag == "--confidence") opt.confidence = std::atof(value().c_str());
-        else if (flag == "--images") opt.images = std::atoll(value().c_str());
+        else if (flag == "--margin")
+            opt.margin = parse_number<double>(flag, value());
+        else if (flag == "--confidence")
+            opt.confidence = parse_number<double>(flag, value());
+        else if (flag == "--images")
+            opt.images = parse_number<std::int64_t>(flag, value());
         else if (flag == "--policy") opt.policy = value();
         else if (flag == "--train") opt.train = true;
         else if (flag == "--dtype" || flag == "--format")
             opt.dtype = parse_dtype(value());
-        else if (flag == "--seed") opt.seed = std::strtoull(value().c_str(), nullptr, 10);
-        else if (flag == "--threads") opt.threads = std::strtoull(value().c_str(), nullptr, 10);
+        else if (flag == "--seed")
+            opt.seed = parse_number<std::uint64_t>(flag, value());
+        else if (flag == "--threads")
+            opt.threads = parse_number<std::size_t>(flag, value());
         else if (flag == "--kernels") opt.kernels = value();
         else if (flag == "--ensemble")
-            opt.ensemble = std::strtoull(value().c_str(), nullptr, 10);
+            opt.ensemble = parse_number<std::size_t>(flag, value());
         else if (flag == "--resume") opt.resume = true;
         else if (flag == "--journal") opt.journal = value();
         else if (flag == "--json") opt.json = true;
         else if (flag == "--out") opt.out = value();
         else if (flag == "--manifest") opt.manifest = value();
         else if (flag == "--shards")
-            opt.shards = static_cast<std::uint32_t>(std::strtoul(value().c_str(), nullptr, 10));
+            opt.shards = parse_number<std::uint32_t>(flag, value());
         else if (flag == "--shard")
-            opt.shard = static_cast<std::uint32_t>(std::strtoul(value().c_str(), nullptr, 10));
-        else if (flag == "--jobs") opt.jobs = std::strtoull(value().c_str(), nullptr, 10);
+            opt.shard = parse_number<std::uint32_t>(flag, value());
+        else if (flag == "--jobs")
+            opt.jobs = parse_number<std::size_t>(flag, value());
         else if (flag == "--metrics-out") opt.metrics_out = value();
         else if (flag == "--trace-out") opt.trace_out = value();
         else if (flag == "--perf-counters") opt.perf_counters = true;
         else if (flag == "--log-out") opt.log_out = value();
         else if (flag == "--serve-status") {
-            const long port = std::strtol(value().c_str(), nullptr, 10);
+            const long port = parse_number<long>(flag, value());
             if (port < 0 || port > 65535)
                 usage("--serve-status PORT must be in [0, 65535]");
             opt.serve_status = static_cast<int>(port);
         }
         else if (flag == "--state") opt.state_dir = value();
         else if (flag == "--workers")
-            opt.workers = std::strtoull(value().c_str(), nullptr, 10);
+            opt.workers = parse_number<std::size_t>(flag, value());
         else if (flag == "--port") {
-            const long port = std::strtol(value().c_str(), nullptr, 10);
+            const long port = parse_number<long>(flag, value());
             if (port < 0 || port > 65535)
                 usage("--port must be in [0, 65535]");
             opt.port = static_cast<int>(port);
