@@ -67,6 +67,18 @@
 // Lane masks come from each lane's coordinates by integer compares, so no
 // geometry table is built: forward_row_cached calls this once per image
 // with a single channel.
+//
+// Pooling. avg_pool2d holds 8 outputs of one output row in a vector, the
+// last block of a row overlapping the one before it: one load per tap for
+// stride 1, and for stride 2 load_even8 without its final permute, which
+// runs once per block on the sum instead of once per tap. global_avg_pool holds one output of each of 8 planes and
+// gathers their elements one index at a time, two blocks of planes at once
+// so that two add chains are in flight. Each lane starts at +0.0f, adds its
+// taps or elements in the generic loop's order with one vaddps each, and is
+// multiplied once by the same reciprocal: outputs are vectorized across,
+// never reassociated. Output rows narrower than 8, strides above 2 (no
+// model has either) and the planes after the last block of 8 take the
+// generic loop.
 
 #include "kernels/registry.hpp"
 
@@ -75,6 +87,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 #include "kernels/arena.hpp"
@@ -259,14 +272,24 @@ struct MatrixPanels {
     }
 };
 
-// a[0], a[2], ..., a[14]. Loads at +0 and +7 cover elements 0..14, no
-// further than the last one used: even lanes of the first, odd of the
-// second, then the 64-bit pairs put in order.
+// a[0], a[2], ..., a[14] with the middle 64-bit pairs swapped: lanes hold
+// a[0], a[2], a[8], a[10], a[4], a[6], a[12], a[14]. Loads at +0 and +7
+// cover elements 0..14, no further than the last one used: even lanes of
+// the first, odd of the second.
+__attribute__((target("avx2"))) inline __m256 load_even8_pairs(const float* a) {
+    return _mm256_shuffle_ps(_mm256_loadu_ps(a), _mm256_loadu_ps(a + 7),
+                             _MM_SHUFFLE(3, 1, 2, 0));
+}
+
+// Swaps the middle 64-bit pairs of @p v: undoes load_even8_pairs' order.
+__attribute__((target("avx2"))) inline __m256 swap_middle_pairs(__m256 v) {
+    return _mm256_castpd_ps(
+        _mm256_permute4x64_pd(_mm256_castps_pd(v), _MM_SHUFFLE(3, 1, 2, 0)));
+}
+
+// a[0], a[2], ..., a[14] in order.
 __attribute__((target("avx2"))) inline __m256 load_even8(const float* a) {
-    const __m256 mixed = _mm256_shuffle_ps(
-        _mm256_loadu_ps(a), _mm256_loadu_ps(a + 7), _MM_SHUFFLE(3, 1, 2, 0));
-    return _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(mixed),
-                                                  _MM_SHUFFLE(3, 1, 2, 0)));
+    return swap_middle_pairs(load_even8_pairs(a));
 }
 
 // The convolution's panel source: rows [k0, k0 + kc) of im2col(image),
@@ -715,6 +738,92 @@ __attribute__((target("avx2"))) void avx2_depthwise_conv2d(
     }
 }
 
+// One plane's k x k average pool with stride S (1 or 2), OW >= 8: 8
+// consecutive outputs of one output row per vector, the last block of a row
+// overlapping the one before it rather than running short. Stride 2 sums
+// its lanes in load_even8_pairs' order and puts them in order once, at the
+// store.
+template <std::size_t S>
+__attribute__((target("avx2"))) void avg_pool_plane(const ConvGeometry& g,
+                                                    const float* in,
+                                                    float* out, __m256 inv) {
+    const std::size_t k = g.kernel, w = g.width, ow = g.out_width;
+    for (std::size_t oy = 0; oy < g.out_height; ++oy, out += ow) {
+        const float* row = in + oy * S * w;
+        for (std::size_t x = 0;; x += 8) {
+            const std::size_t ox = std::min(x, ow - 8);
+            const float* a = row + ox * S;
+            __m256 acc = _mm256_setzero_ps();
+            for (std::size_t kh = 0; kh < k; ++kh, a += w)
+                for (std::size_t kw = 0; kw < k; ++kw)
+                    acc = _mm256_add_ps(acc, S == 1
+                                                 ? _mm256_loadu_ps(a + kw)
+                                                 : load_even8_pairs(a + kw));
+            if constexpr (S == 2) acc = swap_middle_pairs(acc);
+            _mm256_storeu_ps(out + ox, _mm256_mul_ps(acc, inv));
+            if (ox + 8 >= ow) break;
+        }
+    }
+}
+
+// Strides above 2 and rows narrower than a vector: no model pools that way.
+__attribute__((target("avx2"))) void avx2_avg_pool2d(const ConvGeometry& g,
+                                                     const float* in,
+                                                     float* out) {
+    if (g.out_width < 8 || g.stride > 2)
+        return generic_kernels().avg_pool2d(g, in, out);
+    const __m256 inv =
+        _mm256_set1_ps(1.0f / static_cast<float>(g.kernel * g.kernel));
+    const std::size_t in_plane = g.height * g.width;
+    const std::size_t out_plane = g.out_height * g.out_width;
+    for (std::size_t c = 0; c < g.channels; ++c) {
+        if (g.stride == 1)
+            avg_pool_plane<1>(g, in + c * in_plane, out + c * out_plane, inv);
+        else
+            avg_pool_plane<2>(g, in + c * in_plane, out + c * out_plane, inv);
+    }
+}
+
+// Lane i of a vector is plane i of a block of 8, gathered at one element
+// index; two blocks run at once, so two add chains are in flight. The
+// planes left over after the last full block take the generic loop.
+__attribute__((target("avx2"))) void avx2_global_avg_pool(std::size_t planes,
+                                                          std::size_t plane,
+                                                          const float* in,
+                                                          float* out) {
+    // Gather indices reach 7 * plane as int32.
+    if (plane > static_cast<std::size_t>(INT32_MAX) / 8)
+        return generic_kernels().global_avg_pool(planes, plane, in, out);
+    const __m256 inv = _mm256_set1_ps(1.0f / static_cast<float>(plane));
+    const __m256i lanes =
+        _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                           _mm256_set1_epi32(static_cast<int>(plane)));
+    const std::size_t block = 8 * plane;
+    std::size_t p = 0;
+    for (; p + 16 <= planes; p += 16) {
+        const float* a = in + p * plane;
+        __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
+        for (std::size_t i = 0; i < plane; ++i) {
+            acc0 = _mm256_add_ps(acc0, _mm256_i32gather_ps(a + i, lanes, 4));
+            acc1 = _mm256_add_ps(acc1,
+                                 _mm256_i32gather_ps(a + block + i, lanes, 4));
+        }
+        _mm256_storeu_ps(out + p, _mm256_mul_ps(acc0, inv));
+        _mm256_storeu_ps(out + p + 8, _mm256_mul_ps(acc1, inv));
+    }
+    if (p + 8 <= planes) {
+        const float* a = in + p * plane;
+        __m256 acc = _mm256_setzero_ps();
+        for (std::size_t i = 0; i < plane; ++i)
+            acc = _mm256_add_ps(acc, _mm256_i32gather_ps(a + i, lanes, 4));
+        _mm256_storeu_ps(out + p, _mm256_mul_ps(acc, inv));
+        p += 8;
+    }
+    if (p < planes)
+        generic_kernels().global_avg_pool(planes - p, plane, in + p * plane,
+                                          out + p);
+}
+
 // maxps/minps return the SECOND operand when the inputs are NaN or equal,
 // which is exactly what reproduces the scalar semantics below.
 
@@ -764,8 +873,11 @@ __attribute__((target("avx2"))) void avx2_clamp(float* data, std::size_t n,
 }
 
 const Kernels kAvx2Table{
-    "avx2",    avx2_gemm_accumulate, avx2_conv2d_image, avx2_depthwise_conv2d,
-    avx2_relu, avx2_relu6,           avx2_add,          avx2_clamp,
+    "avx2",            avx2_gemm_accumulate,
+    avx2_conv2d_image, avx2_depthwise_conv2d,
+    avx2_avg_pool2d,   avx2_global_avg_pool,
+    avx2_relu,         avx2_relu6,
+    avx2_add,          avx2_clamp,
 };
 
 }  // namespace

@@ -4,7 +4,8 @@
 // inner loop (SSE on x86 baselines) without changing results, because each
 // output element's additions stay in ascending-k order. A convolution is
 // lowered explicitly: im2col, then that GEMM. A depthwise convolution is the
-// direct loop nest, one branch per tap skipping those on the padding.
+// direct loop nest, one branch per tap skipping those on the padding. The
+// pooling loops sum one output at a time in a single float chain.
 
 #include <algorithm>
 #include <cstddef>
@@ -93,6 +94,40 @@ void generic_depthwise_conv2d(const ConvGeometry& g, const float* weight,
     }
 }
 
+void generic_avg_pool2d(const ConvGeometry& g, const float* in, float* out) {
+    const auto NC = static_cast<std::int64_t>(g.channels);
+    const auto H = static_cast<std::int64_t>(g.height);
+    const auto W = static_cast<std::int64_t>(g.width);
+    const auto kernel = static_cast<std::int64_t>(g.kernel);
+    const auto stride = static_cast<std::int64_t>(g.stride);
+    const auto OH = static_cast<std::int64_t>(g.out_height);
+    const auto OW = static_cast<std::int64_t>(g.out_width);
+    const float inv = 1.0f / static_cast<float>(kernel * kernel);
+    for (std::int64_t p = 0; p < NC; ++p) {
+        const float* src = in + static_cast<std::size_t>(p * H * W);
+        float* dst = out + static_cast<std::size_t>(p * OH * OW);
+        for (std::int64_t y = 0; y < OH; ++y)
+            for (std::int64_t xx = 0; xx < OW; ++xx) {
+                float acc = 0.0f;
+                for (std::int64_t kh = 0; kh < kernel; ++kh)
+                    for (std::int64_t kw = 0; kw < kernel; ++kw)
+                        acc += src[(y * stride + kh) * W + (xx * stride + kw)];
+                dst[y * OW + xx] = acc * inv;
+            }
+    }
+}
+
+void generic_global_avg_pool(std::size_t planes, std::size_t plane,
+                             const float* in, float* out) {
+    const float inv = 1.0f / static_cast<float>(plane);
+    for (std::size_t p = 0; p < planes; ++p) {
+        const float* src = in + p * plane;
+        float acc = 0.0f;
+        for (std::size_t i = 0; i < plane; ++i) acc += src[i];
+        out[p] = acc * inv;
+    }
+}
+
 void generic_relu(const float* src, float* dst, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i)
         dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
@@ -153,6 +188,7 @@ const Kernels& generic_kernels() noexcept {
     static const Kernels table{
         "generic",           generic_gemm_accumulate,
         generic_conv2d_image, generic_depthwise_conv2d,
+        generic_avg_pool2d,  generic_global_avg_pool,
         generic_relu,        generic_relu6,
         generic_add,         generic_clamp,
     };

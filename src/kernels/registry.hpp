@@ -1,8 +1,8 @@
 #pragma once
 // Kernel-dispatch library: the compute primitives behind the inference
 // engine (GEMM, the standard and depthwise convolutions' forward passes,
-// activations, elementwise, clamp), resolved once at startup against the
-// CPU the process actually runs on.
+// average and global average pooling, activations, elementwise, clamp),
+// resolved once at startup against the CPU the process actually runs on.
 //
 // Two backends exist: "generic" (portable blocked loops, the reference
 // implementation) and "avx2" (8-wide x86 vectors). The dispatch contract
@@ -26,8 +26,11 @@
 // except NaN payload bits, with NaN placement itself exact. Campaign
 // outcomes never read payload bits (argmax comparisons and std::isnan are
 // payload-blind), so classification stays bit-identical across backends.
-// Pooling and softmax are horizontal reductions over small windows; they
-// share the generic implementation on every backend for the same reason.
+// Average pooling follows the same rule: each output sums its window (or
+// its plane) from +0.0f in ascending order, then multiplies once by the
+// reciprocal of the count, and backends vectorize only across independent
+// outputs. Max pooling and softmax have no entry and run one portable loop
+// on every backend: no registered model has a max-pool or softmax node.
 //
 // Selection: kernels::active() resolves lazily on first use — native when
 // the CPU supports AVX2 and STATFI_DISABLE_NATIVE_KERNELS is not set,
@@ -118,6 +121,20 @@ struct Kernels {
     void (*depthwise_conv2d)(const ConvGeometry& g, const float* weight,
                              const float* image, float* out,
                              ScratchArena& arena);
+
+    /// The k x k window mean with stride s and no padding (g.padding == 0)
+    /// over g.channels planes: plane c of @p out (OH x OW, overwritten)
+    /// from plane c of @p in (H x W). AvgPool2d::forward passes the N*C
+    /// planes of its input. Each output starts at +0.0f, adds its taps in
+    /// ascending (kh, kw) order, then is multiplied once by
+    /// 1.0f / float(k * k). Allocates nothing.
+    void (*avg_pool2d)(const ConvGeometry& g, const float* in, float* out);
+
+    /// out[p] = the mean of plane p of @p in (@p planes planes of
+    /// @p plane_size floats each): +0.0f, plus each element in order, times
+    /// 1.0f / float(plane_size). GlobalAvgPool::forward passes N*C planes.
+    void (*global_avg_pool)(std::size_t planes, std::size_t plane_size,
+                            const float* in, float* out);
 
     /// dst[i] = src[i] > 0 ? src[i] : 0 (NaN -> 0, -0 -> +0).
     void (*relu)(const float* src, float* dst, std::size_t n);

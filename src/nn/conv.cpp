@@ -15,7 +15,6 @@ std::int64_t conv_out_size(std::int64_t in, std::int64_t kernel,
     return out;
 }
 
-namespace {
 kernels::ConvGeometry conv_geometry(std::int64_t channels, std::int64_t height,
                                     std::int64_t width, std::int64_t kernel,
                                     std::int64_t stride, std::int64_t padding) {
@@ -29,7 +28,6 @@ kernels::ConvGeometry conv_geometry(std::int64_t channels, std::int64_t height,
             u(conv_out_size(height, kernel, stride, padding)),
             u(conv_out_size(width, kernel, stride, padding))};
 }
-}  // namespace
 
 void im2col(const float* input, std::int64_t channels, std::int64_t height,
             std::int64_t width, std::int64_t kernel, std::int64_t stride,

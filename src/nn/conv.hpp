@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "kernels/arena.hpp"
+#include "kernels/registry.hpp"
 #include "nn/layer.hpp"
 
 namespace statfi::nn {
@@ -33,6 +34,12 @@ void col2im(const float* cols, std::int64_t channels, std::int64_t height,
 /// Output spatial size for a conv/pool: floor((in + 2p - k)/s) + 1.
 std::int64_t conv_out_size(std::int64_t in, std::int64_t kernel,
                            std::int64_t stride, std::int64_t padding);
+
+/// The kernel backend's geometry of a square window over @p channels planes
+/// of height x width, output sizes from conv_out_size.
+kernels::ConvGeometry conv_geometry(std::int64_t channels, std::int64_t height,
+                                    std::int64_t width, std::int64_t kernel,
+                                    std::int64_t stride, std::int64_t padding);
 
 /// Standard 2-D convolution, square kernel, no bias, no dilation/groups.
 class Conv2d final : public Layer {

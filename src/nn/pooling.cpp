@@ -3,6 +3,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "kernels/registry.hpp"
 #include "nn/conv.hpp"
 
 namespace statfi::nn {
@@ -33,24 +34,11 @@ Shape AvgPool2d::output_shape(std::span<const Shape> inputs) const {
 
 void AvgPool2d::forward(std::span<const Tensor* const> inputs, Tensor& out) const {
     const Tensor& x = *inputs[0];
-    const Shape os = output_shape(std::array{x.shape()});
-    ensure_shape(out, os);
+    ensure_shape(out, output_shape(std::array{x.shape()}));
     const auto& d = x.shape().dims();
-    const std::int64_t NC = d[0] * d[1], H = d[2], W = d[3];
-    const std::int64_t OH = os[2], OW = os[3];
-    const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-    for (std::int64_t p = 0; p < NC; ++p) {
-        const float* src = x.data() + static_cast<std::size_t>(p * H * W);
-        float* dst = out.data() + static_cast<std::size_t>(p * OH * OW);
-        for (std::int64_t y = 0; y < OH; ++y)
-            for (std::int64_t xx = 0; xx < OW; ++xx) {
-                float acc = 0.0f;
-                for (std::int64_t kh = 0; kh < kernel_; ++kh)
-                    for (std::int64_t kw = 0; kw < kernel_; ++kw)
-                        acc += src[(y * stride_ + kh) * W + (xx * stride_ + kw)];
-                dst[y * OW + xx] = acc * inv;
-            }
-    }
+    kernels::active().avg_pool2d(
+        conv_geometry(d[0] * d[1], d[2], d[3], kernel_, stride_, 0), x.data(),
+        out.data());
 }
 
 std::unique_ptr<Layer> AvgPool2d::clone() const {
@@ -169,15 +157,9 @@ void GlobalAvgPool::forward(std::span<const Tensor* const> inputs,
     const Tensor& x = *inputs[0];
     const auto& d = x.shape().dims();
     ensure_shape(out, Shape{d[0], d[1]});
-    const std::int64_t NC = d[0] * d[1];
-    const std::size_t plane = static_cast<std::size_t>(d[2] * d[3]);
-    const float inv = 1.0f / static_cast<float>(plane);
-    for (std::int64_t p = 0; p < NC; ++p) {
-        const float* src = x.data() + static_cast<std::size_t>(p) * plane;
-        float acc = 0.0f;
-        for (std::size_t i = 0; i < plane; ++i) acc += src[i];
-        out[static_cast<std::size_t>(p)] = acc * inv;
-    }
+    kernels::active().global_avg_pool(static_cast<std::size_t>(d[0] * d[1]),
+                                      static_cast<std::size_t>(d[2] * d[3]),
+                                      x.data(), out.data());
 }
 
 std::unique_ptr<Layer> GlobalAvgPool::clone() const {

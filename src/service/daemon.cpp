@@ -241,9 +241,12 @@ HttpResponse ServiceDaemon::post_campaign(const HttpRequest& req) {
     }
 
     const bool cached = cache_.complete(job.fingerprint);
-    const std::uint64_t id = queue_.submit(job);
-    job.id = id;
-    log_.job_submitted(job, /*deduplicated=*/false, cached);
+    // Logged before a worker can claim the job, so its job_submitted line
+    // precedes its job_scheduled and job_done. Lock order: queue, then
+    // log; the worker path never holds the log's lock into the queue's.
+    const std::uint64_t id = queue_.submit(job, [&](const Job& queued) {
+        log_.job_submitted(queued, /*deduplicated=*/false, cached);
+    });
     std::ostringstream out;
     report::JsonWriter json(out, 0);
     json.begin_object()

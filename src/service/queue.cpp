@@ -146,7 +146,8 @@ JobQueue::JobQueue(std::string path) : path_(std::move(path)) {
     save_locked();
 }
 
-std::uint64_t JobQueue::submit(Job job) {
+std::uint64_t JobQueue::submit(
+    Job job, const std::function<void(const Job&)>& on_queued) {
     std::lock_guard<std::mutex> lock(mutex_);
     job.id = next_id_++;
     job.state = JobState::Queued;
@@ -157,6 +158,7 @@ std::uint64_t JobQueue::submit(Job job) {
     if (job.trace_id == 0)
         job.trace_id = telemetry::derive_trace_id(
             "job:" + std::to_string(job.id) + ":" + job.fingerprint);
+    if (on_queued) on_queued(job);
     const std::uint64_t id = job.id;
     jobs_.push_back(std::move(job));
     save_locked();

@@ -94,7 +94,11 @@ public:
     explicit JobQueue(std::string path);
 
     /// Append @p job (id assigned here), persist, return the id.
-    std::uint64_t submit(Job job);
+    /// @p on_queued sees the job with its id under the queue mutex, before
+    /// any worker can claim it, so whatever it logs precedes the job's
+    /// scheduling. It must not call back into the queue.
+    std::uint64_t submit(Job job,
+                         const std::function<void(const Job&)>& on_queued = {});
 
     /// Claim the oldest Queued job: its state becomes Planning, the queue
     /// persists, and a copy is returned. Empty when nothing is queued.

@@ -1,7 +1,8 @@
 // Tests for the framed-artifact helpers: round-trip, atomicity convention,
 // and the full read_framed failure taxonomy — every way an artifact can be
 // damaged must produce a distinct, path-naming error (a zero-length file is
-// NOT a short header, a short header is NOT a bad magic, ...).
+// NOT a short header, a short header is NOT a bad magic, ...). The frames'
+// CRC32 is checked against a bitwise oracle.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +14,57 @@
 
 #include "io/artifact.hpp"
 #include "io/atomic_file.hpp"
+#include "io/checksum.hpp"
 
 namespace statfi::io {
 namespace {
+
+/// CRC32 one bit at a time (reflected polynomial 0xEDB88320) from
+/// @p state: the oracle for io::Crc32, which folds eight bytes per step.
+std::uint32_t bitwise_crc32(std::uint32_t state, const unsigned char* bytes,
+                            std::size_t size) {
+    for (std::size_t i = 0; i < size; ++i) {
+        state ^= bytes[i];
+        for (int k = 0; k < 8; ++k)
+            state = (state & 1u) ? 0xEDB88320u ^ (state >> 1) : state >> 1;
+    }
+    return state;
+}
+
+std::uint32_t oracle_crc32(const unsigned char* bytes, std::size_t size) {
+    return bitwise_crc32(0xFFFFFFFFu, bytes, size) ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBitwiseOracleAtEveryLengthAndOffset) {
+    std::vector<unsigned char> buf(64 + 8 + 1000);
+    std::uint32_t x = 2463534242u;  // xorshift32
+    for (unsigned char& b : buf) {
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        b = static_cast<unsigned char>(x);
+    }
+    // Every length 0-64 from every start offset mod 8, so the eight-byte
+    // steps and the byte tail meet in every combination.
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t size = 0; size <= 64; ++size)
+            EXPECT_EQ(crc32(buf.data() + offset, size),
+                      oracle_crc32(buf.data() + offset, size))
+                << "offset " << offset << " size " << size;
+    // Incremental updates split at odd points equal the one-shot value.
+    const std::size_t n = buf.size();
+    const std::uint32_t whole = oracle_crc32(buf.data(), n);
+    for (const std::size_t split : {1, 3, 7, 9, 13, 63, 65, 511, 1001}) {
+        Crc32 crc;
+        crc.update(buf.data(), split);
+        crc.update(buf.data() + split, n - split);
+        EXPECT_EQ(crc.value(), whole) << "split at " << split;
+    }
+    Crc32 pieces;
+    for (std::size_t at = 0, step = 1; at < n; at += step, step += 2)
+        pieces.update(buf.data() + at, std::min(step, n - at));
+    EXPECT_EQ(pieces.value(), whole);
+}
 
 constexpr char kMagic[4] = {'T', 'E', 'S', 'T'};
 constexpr std::uint32_t kVersion = 3;

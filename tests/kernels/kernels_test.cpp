@@ -1,7 +1,7 @@
 // Tests for the kernel-dispatch library: the bit-identity contract between
 // the generic and native backends (the property every fault-injection
-// campaign leans on — see src/kernels/registry.hpp), from single GEMMs and
-// conv and depthwise forwards up to whole-network forwards, backend
+// campaign leans on — see src/kernels/registry.hpp), from single GEMMs,
+// conv, depthwise and pooling forwards up to whole-network forwards, backend
 // selection, and the workspace behind each backend's conv2d_image and
 // depthwise_conv2d.
 
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "kernels/arena.hpp"
+#include "models/micronet.hpp"
 #include "models/mobilenetv2.hpp"
 #include "models/resnet_cifar.hpp"
 #include "nn/conv.hpp"
@@ -138,6 +139,8 @@ TEST(Kernels, GenericAlwaysAvailable) {
     ASSERT_NE(generic_kernels().gemm_accumulate, nullptr);
     ASSERT_NE(generic_kernels().conv2d_image, nullptr);
     ASSERT_NE(generic_kernels().depthwise_conv2d, nullptr);
+    ASSERT_NE(generic_kernels().avg_pool2d, nullptr);
+    ASSERT_NE(generic_kernels().global_avg_pool, nullptr);
     ASSERT_NE(generic_kernels().relu, nullptr);
     ASSERT_NE(generic_kernels().relu6, nullptr);
     ASSERT_NE(generic_kernels().add, nullptr);
@@ -566,36 +569,113 @@ TEST(Kernels, DepthwisePaddingTapsAreSkippedNotMultiplied) {
     }
 }
 
+// -- pooling: generic (one float chain per output) vs native ---------------
+// The native avg_pool2d runs 8 outputs of one output row per vector, the
+// last block overlapping the one before; global_avg_pool runs 8 planes per
+// vector, two blocks at a time. The sweeps cross strides 1 and 2 (the vector
+// loads) and 3 (the generic loop), output rows narrower than a vector or not
+// a multiple of 8, and plane counts around the blocks of 8 and 16.
+
+TEST(Kernels, PoolingBitIdenticalAcrossBackends) {
+    // Inputs come from awkward() at one in 12 (most windows hold an inf or
+    // NaN) and one in 400 (most sums finite, so a reordered add shows).
+    SKIP_WITHOUT_NATIVE();
+    const Kernels& gen = generic_kernels();
+    const Kernels& nat = *native_kernels();
+    stats::Rng rng(2222);
+    std::size_t runs = 0;
+    for (const std::size_t k : {1, 2, 3})
+        for (const std::size_t s : {1, 2, 3})
+            for (std::size_t hw = k; hw <= 33; ++hw)
+                for (const std::size_t planes : {1, 7, 8, 9, 16, 17, 112})
+                    for (const std::size_t one_in : {12, 400}) {
+                        const std::size_t o = (hw - k) / s + 1;
+                        const ConvGeometry g{planes, hw, hw, k, s, 0, o, o};
+                        const auto in = awkward(planes * hw * hw, rng, one_in);
+                        std::vector<float> a(planes * o * o, 1234.5f), b = a;
+                        gen.avg_pool2d(g, in.data(), a.data());
+                        nat.avg_pool2d(g, in.data(), b.data());
+                        ++runs;
+                        EXPECT_TRUE(same_bits_modulo_nan_payload(a, b))
+                            << "avg_pool2d k=" << k << " s=" << s
+                            << " hw=" << hw << " planes=" << planes
+                            << " 1-in-" << one_in;
+                    }
+    for (const std::size_t plane : {1, 4, 16, 64, 65})
+        for (const std::size_t planes :
+             {1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 33, 112, 113})
+            for (const std::size_t one_in : {12, 400}) {
+                const auto in = awkward(planes * plane, rng, one_in);
+                std::vector<float> a(planes, 1234.5f), b = a;
+                gen.global_avg_pool(planes, plane, in.data(), a.data());
+                nat.global_avg_pool(planes, plane, in.data(), b.data());
+                ++runs;
+                EXPECT_TRUE(same_bits_modulo_nan_payload(a, b))
+                    << "global_avg_pool plane=" << plane
+                    << " planes=" << planes << " 1-in-" << one_in;
+            }
+    EXPECT_EQ(runs, 4172u);
+}
+
+TEST(Kernels, PoolingOfNegativeZerosIsPositiveZero) {
+    // Each sum starts at +0.0f, and +0 + -0 is +0: a plane of -0 averages
+    // to +0 on every backend, pooled by window or as a whole.
+    const std::size_t planes = 17, hw = 16;
+    const std::vector<float> in(planes * hw * hw, -0.0f);
+    const ConvGeometry g{planes, hw, hw, 2, 2, 0, hw / 2, hw / 2};
+    std::vector<const Kernels*> tables{&generic_kernels()};
+    if (native_kernels() != nullptr) tables.push_back(native_kernels());
+    for (const Kernels* k : tables) {
+        std::vector<float> pooled(planes * g.out_height * g.out_width, 1.0f);
+        std::vector<float> means(planes, 1.0f);
+        k->avg_pool2d(g, in.data(), pooled.data());
+        k->global_avg_pool(planes, hw * hw, in.data(), means.data());
+        EXPECT_TRUE(same_bits(pooled, std::vector<float>(pooled.size(), 0.0f)))
+            << k->name;
+        EXPECT_TRUE(same_bits(means, std::vector<float>(planes, 0.0f)))
+            << k->name;
+    }
+}
+
 // -- whole-network forward: generic vs native ------------------------------
-// ResNet-20 and MobileNetV2 feed their convs through full register tiles,
-// tile edges and column tails that MicroNet's 6- to 14-row convs barely
-// reach. Every node's activation must match byte for byte.
+// Every node's activation must match byte for byte over two stacked lanes.
+
+void expect_forward_all_identity(nn::Network net, const char* name) {
+    stats::Rng rng(4242);
+    nn::init_network_kaiming(net, rng);
+    Tensor x(Shape({2, 3, 32, 32}));  // two stacked lanes
+    for (std::size_t i = 0; i < x.numel(); ++i)
+        x.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    std::vector<Tensor> gen, nat;
+    select("generic");
+    net.forward_all(x, gen);
+    select("native");
+    net.forward_all(x, nat);
+    select("auto");
+    ASSERT_EQ(gen.size(), nat.size());
+    for (std::size_t n = 0; n < gen.size(); ++n) {
+        ASSERT_EQ(gen[n].numel(), nat[n].numel());
+        EXPECT_EQ(0, std::memcmp(gen[n].data(), nat[n].data(),
+                                 gen[n].numel() * sizeof(float)))
+            << name << " node " << n << " ("
+            << net.node_name(static_cast<int>(n)) << ")";
+    }
+}
 
 TEST(Kernels, ForwardAllBitIdenticalOnGemmHeavyNets) {
+    // ResNet-20 and MobileNetV2 feed their convs through full register
+    // tiles, tile edges and column tails that MicroNet's 6- to 14-row convs
+    // barely reach.
     SKIP_WITHOUT_NATIVE();
-    for (const bool resnet : {true, false}) {
-        nn::Network net =
-            resnet ? models::make_resnet20() : models::make_mobilenetv2();
-        stats::Rng rng(4242);
-        nn::init_network_kaiming(net, rng);
-        Tensor x(Shape({2, 3, 32, 32}));  // two stacked lanes
-        for (std::size_t i = 0; i < x.numel(); ++i)
-            x.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-        std::vector<Tensor> gen, nat;
-        select("generic");
-        net.forward_all(x, gen);
-        select("native");
-        net.forward_all(x, nat);
-        select("auto");
-        ASSERT_EQ(gen.size(), nat.size());
-        for (std::size_t n = 0; n < gen.size(); ++n) {
-            ASSERT_EQ(gen[n].numel(), nat[n].numel());
-            EXPECT_EQ(0, std::memcmp(gen[n].data(), nat[n].data(),
-                                     gen[n].numel() * sizeof(float)))
-                << (resnet ? "resnet20" : "mobilenetv2") << " node " << n
-                << " (" << net.node_name(static_cast<int>(n)) << ")";
-        }
-    }
+    expect_forward_all_identity(models::make_resnet20(), "resnet20");
+    expect_forward_all_identity(models::make_mobilenetv2(), "mobilenetv2");
+}
+
+TEST(Kernels, ForwardAllBitIdenticalOnMicroNet) {
+    // The one registered model with AvgPool2d nodes (two 2x2 pools), and a
+    // global pool over 28 planes: two blocks of 8 and the generic tail.
+    SKIP_WITHOUT_NATIVE();
+    expect_forward_all_identity(models::make_micronet(), "micronet");
 }
 
 // -- scratch arena + conv workspace ----------------------------------------

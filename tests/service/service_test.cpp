@@ -14,7 +14,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <future>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -320,6 +322,45 @@ TEST_F(ServiceTest, InFlightDuplicateFoldsOntoTheActiveJob) {
     // The fold created no third job.
     EXPECT_EQ(body_json(http_get(port, "/healthz")).get_uint("jobs"), 2u);
     daemon.stop();
+}
+
+TEST_F(ServiceTest, LogRecordsEverySubmissionBeforeItsScheduling) {
+    // A cache hit is scheduled and done moments after its submission wakes
+    // a worker. Each job's own job_submitted line must still come before
+    // its job_scheduled and job_done in the daemon's log.
+    ServiceDaemon daemon(options());
+    daemon.start();
+    const auto port = daemon.port();
+    const auto first = body_json(http_post(port, "/campaigns", kCensusRecipe));
+    ASSERT_EQ(await_done(port, first.get_uint("id")).get_str("state"), "done");
+    constexpr std::size_t kHits = 50;
+    for (std::size_t i = 0; i < kHits; ++i) {
+        const auto hit = body_json(http_post(port, "/campaigns", kCensusRecipe));
+        ASSERT_TRUE(hit.get_bool("cached"));
+        ASSERT_EQ(await_done(port, hit.get_uint("id")).get_str("state"), "done");
+    }
+    daemon.stop();
+
+    // Per job, the line of its job_submitted, job_scheduled and job_done.
+    std::map<std::uint64_t, std::map<std::string, std::size_t>> lines;
+    std::ifstream log(dir_ / "state" / "service.jsonl");
+    std::string text;
+    for (std::size_t n = 1; std::getline(log, text); ++n) {
+        const auto event = report::parse_json(text);
+        const std::string type = event.get_str("type");
+        if (type == "job_submitted" || type == "job_scheduled" ||
+            type == "job_done") {
+            EXPECT_TRUE(lines[event.get_uint("job")].emplace(type, n).second)
+                << type << " twice, line " << n;
+        }
+    }
+    ASSERT_EQ(lines.size(), kHits + 1);
+    for (const auto& [job, at] : lines) {
+        ASSERT_EQ(at.size(), 3u) << "job " << job;
+        EXPECT_LT(at.at("job_submitted"), at.at("job_scheduled"))
+            << "job " << job;
+        EXPECT_LT(at.at("job_scheduled"), at.at("job_done")) << "job " << job;
+    }
 }
 
 TEST_F(ServiceTest, StoppedDaemonHandsQueueToItsSuccessor) {

@@ -15,6 +15,11 @@ format regression without rebuilding the report renderer:
     "statfi.eventlog.v1" (header-first invariant);
   * every known event type carries its required keys with sane types
     (probabilities in [0,1], interval lo <= hi, done <= planned-or-more);
+  * a job's own job_submitted (deduplicated false) comes before its
+    job_scheduled and job_done in the same log. A deduplicated
+    job_submitted carries the active job's id and may follow its
+    scheduling, and a job a successor daemon resumed has no job_submitted
+    in that daemon's log;
   * unknown event types are tolerated (forward compatibility) unless
     --strict is given.
 
@@ -312,11 +317,32 @@ def check_payload(event, lineno, errors, ctx):
     return True
 
 
+def check_job_order(event, lineno, errors, lifecycle):
+    """Job lifecycle order. `lifecycle` maps a job id to the type and line
+    of its first job_scheduled or job_done."""
+    etype, job = event["type"], event.get("job")
+    if not type_ok(job, NUM):
+        return
+    if etype in ("job_scheduled", "job_done"):
+        lifecycle.setdefault(job, (etype, lineno))
+    elif (
+        etype == "job_submitted"
+        and event.get("deduplicated") is False
+        and job in lifecycle
+    ):
+        first, where = lifecycle[job]
+        errors.append(
+            f"line {lineno}: job_submitted of job {job} comes after its "
+            f"{first} on line {where}"
+        )
+
+
 def check(path, required_types, strict, expect_trace=None):
     errors = []
     counts = {}
     expected_seq = 0
     ctx = {}  # header state (format, fault_model) for later events
+    lifecycle = {}  # job id -> its first job_scheduled/job_done
 
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -363,6 +389,7 @@ def check(path, required_types, strict, expect_trace=None):
                 )
 
             known = check_payload(event, lineno, errors, ctx)
+            check_job_order(event, lineno, errors, lifecycle)
             if not known and strict:
                 errors.append(f"line {lineno}: unknown event type {etype!r}")
             counts[etype] = counts.get(etype, 0) + 1
