@@ -29,18 +29,26 @@ GoldenCache build_golden_cache(const nn::Network& net,
     std::vector<Tensor> batched;
     net.forward_all(eval.images, batched);
 
-    golden.images.reserve(static_cast<std::size_t>(count));
-    golden.acts.resize(static_cast<std::size_t>(count));
-    golden.preds.resize(static_cast<std::size_t>(count));
-    for (std::int64_t i = 0; i < count; ++i) {
-        const auto s = static_cast<std::size_t>(i);
-        golden.images.push_back(eval.image(i));
-        auto& acts = golden.acts[s];
-        acts.reserve(batched.size());
-        for (const Tensor& node_out : batched)
-            acts.push_back(node_out.slice_row(i));
-        golden.preds[s] = nn::argmax_row(acts.back(), 0);
-        if (golden.preds[s] == golden.labels[s]) ++golden.correct;
+    // Node by node, each batched output freed once split (moved whole when
+    // it is a single image's), so set-up never holds two copies of the
+    // golden activations.
+    const auto images = static_cast<std::size_t>(count);
+    golden.acts.assign(images, std::vector<Tensor>(batched.size()));
+    for (std::size_t node = 0; node < batched.size(); ++node) {
+        Tensor& out = batched[node];
+        for (std::size_t i = 0; i < images; ++i)
+            golden.acts[i][node] =
+                images == 1 ? std::move(out)
+                            : out.slice_row(static_cast<std::int64_t>(i));
+        out = Tensor{};
+    }
+
+    golden.images.reserve(images);
+    golden.preds.resize(images);
+    for (std::size_t i = 0; i < images; ++i) {
+        golden.images.push_back(eval.image(static_cast<std::int64_t>(i)));
+        golden.preds[i] = nn::argmax_row(golden.acts[i].back(), 0);
+        if (golden.preds[i] == golden.labels[i]) ++golden.correct;
     }
     golden.accuracy =
         static_cast<double>(golden.correct) / static_cast<double>(count);
@@ -199,6 +207,25 @@ void ClassificationCore::evaluate_group(std::span<const fault::Fault> faults,
                 std::chrono::duration<double>(t1 - t0).count());
 }
 
+void ClassificationCore::lend_step_buffers(int node) {
+    if (node == lent_to_) return;
+    // Buffer 0 is the frontier's, buffer 1 + k the k-th dependency's.
+    const auto swap_entries = [this](int d) {
+        const auto& deps = suffix_deps_[static_cast<std::size_t>(d)];
+        for (std::size_t k = 0; k <= deps.size(); ++k) {
+            const int entry = k == 0 ? d : deps[k - 1];
+            std::swap(step_buffers_[k],
+                      ensemble_golden_[static_cast<std::size_t>(entry)]);
+        }
+    };
+    if (lent_to_ >= 0) swap_entries(lent_to_);
+    step_buffers_.resize(std::max(
+        step_buffers_.size(),
+        1 + suffix_deps_[static_cast<std::size_t>(node)].size()));
+    swap_entries(node);
+    lent_to_ = node;
+}
+
 const Tensor& ClassificationCore::ensemble_weight_step(
     std::span<const fault::Fault> faults, int node, std::size_t image) {
     const std::size_t F = active_.size();
@@ -269,6 +296,7 @@ void ClassificationCore::evaluate_weight_group(
     }
 
     const int node = injector_.node_of_layer(faults.front().layer);
+    lend_step_buffers(node);
     const std::size_t count = golden_.images.size();
     const ClassificationPolicy policy = config_.policy;
     // AnyMisprediction visits the golden-correct images first and stops at
@@ -328,7 +356,8 @@ void ClassificationCore::evaluate_activation_group(
     // images: suffix dependencies and the input are gathered per lane
     // rather than replicated.
     lane_images_.resize(F);
-    const Tensor& shape_ref = golden_.acts[0].at(d);
+    const Tensor& shape_ref = golden_.acts[0].at(d);  // range-checks node
+    lend_step_buffers(node);
     const std::size_t lane_sz = shape_ref.numel();
     Tensor& frontier = ensemble_golden_[d];
     nn::ensure_shape(frontier, lane_shape(shape_ref.shape(), F));
@@ -388,11 +417,12 @@ void ClassificationCore::evaluate_activation_group(
 }
 
 std::size_t ClassificationCore::ensemble_bytes() const noexcept {
-    std::size_t floats = lane_buf_.numel() + ensemble_input_.numel();
-    for (const auto& t : ensemble_golden_) floats += t.numel();
-    for (const auto& t : ensemble_scratch_) floats += t.numel();
+    std::size_t floats = lane_buf_.capacity() + ensemble_input_.capacity();
+    for (const auto& t : ensemble_golden_) floats += t.capacity();
+    for (const auto& t : step_buffers_) floats += t.capacity();
+    for (const auto& t : ensemble_scratch_) floats += t.capacity();
     for (const auto& per_node : row_cache_)
-        for (const auto& t : per_node) floats += t.numel();
+        for (const auto& t : per_node) floats += t.capacity();
     return floats * sizeof(float);
 }
 

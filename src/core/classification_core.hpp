@@ -23,8 +23,15 @@
 //  * per-image early exit: a lane is Critical as soon as one image trips
 //    the policy and leaves the batch, so critical faults rarely scan the
 //    whole evaluation set;
-//  * the workspace is grow-only, so the ~10^5-fault hot loop stops
-//    allocating once the widest group has run.
+//  * the workspace is grow-only and sized by what is live: every buffer
+//    keeps its allocation when a group's lane count or a node's shape
+//    changes (nn::ensure_shape), forward_from runs the suffix in a pool
+//    holding only the outputs some later node still reads, and only the
+//    current dirty node's frontier and replicated dependencies hold memory
+//    (they move between ensemble_golden_ entries when it changes). So the
+//    ~10^5-fault hot loop stops allocating once the widest group has run
+//    through each layer, and the ensemble's footprint is a few activations
+//    wide, not the graph's.
 //
 // tests/support/reference_classifier.hpp restates the classification one
 // fault and one image at a time, as the oracle the ensemble is checked
@@ -113,8 +120,10 @@ public:
     void evaluate_group(std::span<const fault::Fault> faults,
                         FaultOutcome* out);
 
-    /// Ensemble workspace footprint in bytes (the benchmark's
-    /// core.ensemble_mb).
+    /// Ensemble workspace footprint in bytes, by allocated size (the
+    /// benchmark's core.ensemble_mb): the suffix pool, the frontier and
+    /// dependency buffers, the lane buffer, the stacked input and the row
+    /// caches.
     [[nodiscard]] std::size_t ensemble_bytes() const noexcept;
 
     /// Attach telemetry: this core reports into @p session's per-worker
@@ -147,6 +156,9 @@ private:
     /// logits ((F, classes) — row l belongs to active_[l]).
     const Tensor& ensemble_weight_step(std::span<const fault::Fault> faults,
                                        int node, std::size_t image);
+    /// Move the step buffers into @p node's frontier and dependency entries
+    /// of ensemble_golden_, taking them back from the previous dirty node's.
+    void lend_step_buffers(int node);
 
     nn::Network* net_;
     ExecutorConfig config_;
@@ -160,10 +172,16 @@ private:
     std::size_t worker_ = 0;
 
     // -- fault-batched ensemble state (grow-only, reused across groups) ----
-    /// Lane-stacked stand-in for the golden cache: entry [node] holds the
-    /// frontier, entries listed in suffix_deps_ hold replicated golden acts.
+    /// Lane-stacked stand-in for the golden cache: while d is the dirty
+    /// node, entry [d] holds the frontier and the entries listed in
+    /// suffix_deps_[d] hold replicated golden acts; every other entry is
+    /// empty.
     std::vector<Tensor> ensemble_golden_;
-    std::vector<Tensor> ensemble_scratch_;
+    /// The frontier's and dependencies' allocations while no entry holds
+    /// them; lend_step_buffers moves them in and out.
+    std::vector<Tensor> step_buffers_;
+    int lent_to_ = -1;  ///< dirty node whose entries hold the step buffers
+    std::vector<Tensor> ensemble_scratch_;  ///< forward_from's buffer pool
     Tensor ensemble_input_;  ///< lane-stacked network input, when referenced
     Tensor lane_buf_;        ///< single-lane frontier reconstruction buffer
     std::vector<const Tensor*> lane_inputs_;

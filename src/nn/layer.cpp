@@ -3,8 +3,7 @@
 namespace statfi::nn {
 
 void ensure_shape(Tensor& t, const Shape& shape) {
-    if (t.shape() == shape) return;
-    t = Tensor(shape);
+    if (t.shape() != shape) t.resize(shape);
 }
 
 void Layer::backward(std::span<const Tensor* const>, const Tensor&,

@@ -25,7 +25,11 @@ struct ParamRef {
     Tensor* grad = nullptr;
 };
 
-/// Resizes @p t to @p shape iff necessary (keeps allocation otherwise).
+/// Gives @p t shape @p shape (Tensor::resize): the allocation is kept
+/// whenever it fits and grows exactly otherwise, so a buffer reused across
+/// shapes stops allocating once it has held the largest. Element values are
+/// unspecified after a shape change: every caller writes all of them or
+/// zeroes explicitly.
 void ensure_shape(Tensor& t, const Shape& shape);
 
 class Layer {

@@ -1,5 +1,6 @@
 #include "nn/network.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace statfi::nn {
@@ -13,6 +14,9 @@ int Network::add(std::string name, std::unique_ptr<Layer> layer,
             throw std::invalid_argument(
                 "Network::add: node '" + name +
                 "' references invalid input id " + std::to_string(in));
+    for (int in : inputs)
+        if (in != kInputId)
+            nodes_[static_cast<std::size_t>(in)].last_consumer = id;
     nodes_.push_back(Node{std::move(name), std::move(layer), std::move(inputs)});
     return id;
 }
@@ -87,10 +91,29 @@ const Tensor& Network::forward_from(int first_dirty, const Tensor& input,
     if (first_dirty < 0) first_dirty = 0;
     if (first_dirty >= node_count()) return golden.back();
 
-    scratch.resize(nodes_.size());
+    // Node id's output lives in pool slot slot[id - first_dirty] from when
+    // it is computed until its last consumer has run; then the slot goes on
+    // a LIFO free stack, so the next node writes into the buffer that is
+    // still warm in cache.
+    const auto first = static_cast<std::size_t>(first_dirty);
+    std::vector<std::size_t> slot(nodes_.size() - first);
+    std::vector<std::size_t> free_slots;
+    std::size_t used = 0;
     std::vector<const Tensor*> ptrs;
     for (int id = first_dirty; id < node_count(); ++id) {
         const auto& node = nodes_[static_cast<std::size_t>(id)];
+        // The output slot is taken before any input pointer, since growing
+        // the pool moves its tensors, and before any input is released, so
+        // an output never aliases an input.
+        std::size_t out;
+        if (free_slots.empty()) {
+            out = used++;
+            if (scratch.size() < used) scratch.resize(used);
+        } else {
+            out = free_slots.back();
+            free_slots.pop_back();
+        }
+        slot[static_cast<std::size_t>(id) - first] = out;
         ptrs.clear();
         for (int in : node.inputs) {
             if (in == kInputId)
@@ -98,20 +121,32 @@ const Tensor& Network::forward_from(int first_dirty, const Tensor& input,
             else if (in < first_dirty)
                 ptrs.push_back(&golden[static_cast<std::size_t>(in)]);
             else
-                ptrs.push_back(&scratch[static_cast<std::size_t>(in)]);
+                ptrs.push_back(
+                    &scratch[slot[static_cast<std::size_t>(in) - first]]);
         }
-        node.layer->forward(ptrs, scratch[static_cast<std::size_t>(id)]);
-        if (node_hook_) node_hook_(id, scratch[static_cast<std::size_t>(id)]);
+        node.layer->forward(ptrs, scratch[out]);
+        if (node_hook_) node_hook_(id, scratch[out]);
+
+        for (auto in = node.inputs.begin(); in != node.inputs.end(); ++in) {
+            const auto p = static_cast<std::size_t>(*in);
+            if (*in >= first_dirty && nodes_[p].last_consumer == id &&
+                std::find(node.inputs.begin(), in, *in) == in)
+                free_slots.push_back(slot[p - first]);
+        }
+        // An output nothing reads is free at once; the final node's is the
+        // result.
+        if (node.last_consumer < 0 && id + 1 < node_count())
+            free_slots.push_back(out);
     }
-    return scratch.back();
+    return scratch[slot.back()];
 }
 
 Network Network::clone() const {
     Network copy;
     copy.nodes_.reserve(nodes_.size());
     for (const auto& node : nodes_)
-        copy.nodes_.push_back(
-            Node{node.name, node.layer->clone(), node.inputs});
+        copy.nodes_.push_back(Node{node.name, node.layer->clone(), node.inputs,
+                                   node.last_consumer});
     return copy;
 }
 

@@ -15,7 +15,9 @@
 //    The classification core calls it with F faults stacked as lanes in the
 //    batch dimension (the fault-batched ensemble forward); every layer
 //    computes batch rows independently, so the lanes are bit-identical to F
-//    single-fault passes.
+//    single-fault passes. Its outputs share a few pooled buffers, reused
+//    once each node's last consumer has run, so its footprint is what is
+//    live at once rather than the whole graph.
 
 #include <functional>
 #include <memory>
@@ -73,11 +75,18 @@ public:
     void forward_all(const Tensor& input, std::vector<Tensor>& activations) const;
 
     /// Partial re-execution: recompute nodes with id >= @p first_dirty using
-    /// @p golden for older inputs; recomputed outputs land in @p scratch
-    /// (resized to node_count(); entries < first_dirty are untouched).
-    /// Returns the final output (scratch.back(), or golden.back() when
-    /// first_dirty is past the end). @p input and the @p golden entries the
-    /// suffix reads may carry any batch size, one lane per stacked fault.
+    /// @p golden for older inputs, and return the final node's output (or
+    /// golden.back() when first_dirty is past the end). Only the golden
+    /// entries the suffix reads need to hold data. @p input and those
+    /// entries may carry any batch size, one lane per stacked fault.
+    ///
+    /// @p scratch is a buffer pool, not a per-node cache: a recomputed
+    /// output takes a free slot and gives it back once its last consumer
+    /// has run, so the pool grows only to the suffix's liveness peak, and
+    /// its buffers keep their allocations across calls (grow-only; see
+    /// ensure_shape). Entries do not map to nodes, and only the returned
+    /// tensor is meaningful; it stays valid until the next call with the
+    /// same pool.
     const Tensor& forward_from(int first_dirty, const Tensor& input,
                                const std::vector<Tensor>& golden,
                                std::vector<Tensor>& scratch) const;
@@ -124,6 +133,9 @@ private:
         std::string name;
         std::unique_ptr<Layer> layer;
         std::vector<int> inputs;
+        /// Largest id of a node reading this one (set by add()); -1 while
+        /// nothing does. forward_from frees the output's slot after it.
+        int last_consumer = -1;
     };
 
     [[nodiscard]] std::size_t checked(int id) const;

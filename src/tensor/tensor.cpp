@@ -63,6 +63,18 @@ float Tensor::at2(std::int64_t n, std::int64_t f) const {
     return const_cast<Tensor*>(this)->at2(n, f);
 }
 
+void Tensor::resize(Shape shape) {
+    const std::size_t n = shape.numel();
+    // Grow exactly (std::vector's own growth may double the allocation),
+    // freeing the old allocation first so nothing is copied.
+    if (n > data_.capacity()) {
+        decltype(data_)().swap(data_);
+        data_.reserve(n);
+    }
+    data_.resize(n);
+    shape_ = std::move(shape);
+}
+
 void Tensor::fill(float value) noexcept {
     std::fill(data_.begin(), data_.end(), value);
 }

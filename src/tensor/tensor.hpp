@@ -46,7 +46,17 @@ public:
 
     [[nodiscard]] const Shape& shape() const noexcept { return shape_; }
     [[nodiscard]] std::size_t numel() const noexcept { return data_.size(); }
+    /// Elements the allocation holds (>= numel()); what the tensor costs in
+    /// memory once resize() has shrunk it.
+    [[nodiscard]] std::size_t capacity() const noexcept {
+        return data_.capacity();
+    }
     [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
+
+    /// Take shape @p shape, keeping the allocation whenever it holds
+    /// shape.numel() elements; past it, reallocate to exactly that many.
+    /// Element values are unspecified afterwards, fresh or kept.
+    void resize(Shape shape);
 
     [[nodiscard]] float* data() noexcept { return data_.data(); }
     [[nodiscard]] const float* data() const noexcept { return data_.data(); }

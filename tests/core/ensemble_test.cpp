@@ -343,6 +343,31 @@ void expect_deep_identity(const std::string& model,
     }
 }
 
+TEST(EnsembleForward, WorkspaceIsGrowOnly) {
+    // Groups of 8, 3, 5 and 8 lanes through one layer: the first allocates
+    // everything (no lane leaves early under this policy, so every image's
+    // row cache is built), and the narrower ones fit in what it left.
+    Fixture fx = Fixture::make(4);
+    ExecutorConfig config;
+    config.policy = ClassificationPolicy::AccuracyDrop;
+    config.accuracy_drop_threshold = 1.0;
+    nn::Network net = fx.net.clone();
+    ClassificationCore core(net, fx.eval, config);
+    const auto faults = stretch(fault::FaultUniverse::bit_flip(net), 0, 24);
+    std::size_t bytes = 0;
+    std::size_t begin = 0;
+    for (const std::size_t width : {8u, 3u, 5u, 8u}) {
+        SCOPED_TRACE("width=" + std::to_string(width));
+        std::vector<FaultOutcome> out(width);
+        core.evaluate_group(std::span(faults).subspan(begin, width),
+                            out.data());
+        begin += width;
+        if (bytes == 0) bytes = core.ensemble_bytes();
+        EXPECT_GT(bytes, 0u);
+        EXPECT_EQ(core.ensemble_bytes(), bytes);
+    }
+}
+
 TEST(EnsembleForward, MatchesOnResNet20) {
     // The stem; the last stage-2 conv, whose block Add reads the stacked
     // block input and whose block output feeds stage 3's PadShortcut (a

@@ -411,5 +411,27 @@ TEST(Layers, CloneIsDeep) {
     EXPECT_NE(conv.weight()[0], cloned->weight()[0]);
 }
 
+TEST(EnsureShape, KeepsTheAllocationWhileItFitsAndGrowsExactly) {
+    Tensor t;
+    ensure_shape(t, Shape{8, 4, 5, 5});
+    const float* base = t.data();
+    EXPECT_EQ(t.capacity(), 800u);
+
+    // A shrink (fewer lanes) and a regrow within the allocation keep it.
+    ensure_shape(t, Shape{3, 4, 5, 5});
+    EXPECT_EQ(t.shape(), Shape({3, 4, 5, 5}));
+    EXPECT_EQ(t.numel(), 300u);
+    EXPECT_EQ(t.data(), base);
+    EXPECT_EQ(t.capacity(), 800u);
+    ensure_shape(t, Shape{2, 16, 5, 5});
+    EXPECT_EQ(t.numel(), 800u);
+    EXPECT_EQ(t.data(), base);
+
+    // Past the allocation it grows to exactly the new size, not by doubling.
+    ensure_shape(t, Shape{9, 4, 5, 5});
+    EXPECT_EQ(t.numel(), 900u);
+    EXPECT_EQ(t.capacity(), 900u);
+}
+
 }  // namespace
 }  // namespace statfi::nn

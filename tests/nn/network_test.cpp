@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "nn/activations.hpp"
 #include "nn/conv.hpp"
 #include "nn/elementwise.hpp"
@@ -37,6 +40,97 @@ Network make_residual_net(stats::Rng& rng) {
     net.add("fc", std::make_unique<Linear>(4, 3), {id});
     init_network_kaiming(net, rng);
     return net;
+}
+
+/// A node reading one producer twice (add(relu, relu)), then a producer
+/// read by two convs: releasing the doubly read slot twice would hand one
+/// buffer to both convs while the first is still live.
+Network make_double_read_net(stats::Rng& rng) {
+    Network net;
+    int id = net.add("conv1", std::make_unique<Conv2d>(3, 4, 3, 1, 1),
+                     {Network::kInputId});
+    id = net.add("relu1", std::make_unique<ReLU>(), {id});
+    const int twice = net.add("double", std::make_unique<Add>(), {id, id});
+    const int a = net.add("conv2", std::make_unique<Conv2d>(4, 4, 3, 1, 1),
+                          {twice});
+    const int b = net.add("conv3", std::make_unique<Conv2d>(4, 4, 3, 1, 1),
+                          {twice});
+    id = net.add("add", std::make_unique<Add>(), {a, b});
+    id = net.add("gap", std::make_unique<GlobalAvgPool>(), {id});
+    net.add("fc", std::make_unique<Linear>(4, 3), {id});
+    init_network_kaiming(net, rng);
+    return net;
+}
+
+/// Most node outputs alive at once in a full forward: while node id runs,
+/// its own output plus every older one a node >= id still reads.
+std::size_t liveness_peak(const Network& net) {
+    std::vector<int> last(static_cast<std::size_t>(net.node_count()), -1);
+    for (int q = 0; q < net.node_count(); ++q)
+        for (int in : net.node_inputs(q))
+            if (in != Network::kInputId) last[static_cast<std::size_t>(in)] = q;
+    std::size_t peak = 0;
+    for (int id = 0; id < net.node_count(); ++id) {
+        std::size_t live = 1;
+        for (int p = 0; p < id; ++p)
+            live += last[static_cast<std::size_t>(p)] >= id ? 1 : 0;
+        peak = std::max(peak, live);
+    }
+    return peak;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// forward_from(first_dirty) on @p lanes stacked inputs against forward_all,
+/// bit for bit. Golden entries the suffix recomputes are emptied, as the
+/// ensemble leaves them, so reading one fails.
+void expect_suffix_identity(const Network& net, int first_dirty,
+                            std::int64_t lanes, std::vector<Tensor>& scratch,
+                            stats::Rng& rng) {
+    SCOPED_TRACE("first_dirty=" + std::to_string(first_dirty) +
+                 " lanes=" + std::to_string(lanes));
+    const Tensor x = random_tensor(Shape{lanes, 3, 8, 8}, rng);
+    std::vector<Tensor> golden;
+    net.forward_all(x, golden);
+    const Tensor full = golden.back();
+    for (auto id = static_cast<std::size_t>(first_dirty); id < golden.size();
+         ++id)
+        golden[id] = Tensor{};
+    EXPECT_TRUE(
+        same_bits(net.forward_from(first_dirty, x, golden, scratch), full));
+    EXPECT_LE(scratch.size(), liveness_peak(net));
+}
+
+TEST(Network, ForwardFromPoolMatchesForwardAllBitForBit) {
+    stats::Rng rng(9);
+    for (const bool double_read : {false, true}) {
+        SCOPED_TRACE(double_read ? "double-read net" : "residual net");
+        // A clone, so the pool bound also holds clone() to copying each
+        // node's last consumer.
+        const Network net =
+            (double_read ? make_double_read_net(rng) : make_residual_net(rng))
+                .clone();
+        const int n = net.node_count();
+        // 3 of 7 or 8: a per-node scratch would break the pool bound.
+        ASSERT_EQ(liveness_peak(net), 3u);
+        for (const std::int64_t lanes : {1, 5})
+            for (int first = 0; first <= n; ++first) {
+                std::vector<Tensor> scratch;
+                expect_suffix_identity(net, first, lanes, scratch, rng);
+            }
+        // One pool across alternating suffixes and lane counts: a stale
+        // buffer or a wrongly kept slot would leak into a later result.
+        std::vector<Tensor> scratch;
+        for (int round = 0; round < 2; ++round)
+            for (int k = 0; k < n; ++k) {
+                const int first = round == 0 ? k : n - 1 - k;
+                expect_suffix_identity(net, first, (first + round) % 2 ? 1 : 5,
+                                       scratch, rng);
+            }
+    }
 }
 
 TEST(Network, AddEnforcesTopologicalOrder) {
@@ -108,10 +202,7 @@ TEST(Network, ForwardFromEveryNodeMatchesFullRecompute) {
         const Tensor full = net.forward(x);
         std::vector<Tensor> scratch;
         const Tensor& partial = net.forward_from(ref.node_id, x, golden, scratch);
-        ASSERT_EQ(full.shape(), partial.shape());
-        for (std::size_t i = 0; i < full.numel(); ++i)
-            ASSERT_FLOAT_EQ(full[i], partial[i])
-                << "node " << ref.name << " elem " << i;
+        EXPECT_TRUE(same_bits(full, partial)) << "node " << ref.name;
 
         w[0] = saved;
     }
@@ -125,9 +216,7 @@ TEST(Network, ForwardFromZeroEqualsFullForward) {
     net.forward_all(x, golden);
     std::vector<Tensor> scratch;
     const Tensor& out = net.forward_from(0, x, golden, scratch);
-    const Tensor full = net.forward(x);
-    for (std::size_t i = 0; i < full.numel(); ++i)
-        EXPECT_FLOAT_EQ(out[i], full[i]);
+    EXPECT_TRUE(same_bits(out, net.forward(x)));
 }
 
 TEST(Network, ForwardFromPastEndReturnsGolden) {
