@@ -78,7 +78,8 @@ int main() {
               << report::fmt_percent(estimate.rate, 3) << "% +- "
               << report::fmt_percent(estimate.margin, 3) << "% (99% conf.)\n"
               << "campaign wall time: " << report::fmt_double(result.wall_seconds, 1)
-              << "s, " << engine.inference_count() << " faulty inferences\n";
+              << "s, " << engine.inference_count() << " faulty inferences ("
+              << engine.retired_count() << " retired early as golden)\n";
 
     // Bonus: the per-layer view the paper says network-wise SFIs cannot give.
     report::Table table({"Layer", "Critical [%]", "Margin [%]", "FIs"});

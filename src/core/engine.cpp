@@ -63,6 +63,12 @@ std::uint64_t CampaignEngine::inference_count() const {
     return total;
 }
 
+std::uint64_t CampaignEngine::retired_count() const {
+    std::uint64_t total = 0;
+    for (const auto& w : workers_) total += w->core.retired_count();
+    return total;
+}
+
 ClassificationCore& CampaignEngine::core(std::size_t worker) {
     return workers_.at(worker)->core;
 }

@@ -76,8 +76,12 @@ public:
     [[nodiscard]] const ExecutorConfig& config() const noexcept;
     [[nodiscard]] double golden_accuracy() const;
     [[nodiscard]] const std::vector<int>& golden_predictions() const;
-    /// Total faulty inferences summed over all workers.
+    /// Lane-image pairs classified, summed over all workers (see
+    /// ClassificationCore::inference_count).
     [[nodiscard]] std::uint64_t inference_count() const;
+    /// Of those, the pairs retired early as golden, summed over all workers
+    /// (see ClassificationCore::retired_count).
+    [[nodiscard]] std::uint64_t retired_count() const;
 
     /// Direct access to a worker's kernel (worker 0 by default) — for
     /// single-fault probes.

@@ -28,8 +28,9 @@ struct ParamRef {
 /// Gives @p t shape @p shape (Tensor::resize): the allocation is kept
 /// whenever it fits and grows exactly otherwise, so a buffer reused across
 /// shapes stops allocating once it has held the largest. Element values are
-/// unspecified after a shape change: every caller writes all of them or
-/// zeroes explicitly.
+/// unspecified after a shape change, except that a shrink keeps the leading
+/// ones (the ensemble drops retired lanes that way); every other caller
+/// writes all of them or zeroes explicitly.
 void ensure_shape(Tensor& t, const Shape& shape);
 
 class Layer {

@@ -17,7 +17,9 @@
 //    computes batch rows independently, so the lanes are bit-identical to F
 //    single-fault passes. Its outputs share a few pooled buffers, reused
 //    once each node's last consumer has run, so its footprint is what is
-//    live at once rather than the whole graph.
+//    live at once rather than the whole graph. It can stop at any node
+//    (`last`); stopped at a cut (next_cut), the rest of the forward
+//    needs nothing but that node's output.
 
 #include <functional>
 #include <memory>
@@ -74,22 +76,38 @@ public:
     /// (resized to node_count()).
     void forward_all(const Tensor& input, std::vector<Tensor>& activations) const;
 
-    /// Partial re-execution: recompute nodes with id >= @p first_dirty using
-    /// @p golden for older inputs, and return the final node's output (or
-    /// golden.back() when first_dirty is past the end). Only the golden
-    /// entries the suffix reads need to hold data. @p input and those
-    /// entries may carry any batch size, one lane per stacked fault.
+    /// Partial re-execution: recompute nodes @p first_dirty .. @p last
+    /// (-1: the final node) using @p golden for older inputs, and return
+    /// last's output (golden[last] when first_dirty is past it). Only the
+    /// golden entries the recomputed nodes read need to hold data. @p input
+    /// and those entries may carry any batch size, one lane per stacked
+    /// fault. Running [a, c] and then [c + 1, end] with only c's output
+    /// carried over in golden[c] equals running [a, end] when c is a cut
+    /// (next_cut); elsewhere the second run also reads older entries.
     ///
     /// @p scratch is a buffer pool, not a per-node cache: a recomputed
     /// output takes a free slot and gives it back once its last consumer
-    /// has run, so the pool grows only to the suffix's liveness peak, and
-    /// its buffers keep their allocations across calls (grow-only; see
-    /// ensure_shape). Entries do not map to nodes, and only the returned
-    /// tensor is meaningful; it stays valid until the next call with the
-    /// same pool.
+    /// has run, so the pool grows only to the liveness peak of the nodes
+    /// run, and its buffers keep their allocations across calls (grow-only;
+    /// see ensure_shape). Entries do not map to nodes, and only the
+    /// returned tensor is meaningful. It is an entry of @p scratch, which
+    /// the caller may take (e.g. by swap), and stays valid until the next
+    /// call with the same pool.
+    /// @throws std::out_of_range if @p last is not a node id or -1.
     const Tensor& forward_from(int first_dirty, const Tensor& input,
                                const std::vector<Tensor>& golden,
-                               std::vector<Tensor>& scratch) const;
+                               std::vector<Tensor>& scratch,
+                               int last = -1) const;
+
+    /// The first cut at or after node @p first. Node c is a cut when no
+    /// node after c reads the network input or any output older than c's
+    /// own: c's output is then the only activation the rest of the graph
+    /// needs, so a forward can stop at c and resume from it alone. Every
+    /// node of a chain is a cut; in a residual block the nodes between the
+    /// block input and the Add reading it are not. The final node always
+    /// is.
+    /// @throws std::out_of_range if @p first is not a node id.
+    [[nodiscard]] int next_cut(int first) const;
 
     /// Deep copy (layers cloned). Used to give campaign workers private
     /// weight storage. The node hook is not copied.

@@ -29,7 +29,13 @@ Session::Session(SessionOptions options) : options_(options) {
     ids_.critical_total = metrics_.add_counter(
         "statfi_faults_critical_total", "Faults classified Critical");
     ids_.inferences_total = metrics_.add_counter(
-        "statfi_inferences_total", "Faulty image inferences executed");
+        "statfi_inferences_total",
+        "Lane-image pairs classified (faulty inferences); a lane retired "
+        "early counts once");
+    ids_.lanes_retired_total = metrics_.add_counter(
+        "statfi_lanes_retired_total",
+        "Lane-image pairs retired before the logits, their activations "
+        "golden again bit for bit");
     ids_.forward_ns_total = metrics_.add_counter(
         "statfi_forward_nanoseconds_total",
         "Nanoseconds spent in faulty forward passes");

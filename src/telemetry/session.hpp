@@ -43,7 +43,8 @@ struct MetricIds {
     MetricId faults_total;        ///< faults classified (incl. masked)
     MetricId masked_total;        ///< masked short-circuits (no inference)
     MetricId critical_total;      ///< faults classified Critical
-    MetricId inferences_total;    ///< faulty image inferences
+    MetricId inferences_total;    ///< lane-image pairs classified
+    MetricId lanes_retired_total; ///< of those, retired early as golden
     MetricId forward_ns_total;    ///< nanoseconds in faulty forward passes
     // durability counters
     MetricId journal_records_total;

@@ -55,7 +55,8 @@ public:
 
     /// Take shape @p shape, keeping the allocation whenever it holds
     /// shape.numel() elements; past it, reallocate to exactly that many.
-    /// Element values are unspecified afterwards, fresh or kept.
+    /// Element values are unspecified afterwards, fresh or kept, except
+    /// that a shrink keeps the leading shape.numel() values.
     void resize(Shape shape);
 
     [[nodiscard]] float* data() noexcept { return data_.data(); }

@@ -6,7 +6,10 @@
 // MicroNet and on the deep topologies whose residual Adds, PadShortcuts and
 // depthwise convs the frontier and suffix stacking must reproduce.
 // Grouping is a throughput knob like the worker count; this suite is the
-// contract that keeps it from ever becoming a semantic one.
+// contract that keeps it from ever becoming a semantic one. The oracle runs
+// every suffix to the logits, so the same identity checks the exact early
+// exit (lanes golden again leave the ensemble); the retirement count must
+// not depend on the grouping either, and stated stretches must retire.
 
 #include <gtest/gtest.h>
 
@@ -88,11 +91,12 @@ std::vector<std::vector<fault::Fault>> make_groups(
 /// private network clone; then one ClassificationCore on another clone
 /// classifies them via evaluate_group, once per width, its grow-only
 /// workspace carried from width to width. Outcomes and inference counts
-/// must match exactly.
-void expect_group_identity(const nn::Network& net, const data::Dataset& eval,
-                           const std::vector<fault::Fault>& faults,
-                           const ExecutorConfig& config,
-                           std::span<const std::size_t> widths = kWidths) {
+/// must match exactly, and every width must retire the same lane-image
+/// pairs early. Returns that retirement count.
+std::uint64_t expect_group_identity(
+    const nn::Network& net, const data::Dataset& eval,
+    const std::vector<fault::Fault>& faults, const ExecutorConfig& config,
+    std::span<const std::size_t> widths = kWidths) {
     nn::Network oracle_net = net.clone();
     ReferenceClassifier oracle(oracle_net, eval, config);
     std::vector<FaultOutcome> expected;
@@ -102,9 +106,11 @@ void expect_group_identity(const nn::Network& net, const data::Dataset& eval,
     // the clone has identical shapes, so faults decode the same.
     nn::Network grouped_net = net.clone();
     ClassificationCore grouped(grouped_net, eval, config);
+    std::uint64_t retired = 0;
     for (const std::size_t width : widths) {
         SCOPED_TRACE("width=" + std::to_string(width));
         const std::uint64_t before = grouped.inference_count();
+        const std::uint64_t retired_before = grouped.retired_count();
         std::size_t next = 0;
         for (const auto& group : make_groups(faults, width)) {
             std::vector<FaultOutcome> out(group.size(),
@@ -115,18 +121,26 @@ void expect_group_identity(const nn::Network& net, const data::Dataset& eval,
         }
         EXPECT_EQ(grouped.inference_count() - before,
                   oracle.inference_count());
+        const std::uint64_t width_retired =
+            grouped.retired_count() - retired_before;
+        if (width == widths.front()) retired = width_retired;
+        EXPECT_EQ(width_retired, retired);
+        EXPECT_LE(width_retired, oracle.inference_count());
     }
+    return retired;
 }
 
 /// expect_group_identity over a stretch of @p model's universe.
-void expect_stretch_identity(const Fixture& fx, const std::string& model,
-                             const ExecutorConfig& config, std::uint64_t begin,
-                             std::uint64_t count) {
+std::uint64_t expect_stretch_identity(const Fixture& fx,
+                                      const std::string& model,
+                                      const ExecutorConfig& config,
+                                      std::uint64_t begin,
+                                      std::uint64_t count) {
     SCOPED_TRACE(model);
     nn::Network net = fx.net.clone();
-    expect_group_identity(fx.net, fx.eval,
-                          stretch(universe_for(net, model), begin, count),
-                          config);
+    return expect_group_identity(
+        fx.net, fx.eval, stretch(universe_for(net, model), begin, count),
+        config);
 }
 
 /// The same over the first @p count faults of the (layer 0, bit 30)
@@ -139,6 +153,20 @@ void expect_exponent_identity(const Fixture& fx, const std::string& model,
     expect_stretch_identity(fx, model, config,
                             universe_for(net, model).subpop_offset(0, 30),
                             count);
+}
+
+/// The same over the first @p count faults of the (@p layer, @p bit)
+/// stratum; returns the lane-image pairs retired early.
+std::uint64_t expect_stratum_identity(const Fixture& fx,
+                                      const std::string& model,
+                                      const ExecutorConfig& config, int layer,
+                                      int bit, std::uint64_t count) {
+    SCOPED_TRACE("layer " + std::to_string(layer) + ", bit " +
+                 std::to_string(bit));
+    nn::Network net = fx.net.clone();
+    return expect_stretch_identity(
+        fx, model, config, universe_for(net, model).subpop_offset(layer, bit),
+        count);
 }
 
 TEST(EnsembleForward, MatchesPerFaultLoopAcrossFaultModels) {
@@ -245,6 +273,7 @@ TEST(EnsembleForward, EngineOutcomesIndependentOfEnsembleWidth) {
     // End to end: the campaign result (tallies, per-item outcomes) must not
     // depend on the width knob, exactly as it must not depend on workers.
     auto fx = Fixture::make();
+    std::uint64_t retired = 0;
     auto run_with = [&](std::size_t width) {
         nn::Network net = fx.net.clone();
         auto universe = fault::FaultUniverse::stuck_at(net);
@@ -256,12 +285,17 @@ TEST(EnsembleForward, EngineOutcomesIndependentOfEnsembleWidth) {
         spec.sample.error_margin = 0.05;
         spec.sample.confidence = 0.95;
         const auto plan = engine.plan(universe, spec);
-        return engine.run(universe, plan, stats::Rng(7).fork("campaign"));
+        auto result = engine.run(universe, plan, stats::Rng(7).fork("campaign"));
+        retired = engine.retired_count();
+        return result;
     };
     const CampaignResult one = run_with(1);
+    const std::uint64_t one_retired = retired;
+    EXPECT_GT(one_retired, 0u);
     for (const std::size_t width : kWidths) {
         SCOPED_TRACE("width=" + std::to_string(width));
         const CampaignResult wide = run_with(width);
+        EXPECT_EQ(retired, one_retired);
         ASSERT_EQ(one.subpops.size(), wide.subpops.size());
         EXPECT_EQ(one.total_injected(), wide.total_injected());
         EXPECT_EQ(one.total_critical(), wide.total_critical());
@@ -324,10 +358,13 @@ int weight_layer(nn::Network& net, const std::string& name) {
     throw std::invalid_argument("no weight layer " + name);
 }
 
-void expect_deep_identity(const std::string& model,
-                          const std::vector<std::string>& layers) {
+/// The oracle identity over layer_faults of each of @p layers, under two
+/// policies; returns the lane-image pairs retired early.
+std::uint64_t expect_deep_identity(const std::string& model,
+                                   const std::vector<std::string>& layers) {
     auto fx = deep_fixture(model);
     constexpr std::size_t kDeepWidths[] = {1, 8};
+    std::uint64_t retired = 0;
     for (const auto policy : {ClassificationPolicy::GoldenMismatch,
                               ClassificationPolicy::AnyMisprediction}) {
         SCOPED_TRACE(to_string(policy));
@@ -339,8 +376,45 @@ void expect_deep_identity(const std::string& model,
                 layer_faults(fx.net, weight_layer(fx.net, name));
             faults.insert(faults.end(), more.begin(), more.end());
         }
-        expect_group_identity(fx.net, fx.eval, faults, config, kDeepWidths);
+        retired += expect_group_identity(fx.net, fx.eval, faults, config,
+                                         kDeepWidths);
     }
+    return retired;
+}
+
+TEST(EnsembleForward, RetiresAtTheFrontier) {
+    // MicroNet's fc is its last node, so an fc lane can only retire at the
+    // frontier, when its recomputed logit is golden bit for bit: a
+    // mantissa-LSB flip of an fc weight mostly rounds away in the sum.
+    auto fx = Fixture::make();
+    nn::Network net = fx.net.clone();
+    const int fc = weight_layer(net, "fc");
+    EXPECT_GT(expect_stratum_identity(fx, "flip", {}, fc, 0, 64), 0u);
+
+    // Clamp, then compare: under a clip on fc narrower than the golden
+    // logits, an exponent flip's exploded logit clamps to the bound golden
+    // clamps to, and only a lane compared after its clamp retires.
+    ExecutorConfig clipped;
+    clipped.policy = ClassificationPolicy::GoldenMismatch;
+    clipped.mitigation.clips.push_back(fault::ClipRule{"fc", -1e-3f, 1e-3f});
+    EXPECT_GT(expect_stratum_identity(fx, "flip", clipped, fc, 30, 64), 0u);
+}
+
+TEST(EnsembleForward, RetiresAtCuts) {
+    // An activation fault's flipped element always differs from golden,
+    // so its lanes never retire at the frontier, only at the suffix's
+    // cuts: a mantissa-LSB flip of a negative conv1 output is zeroed again
+    // by relu1. Each lane is compared against its own image's golden
+    // activations.
+    auto fx = Fixture::make();
+    EXPECT_GT(expect_stratum_identity(fx, "activation", {}, 0, 0, 64), 0u);
+    // Weight faults rejoin at cuts too: a mantissa-LSB stuck-at of one of
+    // conv1's first weights never leaves its row golden, but relu1 and the
+    // pools absorb the change for some lanes.
+    nn::Network net = fx.net.clone();
+    EXPECT_GT(expect_stratum_identity(fx, "stuck-at", {},
+                                      weight_layer(net, "conv1"), 0, 64),
+              0u);
 }
 
 TEST(EnsembleForward, WorkspaceIsGrowOnly) {
@@ -372,7 +446,9 @@ TEST(EnsembleForward, MatchesOnResNet20) {
     // The stem; the last stage-2 conv, whose block Add reads the stacked
     // block input and whose block output feeds stage 3's PadShortcut (a
     // late stage keeps the suffix short); the FC.
-    expect_deep_identity("resnet20", {"conv1", "stage2.block3.conv2", "fc"});
+    EXPECT_GT(
+        expect_deep_identity("resnet20", {"conv1", "stage2.block3.conv2", "fc"}),
+        0u);
 }
 
 TEST(EnsembleForward, MatchesOnMobileNetV2) {
@@ -380,8 +456,10 @@ TEST(EnsembleForward, MatchesOnMobileNetV2) {
     // runs the stride-1 depthwise convs of blocks 14-16; the expand
     // pointwise conv of the last residual block (its Add reads the stacked
     // block input); that block's depthwise conv; the FC.
-    expect_deep_identity("mobilenetv2", {"block13.depthwise", "block15.expand",
-                                         "block15.depthwise", "fc"});
+    EXPECT_GT(expect_deep_identity("mobilenetv2",
+                                   {"block13.depthwise", "block15.expand",
+                                    "block15.depthwise", "fc"}),
+              0u);
 }
 
 }  // namespace

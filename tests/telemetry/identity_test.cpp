@@ -110,6 +110,13 @@ TEST(TelemetryIdentity, CensusTableBytesIdenticalTelemetryOnVsOff) {
     EXPECT_EQ(snap.find("statfi_inferences_total")->counter,
               on.inference_count());
     EXPECT_GT(on.inference_count(), 0u);
+    // Lanes retired early as golden: counted per group like inferences,
+    // and the same with telemetry off.
+    EXPECT_EQ(snap.find("statfi_lanes_retired_total")->counter,
+              on.retired_count());
+    EXPECT_GT(on.retired_count(), 0u);
+    EXPECT_EQ(on.retired_count(), off.retired_count());
+    EXPECT_EQ(on.inference_count(), off.inference_count());
     // Phase spans were recorded for the orchestration phases.
     ASSERT_NE(session.trace(), nullptr);
     bool saw_census = false, saw_golden = false;

@@ -839,8 +839,9 @@ int cmd_campaign(const Options& opt) {
         out << "outcome table saved to " << opt.out << "\n";
     }
     out << "done in " << report::fmt_double(facts.wall_seconds, 1) << "s ("
-        << report::fmt_u64(engine.inference_count())
-        << " faulty inferences)\n";
+        << report::fmt_u64(engine.inference_count()) << " faulty inferences, "
+        << report::fmt_u64(engine.retired_count())
+        << " of them retired early as golden)\n";
     print_result(opt, opt.command,
                  shard::summarize(recipe, fx.universe, run.campaign), facts);
     return run.complete ? 0 : 130;
