@@ -92,31 +92,78 @@ ClassificationCore::ClassificationCore(nn::Network& net,
       mitigation_(deploy_mitigation(config_.mitigation, net)),
       injector_(net, config_.dtype, config_.layer_quant),
       golden_(build_golden_cache(net, eval)) {
-    // Precompute, for every potential dirty node d, which golden entries
-    // the ensemble suffix forward_from(d + 1) dereferences: producers
-    // p < d read by some node > d (the frontier d itself is built fresh
-    // each step), plus whether any suffix node reads the network input.
     const int n = net_->node_count();
-    ensemble_golden_.resize(static_cast<std::size_t>(n));
-    row_cache_.assign(static_cast<std::size_t>(n),
-                      std::vector<Tensor>(golden_.images.size()));
-    suffix_deps_.resize(static_cast<std::size_t>(n));
-    suffix_needs_input_.assign(static_cast<std::size_t>(n), 0);
-    std::vector<char> used;
+    const auto un = static_cast<std::size_t>(n);
+    for (const auto& ref : net_->weight_layers())
+        if (!net_->layer(ref.node_id).supports_row_update())
+            throw std::invalid_argument("ClassificationCore: weight layer '" +
+                                        ref.name + "' has no row updates");
+    ensemble_golden_.resize(un);
+    row_cache_.assign(un, std::vector<Tensor>(golden_.images.size()));
+    // For every node t: the producers p < t some node > t reads (the
+    // golden entries forward_from(t + 1) dereferences besides t itself),
+    // whether a node > t reads the network input, and each node's last
+    // reader.
+    std::vector<std::vector<int>> suffix_deps(un);
+    std::vector<char> suffix_needs_input(un, 0);
+    std::vector<int> last_reader(un, -1);
+    for (int q = 0; q < n; ++q)
+        for (int in : net_->node_inputs(q))
+            if (in != nn::Network::kInputId)
+                last_reader[static_cast<std::size_t>(in)] = q;
+    for (int t = 0; t < n; ++t) {
+        const auto ut = static_cast<std::size_t>(t);
+        for (int p = 0; p < t; ++p)
+            if (last_reader[static_cast<std::size_t>(p)] > t)
+                suffix_deps[ut].push_back(p);
+        for (int q = t + 1; q < n; ++q)
+            for (int in : net_->node_inputs(q))
+                if (in == nn::Network::kInputId) suffix_needs_input[ut] = 1;
+    }
+    // Each node's channel region, the planes a lane carries through it,
+    // where they are compared, and the entries a step materializes.
+    regions_.resize(un);
     for (int d = 0; d < n; ++d) {
-        used.assign(static_cast<std::size_t>(n), 0);
-        bool needs_input = false;
-        for (int q = d + 1; q < n; ++q)
-            for (int in : net_->node_inputs(q)) {
-                if (in == nn::Network::kInputId)
-                    needs_input = true;
-                else if (in < d)
-                    used[static_cast<std::size_t>(in)] = 1;
-            }
-        for (int p = 0; p < d; ++p)
-            if (used[static_cast<std::size_t>(p)])
-                suffix_deps_[static_cast<std::size_t>(d)].push_back(p);
-        suffix_needs_input_[static_cast<std::size_t>(d)] = needs_input ? 1 : 0;
+        Region& region = regions_[static_cast<std::size_t>(d)];
+        const nn::Network::ChannelRegion walk = net_->channel_region(d);
+        region.dirty.push_back(d);
+        region.dirty.insert(region.dirty.end(), walk.nodes.begin(),
+                            walk.nodes.end());
+        for (std::size_t k = 0; k < region.dirty.size(); ++k) {
+            const int node = region.dirty[k];
+            region.offset.push_back(region.lane_floats);
+            region.lane_floats += nn::channel_plane(golden_of(0, node).shape());
+            bool only_live = node < n - 1;
+            for (std::size_t j = 0; j < k; ++j)
+                only_live = only_live &&
+                            last_reader[static_cast<std::size_t>(
+                                region.dirty[j])] <= node;
+            region.checked.push_back(only_live ? 1 : 0);
+        }
+        region.resume = walk.resume;
+        const int t = walk.resume;
+        std::vector<int>& entries = region.entries;
+        if (t < 0) {
+            entries.push_back(n - 1);
+            continue;
+        }
+        const auto add = [&entries](int e) {
+            if (e != nn::Network::kInputId &&
+                std::find(entries.begin(), entries.end(), e) == entries.end())
+                entries.push_back(e);
+        };
+        for (int in : net_->node_inputs(t)) {
+            add(in);
+            if (in == nn::Network::kInputId) region.needs_input = true;
+        }
+        for (int p : suffix_deps[static_cast<std::size_t>(t)]) add(p);
+        if (suffix_needs_input[static_cast<std::size_t>(t)])
+            region.needs_input = true;
+        // Largest first: step buffer k is lent to every node's k-th entry,
+        // so it grows only to the largest k-th entry of any node.
+        std::stable_sort(entries.begin(), entries.end(), [this](int a, int b) {
+            return golden_of(0, a).numel() > golden_of(0, b).numel();
+        });
     }
     // A suffix segment from node k runs to the first cut at or after k
     // that a weight layer (conv, linear) follows. A lane golden at a cut
@@ -165,14 +212,6 @@ Shape lane_shape(const Shape& src, std::size_t lanes) {
     std::vector<std::int64_t> dims = src.dims();
     dims.at(0) = static_cast<std::int64_t>(lanes);
     return Shape(std::move(dims));
-}
-
-/// Replicate a batch-1 tensor into @p lanes batch rows of @p dst.
-void stack_lanes(const Tensor& src, std::size_t lanes, Tensor& dst) {
-    nn::ensure_shape(dst, lane_shape(src.shape(), lanes));
-    const std::size_t sz = src.numel();
-    for (std::size_t l = 0; l < lanes; ++l)
-        std::memcpy(dst.data() + l * sz, src.data(), sz * sizeof(float));
 }
 }  // namespace
 
@@ -225,21 +264,157 @@ void ClassificationCore::evaluate_group(std::span<const fault::Fault> faults,
 
 void ClassificationCore::lend_step_buffers(int node) {
     if (node == lent_to_) return;
-    // Buffer 0 is the frontier's, buffer 1 + k the k-th dependency's.
+    // Buffer k is the k-th entry's.
     const auto swap_entries = [this](int d) {
-        const auto& deps = suffix_deps_[static_cast<std::size_t>(d)];
-        for (std::size_t k = 0; k <= deps.size(); ++k) {
-            const int entry = k == 0 ? d : deps[k - 1];
+        const auto& entries = regions_[static_cast<std::size_t>(d)].entries;
+        for (std::size_t k = 0; k < entries.size(); ++k)
             std::swap(step_buffers_[k],
-                      ensemble_golden_[static_cast<std::size_t>(entry)]);
-        }
+                      ensemble_golden_[static_cast<std::size_t>(entries[k])]);
     };
     if (lent_to_ >= 0) swap_entries(lent_to_);
-    step_buffers_.resize(std::max(
-        step_buffers_.size(),
-        1 + suffix_deps_[static_cast<std::size_t>(node)].size()));
+    step_buffers_.resize(
+        std::max(step_buffers_.size(),
+                 regions_[static_cast<std::size_t>(node)].entries.size()));
     swap_entries(node);
     lent_to_ = node;
+}
+
+const Tensor& ClassificationCore::golden_of(std::size_t image,
+                                            int node) const {
+    return node == nn::Network::kInputId
+               ? golden_.images[image]
+               : golden_.acts[image][static_cast<std::size_t>(node)];
+}
+
+template <class Frontier>
+void ClassificationCore::run_lanes(int node, Frontier&& frontier) {
+    const Region& region = regions_[static_cast<std::size_t>(node)];
+    const auto& dirty = region.dirty;
+    const std::size_t F = running_.size();
+    lane_preds_.resize(F);
+    // (image, channel) order: a resumed conv advances one golden running
+    // sum per image through the lanes' channels.
+    std::sort(running_.begin(), running_.end(),
+              [this](std::size_t a, std::size_t b) {
+                  return std::pair(lane_images_[a], lane_channels_[a]) <
+                         std::pair(lane_images_[b], lane_channels_[b]);
+              });
+    nn::ensure_shape(lane_planes_,
+                     Shape{static_cast<std::int64_t>(region.lane_floats)});
+    float* planes = lane_planes_.data();
+    // Entries are materialized row by row as lanes survive, then trimmed.
+    for (const int e : region.entries)
+        nn::ensure_shape(ensemble_golden_[static_cast<std::size_t>(e)],
+                         lane_shape(golden_of(0, e).shape(), F));
+    if (region.needs_input)
+        nn::ensure_shape(ensemble_input_,
+                         lane_shape(golden_.images[0].shape(), F));
+
+    // Where node @p id is among dirty[0, below): below when it is not.
+    const auto dirty_index = [&dirty](int id, std::size_t below) {
+        const auto end = dirty.begin() + static_cast<std::ptrdiff_t>(below);
+        return static_cast<std::size_t>(std::find(dirty.begin(), end, id) -
+                                        dirty.begin());
+    };
+    std::size_t rows = 0;
+    for (std::size_t q = 0; q < F; ++q) {
+        const std::size_t lane = running_[q];
+        const std::size_t image = lane_images_[lane];
+        const std::int64_t c = lane_channels_[lane];
+        const auto& acts = golden_.acts[image];
+        const auto plane_of = [&](const Tensor& t) {
+            return t.data() + static_cast<std::size_t>(c) *
+                                  nn::channel_plane(t.shape());
+        };
+        // The region, one plane per node from the lane's dirty planes and
+        // golden's planes of the same channel, clamped as the clip hook
+        // clamps the full output.
+        bool live = frontier(lane, planes + region.offset[0]);
+        for (std::size_t k = 1; live && k < dirty.size(); ++k) {
+            const int r = dirty[k];
+            const auto& inputs = net_->node_inputs(r);
+            plane_inputs_.clear();
+            for (int in : inputs) {
+                const std::size_t j = dirty_index(in, k);
+                plane_inputs_.push_back(j < k ? planes + region.offset[j]
+                                              : plane_of(golden_of(image, in)));
+            }
+            float* out = planes + region.offset[k];
+            const Tensor& golden = acts[static_cast<std::size_t>(r)];
+            const std::size_t size = nn::channel_plane(golden.shape());
+            net_->layer(r).forward_channel(
+                plane_inputs_, golden_of(image, inputs.front()).shape(), c,
+                out);
+            if (const auto& clip =
+                    mitigation_.node_clips[static_cast<std::size_t>(r)])
+                kernels::active().clamp(out, size, clip->first, clip->second);
+            live = !region.checked[k] ||
+                   std::memcmp(out, plane_of(golden),
+                               size * sizeof(float)) != 0;
+        }
+        if (!live) {
+            lane_preds_[lane] = predict_row(acts.back(), 0);
+            ++retired_;
+            continue;
+        }
+        for (const int e : region.entries) {
+            const Tensor& golden = acts[static_cast<std::size_t>(e)];
+            float* row = ensemble_golden_[static_cast<std::size_t>(e)].data() +
+                         rows * golden.numel();
+            std::memcpy(row, golden.data(), golden.numel() * sizeof(float));
+            const std::size_t j = dirty_index(e, dirty.size());
+            if (j < dirty.size()) {
+                const std::size_t size = nn::channel_plane(golden.shape());
+                std::memcpy(row + static_cast<std::size_t>(c) * size,
+                            planes + region.offset[j], size * sizeof(float));
+            }
+        }
+        if (region.needs_input) {
+            const Tensor& in = golden_.images[image];
+            std::memcpy(ensemble_input_.data() + rows * in.numel(), in.data(),
+                        in.numel() * sizeof(float));
+        }
+        running_[rows++] = lane;
+    }
+    running_.resize(rows);
+    if (rows == 0) return;
+    if (rows < F) {
+        for (const int e : region.entries) {
+            Tensor& t = ensemble_golden_[static_cast<std::size_t>(e)];
+            nn::ensure_shape(t, lane_shape(t.shape(), rows));
+        }
+        if (region.needs_input)
+            nn::ensure_shape(ensemble_input_,
+                             lane_shape(ensemble_input_.shape(), rows));
+    }
+
+    if (region.resume < 0) {  // the last node's output: the logits
+        const Tensor& logits = ensemble_golden_.back();
+        for (std::size_t r = 0; r < rows; ++r)
+            lane_preds_[running_[r]] =
+                predict_row(logits, static_cast<std::int64_t>(r));
+        return;
+    }
+    // The resume node writes into the idle cut spare; run_suffix lends it.
+    const int t = region.resume;
+    Tensor& out = cut_spare_;
+    const auto& inputs = net_->node_inputs(t);
+    resume_lanes_.clear();
+    for (const std::size_t lane : running_)
+        resume_lanes_.push_back(
+            {&golden_of(lane_images_[lane], inputs.front()),
+             lane_channels_[lane]});
+    lane_inputs_.clear();
+    for (int in : inputs)
+        lane_inputs_.push_back(
+            in == nn::Network::kInputId
+                ? &ensemble_input_
+                : &ensemble_golden_[static_cast<std::size_t>(in)]);
+    net_->layer(t).forward_resume(lane_inputs_, resume_lanes_, out);
+    if (const auto& clip = mitigation_.node_clips[static_cast<std::size_t>(t)])
+        kernels::active().clamp(out.data(), out.numel(), clip->first,
+                                clip->second);
+    run_suffix(t);
 }
 
 void ClassificationCore::ensemble_weight_step(
@@ -249,67 +424,45 @@ void ClassificationCore::ensemble_weight_step(
     const nn::Layer& layer = net_->layer(node);
     const auto& acts = golden_.acts[image];
 
+    // run_lanes reuses lane_inputs_ for the resume node only after every
+    // lane's frontier has run.
     lane_inputs_.clear();
     for (int in : net_->node_inputs(node))
-        lane_inputs_.push_back(in == nn::Network::kInputId
-                                   ? &golden_.images[image]
-                                   : &acts[static_cast<std::size_t>(in)]);
+        lane_inputs_.push_back(&golden_of(image, in));
     const std::span<const Tensor* const> inputs(lane_inputs_.data(),
                                                 lane_inputs_.size());
 
-    // Frontier: per lane, the golden node output with only the output row
-    // its corrupted weight word feeds recomputed under that lane's fault,
-    // then clamped as the clip hook clamps a full recompute. The other rows
-    // do not depend on the corrupted word, so they are byte-identical to a
-    // full faulty recompute, and a lane whose row is golden again retires
-    // here: its dependencies are golden too, so nothing live differs.
     const Tensor& gact = acts[d];
-    const std::size_t lane_sz = gact.numel();
-    const std::size_t row_sz =
-        lane_sz / static_cast<std::size_t>(gact.shape()[1]);
+    const std::size_t plane = nn::channel_plane(gact.shape());
     const auto& clip = mitigation_.node_clips[d];
-    const int golden_prediction = predict_row(acts.back(), 0);
-    Tensor& frontier = ensemble_golden_[d];
-    nn::ensure_shape(frontier, lane_shape(gact.shape(), F));
+    nn::ensure_shape(lane_buf_, gact.shape());
     lane_images_.assign(F, image);
-    lane_preds_.resize(F);
-    running_.clear();
-    for (std::size_t l = 0; l < F; ++l) {
-        const fault::Fault& fault = faults[active_[l]];
-        nn::ensure_shape(lane_buf_, gact.shape());
-        std::memcpy(lane_buf_.data(), gact.data(), lane_sz * sizeof(float));
+    lane_channels_.resize(F);
+    for (std::size_t l = 0; l < F; ++l)
+        lane_channels_[l] =
+            layer.row_of_weight(faults[active_[l]].weight_index);
+    running_.resize(F);
+    std::iota(running_.begin(), running_.end(), std::size_t{0});
+    // Frontier: per lane, the plane (output channel) its corrupted weight
+    // word feeds, recomputed under that lane's fault, then clamped as the
+    // clip hook clamps a full recompute. The other planes do not depend on
+    // the corrupted word, so they are golden's, and a lane whose plane is
+    // golden again retires here: nothing live differs.
+    run_lanes(node, [&](std::size_t lane, float* out) {
+        const fault::Fault& fault = faults[active_[lane]];
         {
             fault::WeightInjector::Scoped guard(injector_, fault);
             layer.forward_row_cached(inputs, fault.weight_index,
                                      row_cache_[d][image], lane_buf_);
         }
-        // A layer without row updates recomputes the whole output.
-        const std::int64_t row = layer.row_of_weight(fault.weight_index);
         const std::size_t begin =
-            row < 0 ? 0 : static_cast<std::size_t>(row) * row_sz;
-        const std::size_t count = row < 0 ? lane_sz : row_sz;
+            static_cast<std::size_t>(lane_channels_[lane]) * plane;
+        std::memcpy(out, lane_buf_.data() + begin, plane * sizeof(float));
         if (clip)
-            kernels::active().clamp(lane_buf_.data() + begin, count,
-                                    clip->first, clip->second);
-        if (std::memcmp(lane_buf_.data() + begin, gact.data() + begin,
-                        count * sizeof(float)) == 0) {
-            lane_preds_[l] = golden_prediction;
-            ++retired_;
-            continue;
-        }
-        std::memcpy(frontier.data() + running_.size() * lane_sz,
-                    lane_buf_.data(), lane_sz * sizeof(float));
-        running_.push_back(l);
-    }
-    const std::size_t R = running_.size();
-    if (R == 0) return;
-    if (R < F) nn::ensure_shape(frontier, lane_shape(gact.shape(), R));
-    for (int p : suffix_deps_[d])
-        stack_lanes(acts[static_cast<std::size_t>(p)], R,
-                    ensemble_golden_[static_cast<std::size_t>(p)]);
-    if (suffix_needs_input_[d])
-        stack_lanes(golden_.images[image], R, ensemble_input_);
-    run_suffix(node);
+            kernels::active().clamp(out, plane, clip->first, clip->second);
+        return std::memcmp(out, gact.data() + begin, plane * sizeof(float)) !=
+               0;
+    });
 }
 
 void ClassificationCore::retire_golden_rows(Tensor& out, int node) {
@@ -337,16 +490,18 @@ void ClassificationCore::retire_golden_rows(Tensor& out, int node) {
 
 void ClassificationCore::run_suffix(int node) {
     const int n = net_->node_count();
+    // node's output arrives in cut_spare_ and is lent to its entry for the
+    // first segment, as a cut's output is to the next one.
+    std::swap(ensemble_golden_[static_cast<std::size_t>(node)], cut_spare_);
     const Tensor* out = &ensemble_golden_[static_cast<std::size_t>(node)];
     int at = node;     // the node whose output *out is
-    int lent = -1;     // the cut ensemble_golden_ lends the running segment
+    int lent = node;   // the entry lent the spare's buffer, or -1
     while (at + 1 < n) {
         const int cut = segment_end_[static_cast<std::size_t>(at + 1)];
         out = &net_->forward_from(at + 1, ensemble_input_, ensemble_golden_,
                                   ensemble_scratch_, cut);
-        if (lent >= 0)
-            std::swap(ensemble_golden_[static_cast<std::size_t>(lent)],
-                      cut_spare_);
+        std::swap(ensemble_golden_[static_cast<std::size_t>(lent)], cut_spare_);
+        lent = -1;
         at = cut;
         if (at + 1 == n) break;  // *out is the logits
         Tensor& cut_out = ensemble_scratch_[static_cast<std::size_t>(
@@ -362,6 +517,8 @@ void ClassificationCore::run_suffix(int node) {
     for (std::size_t r = 0; r < running_.size(); ++r)
         lane_preds_[running_[r]] =
             predict_row(*out, static_cast<std::int64_t>(r));
+    if (lent >= 0)  // node is the last node: *out was its entry
+        std::swap(ensemble_golden_[static_cast<std::size_t>(lent)], cut_spare_);
 }
 
 void ClassificationCore::evaluate_weight_group(
@@ -433,61 +590,41 @@ void ClassificationCore::evaluate_activation_group(
 
     // Each lane's target image is a pure function of its fault (see
     // evaluate_group), so lanes in one group generally corrupt DIFFERENT
-    // images: suffix dependencies and the input are gathered per lane
-    // rather than replicated, and a lane's rows are compared against its
-    // own image's golden activations.
+    // images: golden planes, materialized rows and the input are each
+    // lane's own image's, and a lane is compared against that image's
+    // golden activations.
+    const Shape& shape = golden_.acts[0].at(d).shape();  // range-checks node
+    const std::size_t plane = nn::channel_plane(shape);
     lane_images_.resize(F);
-    lane_preds_.resize(F);
-    running_.resize(F);
-    std::iota(running_.begin(), running_.end(), std::size_t{0});
-    const Tensor& shape_ref = golden_.acts[0].at(d);  // range-checks node
-    lend_step_buffers(node);
-    const std::size_t lane_sz = shape_ref.numel();
-    Tensor& frontier = ensemble_golden_[d];
-    nn::ensure_shape(frontier, lane_shape(shape_ref.shape(), F));
+    lane_channels_.resize(F);
     for (std::size_t l = 0; l < F; ++l) {
         const fault::Fault& fault = faults[l];
-        const auto i = static_cast<std::size_t>(
+        lane_images_[l] = static_cast<std::size_t>(
             (fault.weight_index + static_cast<std::uint64_t>(fault.bit)) %
             images);
-        lane_images_[l] = i;
-        const Tensor& act = golden_.acts[i][d];
-        if (fault.weight_index >= static_cast<std::uint64_t>(act.numel()))
+        if (fault.weight_index >= shape.numel())
             throw std::out_of_range(
                 "ClassificationCore: activation element index out of range");
-        // Lane = post-hook golden activation with one element flipped. No
-        // re-clamp: the fault strikes the node's (already clipped) output,
-        // and only the nodes after it re-run. The flipped element always
-        // differs, so no lane retires here, only at the suffix's cuts.
-        float* lane = frontier.data() + l * lane_sz;
-        std::memcpy(lane, act.data(), lane_sz * sizeof(float));
-        const auto element = static_cast<std::size_t>(fault.weight_index);
-        lane[element] =
-            fault::apply_bit_flip(lane[element], fault.bit, config_.dtype);
+        lane_channels_[l] =
+            static_cast<std::int64_t>(fault.weight_index / plane);
     }
-
-    for (int p : suffix_deps_[d]) {
-        const auto ps = static_cast<std::size_t>(p);
-        const Tensor& ref = golden_.acts[0][ps];
-        const std::size_t sz = ref.numel();
-        Tensor& dst = ensemble_golden_[ps];
-        nn::ensure_shape(dst, lane_shape(ref.shape(), F));
-        for (std::size_t l = 0; l < F; ++l)
-            std::memcpy(dst.data() + l * sz,
-                        golden_.acts[lane_images_[l]][ps].data(),
-                        sz * sizeof(float));
-    }
-    if (suffix_needs_input_[d]) {
-        const std::size_t sz = golden_.images[0].numel();
-        nn::ensure_shape(ensemble_input_,
-                         lane_shape(golden_.images[0].shape(), F));
-        for (std::size_t l = 0; l < F; ++l)
-            std::memcpy(ensemble_input_.data() + l * sz,
-                        golden_.images[lane_images_[l]].data(),
-                        sz * sizeof(float));
-    }
-
-    run_suffix(node);
+    lend_step_buffers(node);
+    running_.resize(F);
+    std::iota(running_.begin(), running_.end(), std::size_t{0});
+    // Lane = its image's post-hook golden plane with one element flipped.
+    // No re-clamp: the fault strikes the node's (already clipped) output,
+    // and only the nodes after it re-run. The flipped element always
+    // differs, so no lane retires here.
+    run_lanes(node, [&](std::size_t lane, float* out) {
+        const fault::Fault& fault = faults[lane];
+        const Tensor& act = golden_.acts[lane_images_[lane]][d];
+        const std::size_t begin =
+            static_cast<std::size_t>(lane_channels_[lane]) * plane;
+        std::memcpy(out, act.data() + begin, plane * sizeof(float));
+        float& element = out[fault.weight_index - begin];
+        element = fault::apply_bit_flip(element, fault.bit, config_.dtype);
+        return true;
+    });
     inferences_ += F;
 
     for (std::size_t l = 0; l < F; ++l)
@@ -498,8 +635,8 @@ void ClassificationCore::evaluate_activation_group(
 }
 
 std::size_t ClassificationCore::ensemble_bytes() const noexcept {
-    std::size_t floats = lane_buf_.capacity() + ensemble_input_.capacity() +
-                         cut_spare_.capacity();
+    std::size_t floats = lane_buf_.capacity() + lane_planes_.capacity() +
+                         ensemble_input_.capacity() + cut_spare_.capacity();
     for (const auto& t : ensemble_golden_) floats += t.capacity();
     for (const auto& t : step_buffers_) floats += t.capacity();
     for (const auto& t : ensemble_scratch_) floats += t.capacity();

@@ -13,10 +13,22 @@
 //    split back into per-image rows (bit-identical to per-image passes:
 //    every layer computes batch rows independently — see nn/gemm.hpp);
 //  * a weight fault in graph node k only dirties nodes >= k, and inside
-//    node k only the one output row its corrupted word feeds: a lane is
-//    the golden output of k with that row recomputed (from a cached golden
-//    im2col matrix), and all lanes re-run the downstream sub-graph
-//    together as one batch (Network::forward_from);
+//    node k only the one output channel (row) its corrupted word feeds: a
+//    lane starts as that channel's plane, recomputed from a cached golden
+//    im2col matrix (Layer::forward_row_cached);
+//  * channel-local frontier: BN, activations, pooling, depthwise conv and
+//    Add keep a one-channel difference in its channel, so through node k's
+//    channel region (Network::channel_region) a lane is one plane per
+//    dirty node, each computed from the lane's planes and golden's planes
+//    of the same channel (Layer::forward_channel). At the region's end,
+//    the first channel-mixing node t, each lane's inputs are materialized
+//    (golden with its planes written in) and t resumes: a conv starts each
+//    lane from the golden partial sums over the input channels before the
+//    lane's own, one running sum per image handed from lane to lane
+//    (Layer::forward_resume); then all lanes run the rest of the graph
+//    together as one batch (Network::forward_from). An activation fault's
+//    lane is its image's golden plane with one element flipped, through
+//    the same runner;
 //  * a stuck-at equal to the golden bit is masked by construction and is
 //    classified Non-critical without any inference (half of a stuck-at
 //    universe on average);
@@ -25,31 +37,32 @@
 //    whole evaluation set;
 //  * exact early exit: a lane whose activations are golden again bit for
 //    bit can only compute the golden logits, so it leaves the ensemble for
-//    that image and predicts what the golden logits predict. It is checked
-//    at the frontier (the recomputed row, clamped, against golden's) and
-//    at the cuts of the suffix (Network::next_cut: a node after which
-//    nothing older than its own output is read). The suffix runs in
-//    segments ending at cuts; at a cut, rows equal to golden retire and
-//    the survivors are compacted before the next segment. Checking only
-//    at cuts is safe: a lane's frontier and dependencies are its only
-//    live activations until the first cut, and a cut's output is the only
-//    one after it, so a lane never retires while a live activation still
-//    differs. And once every live activation is golden, every later one
-//    is, so any later checked cut catches the rejoin. A cut is checked
-//    when a weight layer (conv, linear) runs next: a rejoin is then still
-//    caught before the layers where the suffix spends its time, and no
-//    compare is paid after each BN, activation or pooling node. No
-//    tolerance is involved (memcmp, so -0 and +0 differ and a NaN equals
-//    only its own bits);
+//    that image and predicts what the golden logits predict. In the
+//    region, a plane is compared with golden's wherever it is the lane's
+//    only live dirty activation (the weight frontier's after its clamp);
+//    every other activation is golden there, so an equal plane means the
+//    whole lane is. After t, the suffix is checked at its cuts
+//    (Network::next_cut: a node after which nothing older than its own
+//    output is read): it runs in segments ending at cuts; at a cut, rows
+//    equal to golden retire and the survivors are compacted before the
+//    next segment. A cut's output is the only live activation after it,
+//    so a lane never retires while a live activation still differs, and
+//    once every live activation is golden, every later one is, so any
+//    later checked cut catches the rejoin. A cut is checked when a weight
+//    layer (conv, linear) runs next: a rejoin is then still caught before
+//    the layers where the suffix spends its time. No tolerance is
+//    involved (memcmp, so -0 and +0 differ and a NaN equals only its own
+//    bits);
 //  * the workspace is grow-only and sized by what is live: every buffer
 //    keeps its allocation when a group's lane count or a node's shape
 //    changes (nn::ensure_shape), forward_from runs the suffix in a pool
 //    holding only the outputs some later node still reads, and only the
-//    current dirty node's frontier and replicated dependencies hold memory
-//    (they move between ensemble_golden_ entries when it changes). So the
-//    ~10^5-fault hot loop stops allocating once the widest group has run
-//    through each layer, and the ensemble's footprint is a few activations
-//    wide, not the graph's.
+//    current dirty node's materialized entries hold memory (they move
+//    between ensemble_golden_ entries when it changes), beside one lane's
+//    planes and the resume node's output, which the cut spare holds. So
+//    the ~10^5-fault hot loop stops allocating once the widest group has
+//    run through each layer, and the ensemble's footprint is a few
+//    activations wide, not the graph's.
 //
 // tests/support/reference_classifier.hpp restates the classification one
 // fault and one image at a time, as the oracle the ensemble is checked
@@ -151,7 +164,7 @@ public:
 
     /// Ensemble workspace footprint in bytes, by allocated size (the
     /// benchmark's core.ensemble_mb): the suffix pool and its cut spare,
-    /// the frontier and dependency buffers, the lane buffer, the stacked
+    /// the materialized entries, the lane and plane buffers, the stacked
     /// input and the row caches.
     [[nodiscard]] std::size_t ensemble_bytes() const noexcept;
 
@@ -179,25 +192,39 @@ private:
                                FaultOutcome* out);
     void evaluate_activation_group(std::span<const fault::Fault> faults,
                                    FaultOutcome* out);
-    /// Build the lane-stacked frontier (node @p node outputs for image
-    /// @p image, one lane per active fault that still differs from golden
-    /// there) plus the replicated suffix dependencies, then run the suffix.
-    /// Leaves lane_preds_[l] set for every active lane l.
+    /// Classify the active lanes on image @p image: each lane's plane of
+    /// node @p node's output is recomputed under its fault and clamped,
+    /// then run_lanes carries it. Leaves lane_preds_[l] set for every
+    /// active lane l.
     void ensemble_weight_step(std::span<const fault::Fault> faults, int node,
                               std::size_t image);
-    /// Carry the running_ lanes, stacked in ensemble_golden_[@p node] with
-    /// their suffix dependencies, through the rest of the network in
-    /// segments ending at cuts, retiring at each cut the lanes whose output
-    /// is golden again, and set lane_preds_ for every lane it was given.
+    /// Carry lanes 0..F-1 (running_, with lane_images_ and lane_channels_
+    /// set) from dirty node @p node to their predictions, in (image,
+    /// channel) order. Per lane, @p frontier(lane, plane) writes the lane's
+    /// plane of node's output and returns false when it is golden again;
+    /// the region's planes follow, each compared with golden where it is
+    /// the lane's only live dirty activation. A surviving lane's row of
+    /// each entry of regions_[node] is materialized; the resume node runs
+    /// the rows (Layer::forward_resume), then run_suffix. Sets lane_preds_
+    /// for every lane.
+    template <class Frontier>
+    void run_lanes(int node, Frontier&& frontier);
+    /// Carry the running_ lanes, node @p node's output stacked in
+    /// cut_spare_ and their suffix dependencies in ensemble_golden_,
+    /// through the rest of the network in segments ending at cuts, retiring
+    /// at each cut the lanes whose output is golden again, and set
+    /// lane_preds_ for every lane it was given.
     void run_suffix(int node);
     /// Drop from @p out (node @p node's lane-stacked output, one row per
     /// running_ lane) the rows equal to their image's golden activation bit
     /// for bit, compacting the rest in place; the dropped lanes predict
     /// what the golden logits do.
     void retire_golden_rows(Tensor& out, int node);
-    /// Move the step buffers into @p node's frontier and dependency entries
-    /// of ensemble_golden_, taking them back from the previous dirty node's.
+    /// Move the step buffers into the entries of regions_[@p node], taking
+    /// them back from the previous dirty node's.
     void lend_step_buffers(int node);
+    /// Golden output of @p node (the input for kInputId) on image @p image.
+    [[nodiscard]] const Tensor& golden_of(std::size_t image, int node) const;
 
     nn::Network* net_;
     ExecutorConfig config_;
@@ -212,32 +239,51 @@ private:
     std::size_t worker_ = 0;
 
     // -- fault-batched ensemble state (grow-only, reused across groups) ----
+    /// What a lane dirtied at node d carries, and where it rejoins the
+    /// batch: d's channel region (Network::channel_region), a graph walk
+    /// made once per node at construction.
+    struct Region {
+        std::vector<int> dirty;           ///< d, then the region's nodes
+        std::vector<std::size_t> offset;  ///< dirty[k]'s plane in a lane's
+        std::size_t lane_floats = 0;      ///< one lane's planes together
+        /// dirty[k] is the lane's only live dirty activation once computed
+        /// (and not the last node): its plane is compared with golden's.
+        std::vector<char> checked;
+        int resume = -1;  ///< t, or -1 when the region runs to the end
+        /// ensemble_golden_ entries a step materializes, lane-stacked and
+        /// largest first: t's inputs and the producers older than t that
+        /// nodes after t read (the last node's output alone when
+        /// resume < 0), each golden with the lane's plane written in where
+        /// it is dirty. t's own output goes to cut_spare_ (run_suffix).
+        std::vector<int> entries;
+        bool needs_input = false;  ///< t or a node after it reads the input
+    };
+    std::vector<Region> regions_;
     /// Lane-stacked stand-in for the golden cache: while d is the dirty
-    /// node, entry [d] holds the frontier and the entries listed in
-    /// suffix_deps_[d] hold replicated golden acts; the cut a suffix
-    /// segment resumes from is lent its output for that segment; every
-    /// other entry is empty.
+    /// node, the entries of regions_[d] hold their materialized rows; the
+    /// cut a suffix segment resumes from is lent its output for that
+    /// segment; every other entry is empty.
     std::vector<Tensor> ensemble_golden_;
-    /// The frontier's and dependencies' allocations while no entry holds
-    /// them; lend_step_buffers moves them in and out.
+    /// The entries' allocations while no dirty node holds them;
+    /// lend_step_buffers moves them in and out.
     std::vector<Tensor> step_buffers_;
     int lent_to_ = -1;  ///< dirty node whose entries hold the step buffers
     std::vector<Tensor> ensemble_scratch_;  ///< forward_from's buffer pool
     /// Takes a handed-over cut output's place in the pool, so pool slots
-    /// keep an allocation while ensemble_golden_ lends the cut's.
+    /// keep an allocation while ensemble_golden_ lends the cut's; between
+    /// segments, where the resume node writes its output.
     Tensor cut_spare_;
     Tensor ensemble_input_;  ///< lane-stacked network input, when referenced
-    Tensor lane_buf_;        ///< single-lane frontier reconstruction buffer
+    Tensor lane_buf_;        ///< a weight lane's row recompute, one image
+    Tensor lane_planes_;     ///< the current lane's planes (Region::offset)
     std::vector<const Tensor*> lane_inputs_;
+    std::vector<const float*> plane_inputs_;
+    std::vector<nn::ResumeLane> resume_lanes_;
     /// row_cache_[node][image]: input-derived scratch a layer keeps across
     /// forward_row_cached calls (a conv's golden im2col matrix). Valid for
     /// the life of the core — frontier inputs are golden activations, which
     /// never change after construction.
     std::vector<std::vector<Tensor>> row_cache_;
-    /// suffix_deps_[d]: producers p < d that some node > d reads — exactly
-    /// the golden entries forward_from(d + 1) dereferences besides d itself.
-    std::vector<std::vector<int>> suffix_deps_;
-    std::vector<char> suffix_needs_input_;
     /// segment_end_[k]: the node a suffix segment starting at k runs to:
     /// the first cut at or after k that a weight layer follows, else the
     /// last node.
@@ -245,8 +291,10 @@ private:
     std::vector<std::size_t> active_;       ///< undecided lanes (fault index)
     std::vector<std::uint64_t> lane_correct_;  ///< AccuracyDrop per-lane hits
     // Per step, indexed by lane (weight groups: position in active_;
-    // activation groups: fault index): its image and its prediction.
+    // activation groups: fault index): its image, the one channel it
+    // differs in, and its prediction.
     std::vector<std::size_t> lane_images_;
+    std::vector<std::int64_t> lane_channels_;
     std::vector<int> lane_preds_;
     /// Lanes still in the ensemble, in row order of the stacked tensors.
     std::vector<std::size_t> running_;

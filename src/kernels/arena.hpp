@@ -1,6 +1,6 @@
 #pragma once
 // ScratchArena: a grow-only float workspace for kernel-sized temporaries
-// (conv2d_image's im2col matrix on the generic backend, its zero-bordered
+// (conv2d_range's im2col rows on the generic backend, its zero-bordered
 // input copy on AVX2; depthwise_conv2d's zero-bordered plane on AVX2).
 // Campaign hot loops run ~10^5 forwards per layer; the arena guarantees
 // that after a warm-up pass at the largest shapes in play, no further

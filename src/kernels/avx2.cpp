@@ -34,17 +34,18 @@
 // M == 1 (the ensemble's forward_row) and the N mod 16 column tail take
 // the streaming row loop (avx2_block).
 //
-// Convolution (implicit im2col). conv2d_image never writes the K x N
-// im2col matrix: it copies the image once into a zero-bordered
-// (C, H+2p, W+2p) buffer and packs each kc x 16 panel of B straight from
-// it, then runs the same tile driver (avx2_panels, instantiated with
-// ImagePanels instead of MatrixPanels) and the same row loop for the column
-// tail. A panel row is 16 consecutive output positions of one kernel tap;
-// eight of them in one output row read eight floats stride apart in one
-// padded input row: one load for stride 1, two loads and a shuffle for
-// stride 2, a scalar gather otherwise. The padded copy holds the +0.0f
-// that im2col writes for padding taps, so each packed value — and with it
-// every output element's mul/add sequence — equals the explicit lowering.
+// Convolution (implicit im2col). conv2d_range never writes the K x N
+// im2col matrix: it copies the channels its k-range reads once into a
+// zero-bordered (C', H+2p, W+2p) buffer and packs each kc x 16 panel of B
+// straight from it, then runs the same tile driver (avx2_panels,
+// instantiated with ImagePanels instead of MatrixPanels) and the same row
+// loop for the column tail. A panel row is 16 consecutive output
+// positions of one kernel tap; eight of them in one output row read eight
+// floats stride apart in one padded input row: one load for stride 1, two
+// loads and a shuffle for stride 2, a scalar gather otherwise. The padded
+// copy holds the +0.0f that im2col writes for padding taps, so each packed
+// value — and with it every output element's mul/add sequence — equals
+// the explicit lowering.
 //
 // Depthwise convolution. A vector holds 8 outputs of one plane; each lane
 // adds its taps in ascending (kh, kw) order, one mul then one add, as the
@@ -307,11 +308,19 @@ public:
           row_step_(g.stride * (g.width + 2 * g.padding)),
           kc_(kc) {
         const std::size_t wp = g.width + 2 * g.padding;
-        const std::size_t hp = g.height + 2 * g.padding;
+        const std::size_t plane = (g.height + 2 * g.padding) * wp;
         const std::size_t taps = g.kernel * g.kernel;
+        // One division for the first tap, then (c, kh, kw) by counters.
+        std::size_t kh = k0 % taps / g.kernel, kw = k0 % g.kernel;
+        std::size_t base = k0 / taps * plane + kh * wp;
         for (std::size_t k = 0; k < kc; ++k) {
-            const std::size_t c = (k0 + k) / taps, t = (k0 + k) % taps;
-            tap_[k] = (c * hp + t / g.kernel) * wp + t % g.kernel;
+            tap_[k] = base + kw;
+            if (++kw < g.kernel) continue;
+            kw = 0;
+            base += wp;
+            if (++kh < g.kernel) continue;
+            kh = 0;
+            base += plane - g.kernel * wp;
         }
     }
 
@@ -387,19 +396,20 @@ __attribute__((target("avx2"))) void avx2_panels(
     }
 }
 
-void avx2_gemm_accumulate(std::size_t M, std::size_t N, std::size_t K,
-                          const float* A, const float* B, float* C) {
+void avx2_gemm_range(std::size_t M, std::size_t N, std::size_t K,
+                     std::size_t k0, std::size_t k1, const float* A,
+                     const float* B, float* C) {
     const std::size_t n16 = M >= 2 ? N / kTileN * kTileN : 0;
-    for (std::size_t k0 = 0; k0 < K; k0 += kBlockK) {
-        const std::size_t k1 = std::min(k0 + kBlockK, K);
+    for (std::size_t kb = k0; kb < k1; kb += kBlockK) {
+        const std::size_t ke = std::min(kb + kBlockK, k1);
         if (n16 > 0)
-            avx2_panels(M, n16, k1 - k0, A + k0, K,
-                        MatrixPanels{B + k0 * N, N, k1 - k0}, C, N);
+            avx2_panels(M, n16, ke - kb, A + kb, K,
+                        MatrixPanels{B + kb * N, N, ke - kb}, C, N);
         for (std::size_t m0 = 0; m0 < M; m0 += kBlockM) {
             const std::size_t m1 = std::min(m0 + kBlockM, M);
             for (std::size_t n0 = n16; n0 < N; n0 += kBlockN) {
                 const std::size_t n1 = std::min(n0 + kBlockN, N);
-                avx2_block(m0, m1, k0, k1, n0, n1, N, K, A, B, N, C);
+                avx2_block(m0, m1, kb, ke, n0, n1, N, K, A, B, N, C);
             }
         }
     }
@@ -433,30 +443,36 @@ __attribute__((target("avx2"))) void copy_inside_border(const ConvGeometry& g,
 // Every output tile, M == 1 included, runs over panels packed from the
 // image, since packing is the only copy of the input this path makes; the
 // N mod 16 tail is packed into a 16-wide panel too and streamed by rows.
-__attribute__((target("avx2"))) void avx2_conv2d_image(
-    const ConvGeometry& g, std::size_t M, const float* weight,
-    const float* image, float* out, ScratchArena& arena) {
-    const std::size_t K = g.channels * g.kernel * g.kernel;
+// Only the channels the range [k0, k1) reads are copied: the panels index
+// a sub-image that starts at the range's first channel.
+__attribute__((target("avx2"))) void avx2_conv2d_range(
+    const ConvGeometry& g, std::size_t M, std::size_t k0, std::size_t k1,
+    const float* weight, const float* image, float* out, ScratchArena& arena) {
+    if (k0 >= k1) return;
+    const std::size_t taps = g.kernel * g.kernel;
+    const std::size_t K = g.channels * taps;
     const std::size_t N = g.out_height * g.out_width;
     const std::size_t n16 = N / kTileN * kTileN;
-    const float* padded = image;
+    const std::size_t c0 = k0 / taps;
+    ConvGeometry sub = g;
+    sub.channels = (k1 + taps - 1) / taps - c0;
+    const float* padded = image + c0 * g.height * g.width;
     if (g.padding > 0) {
-        const std::size_t size = g.channels * (g.height + 2 * g.padding) *
+        const std::size_t size = sub.channels * (g.height + 2 * g.padding) *
                                  (g.width + 2 * g.padding);
         float* buf = arena.floats(size);
         std::fill_n(buf, size, 0.0f);
-        copy_inside_border(g, image, buf);
+        copy_inside_border(sub, padded, buf);
         padded = buf;
     }
-    std::memset(out, 0, M * N * sizeof(float));
     alignas(32) float tail[kBlockK * kTileN];
-    for (std::size_t k0 = 0; k0 < K; k0 += kBlockK) {
-        const std::size_t kc = std::min(kBlockK, K - k0);
-        const ImagePanels panels(g, padded, k0, kc);
-        avx2_panels(M, n16, kc, weight + k0, K, panels, out, N);
+    for (std::size_t kb = k0; kb < k1; kb += kBlockK) {
+        const std::size_t kc = std::min(kBlockK, k1 - kb);
+        const ImagePanels panels(sub, padded, kb - c0 * taps, kc);
+        avx2_panels(M, n16, kc, weight + kb, K, panels, out, N);
         if (n16 < N) {
             panels.pack(n16, N - n16, tail);
-            avx2_block(0, M, 0, kc, 0, N - n16, N, K, weight + k0, tail,
+            avx2_block(0, M, 0, kc, 0, N - n16, N, K, weight + kb, tail,
                        kTileN, out + n16);
         }
     }
@@ -873,8 +889,8 @@ __attribute__((target("avx2"))) void avx2_clamp(float* data, std::size_t n,
 }
 
 const Kernels kAvx2Table{
-    "avx2",            avx2_gemm_accumulate,
-    avx2_conv2d_image, avx2_depthwise_conv2d,
+    "avx2",            avx2_gemm_range,
+    avx2_conv2d_range, avx2_depthwise_conv2d,
     avx2_avg_pool2d,   avx2_global_avg_pool,
     avx2_relu,         avx2_relu6,
     avx2_add,          avx2_clamp,

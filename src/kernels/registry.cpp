@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 namespace statfi::kernels {
@@ -37,6 +38,14 @@ const Kernels* resolve_default() noexcept {
 std::atomic<const Kernels*> g_active{nullptr};
 
 }  // namespace
+
+void Kernels::conv2d_image(const ConvGeometry& g, std::size_t M,
+                           const float* weight, const float* image, float* out,
+                           ScratchArena& arena) const {
+    std::memset(out, 0, M * g.out_height * g.out_width * sizeof(float));
+    conv2d_range(g, M, 0, g.channels * g.kernel * g.kernel, weight, image, out,
+                 arena);
+}
 
 const Kernels& active() noexcept {
     const Kernels* k = g_active.load(std::memory_order_acquire);

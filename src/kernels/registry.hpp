@@ -76,34 +76,42 @@ void im2col(const ConvGeometry& g, const float* image, float* cols);
 struct Kernels {
     const char* name = "generic";
 
-    /// C[M,N] += A[M,K] * B[K,N] (row-major). Ascending-k accumulation per
-    /// element; rows of A equal to zero are skipped identically on every
-    /// backend. Backs pointwise convs and the one-row recompute that
-    /// Conv2d::forward_row_cached runs over a cached im2col matrix;
-    /// conv2d_image below runs every other conv forward. Backends may tile
-    /// i and j freely (avx2 runs 6x16 register tiles over packed 16-column
-    /// panels of B when M >= 2): tiling changes which elements advance
-    /// together, never the order of one element's k-sum. Allocates nothing.
-    void (*gemm_accumulate)(std::size_t M, std::size_t N, std::size_t K,
-                            const float* A, const float* B, float* C);
+    /// C[M,N] += A[M, k0:k1] * B[k0:k1, N], with A's rows K apart and B's
+    /// N apart (row-major M x K and K x N). Ascending-k accumulation per
+    /// element; zeros of A are skipped identically on every backend. Each
+    /// element's sum lives in C between k-blocks, so splitting [0, K) into
+    /// ranges run one after another gives the whole call's result bit for
+    /// bit. Backs pointwise convs, the one-row recompute that
+    /// Conv2d::forward_row_cached runs over a cached im2col matrix, and a
+    /// pointwise conv resumed from a golden partial sum (Conv2d::
+    /// forward_resume); conv2d_range below runs every other conv forward.
+    /// Backends may tile i and j freely (avx2 runs 6x16 register tiles over
+    /// packed 16-column panels of B when M >= 2): tiling changes which
+    /// elements advance together, never the order of one element's k-sum.
+    /// Allocates nothing.
+    void (*gemm_range)(std::size_t M, std::size_t N, std::size_t K,
+                       std::size_t k0, std::size_t k1, const float* A,
+                       const float* B, float* C);
 
-    /// out[M, OH*OW] = weight[M, C*K*K] * im2col(image), out overwritten:
-    /// the forward pass of a standard convolution over one image. Each
-    /// output element starts at +0.0f and gets one mul, then one add, per
-    /// k in ascending k, skipping a product exactly when its weight is zero
-    /// — the sequence gemm_accumulate gives over the explicit im2col
-    /// matrix, so backends agree bit for bit with that and with each other.
+    /// out[M, OH*OW] += weight[M, k0:k1] * im2col(image)[k0:k1, :], with
+    /// weight's rows C*K*K apart: rows [k0, k1) of a standard convolution's
+    /// forward over one image. Each output element gets one mul, then one
+    /// add, per k in ascending k, skipping a product exactly when its
+    /// weight is zero — the sequence gemm_range gives over the explicit
+    /// im2col matrix, so backends agree bit for bit with that and with
+    /// each other, and consecutive ranges equal one call over their union.
     /// Padding is multiplied, not skipped: a tap on the padding adds
     /// weight * +0.0f, so a faulty inf weight makes NaN of exactly the
     /// outputs whose window puts that tap on the padding, as the im2col
     /// GEMM does (depthwise_conv2d, by contrast, skips its padding taps).
     /// Workspace comes from @p arena (grow-only; valid for this call only).
-    /// generic writes the K x N im2col matrix there and runs its GEMM; avx2
-    /// writes a zero-bordered (C, H+2p, W+2p) copy of the image (none when
-    /// p == 0) and packs the GEMM's 16-column panels of B straight from it.
-    void (*conv2d_image)(const ConvGeometry& g, std::size_t M,
-                         const float* weight, const float* image, float* out,
-                         ScratchArena& arena);
+    /// generic writes rows [k0, k1) of the im2col matrix there and runs its
+    /// GEMM; avx2 writes a zero-bordered (C', H+2p, W+2p) copy of the C'
+    /// channels the range reads (none when p == 0) and packs the GEMM's
+    /// 16-column panels of B straight from it.
+    void (*conv2d_range)(const ConvGeometry& g, std::size_t M,
+                         std::size_t k0, std::size_t k1, const float* weight,
+                         const float* image, float* out, ScratchArena& arena);
 
     /// The depthwise forward pass over the g.channels planes of one image:
     /// plane c of @p out (OH x OW, overwritten) is plane c of @p image
@@ -149,6 +157,19 @@ struct Kernels {
     /// clipping hook (clamp circuits bound magnitude, they do not repair
     /// invalid encodings).
     void (*clamp)(float* data, std::size_t n, float lo, float hi);
+
+    /// C[M,N] += A[M,K] * B[K,N]: gemm_range over [0, K).
+    void gemm_accumulate(std::size_t M, std::size_t N, std::size_t K,
+                         const float* A, const float* B, float* C) const {
+        gemm_range(M, N, K, 0, K, A, B, C);
+    }
+
+    /// out[M, OH*OW] = weight[M, C*K*K] * im2col(image), out overwritten:
+    /// the forward pass of a standard convolution over one image, each
+    /// output starting at +0.0f and running conv2d_range over [0, C*K*K).
+    void conv2d_image(const ConvGeometry& g, std::size_t M,
+                      const float* weight, const float* image, float* out,
+                      ScratchArena& arena) const;
 };
 
 /// The reference backend (always available).

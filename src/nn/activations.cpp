@@ -26,6 +26,11 @@ void ReLU::forward(std::span<const Tensor* const> inputs, Tensor& out) const {
 
 std::unique_ptr<Layer> ReLU::clone() const { return std::make_unique<ReLU>(*this); }
 
+void ReLU::forward_channel(std::span<const float* const> inputs,
+                           const Shape& in, std::int64_t, float* out) const {
+    kernels::active().relu(inputs[0], out, channel_plane(in));
+}
+
 void ReLU::backward(std::span<const Tensor* const> inputs, const Tensor&,
                     const Tensor& grad_out, std::vector<Tensor>& grad_inputs) {
     const Tensor& x = *inputs[0];
@@ -48,6 +53,11 @@ void ReLU6::forward(std::span<const Tensor* const> inputs, Tensor& out) const {
 
 std::unique_ptr<Layer> ReLU6::clone() const {
     return std::make_unique<ReLU6>(*this);
+}
+
+void ReLU6::forward_channel(std::span<const float* const> inputs,
+                            const Shape& in, std::int64_t, float* out) const {
+    kernels::active().relu6(inputs[0], out, channel_plane(in));
 }
 
 void ReLU6::backward(std::span<const Tensor* const> inputs, const Tensor&,

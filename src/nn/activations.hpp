@@ -11,6 +11,9 @@ public:
     [[nodiscard]] Shape output_shape(std::span<const Shape> inputs) const override;
     void forward(std::span<const Tensor* const> inputs, Tensor& out) const override;
     [[nodiscard]] std::unique_ptr<Layer> clone() const override;
+    [[nodiscard]] bool channel_local() const override { return true; }
+    void forward_channel(std::span<const float* const> inputs, const Shape& in,
+                         std::int64_t c, float* out) const override;
 
     [[nodiscard]] bool supports_backward() const override { return true; }
     void backward(std::span<const Tensor* const> inputs, const Tensor& output,
@@ -23,6 +26,9 @@ public:
     [[nodiscard]] Shape output_shape(std::span<const Shape> inputs) const override;
     void forward(std::span<const Tensor* const> inputs, Tensor& out) const override;
     [[nodiscard]] std::unique_ptr<Layer> clone() const override;
+    [[nodiscard]] bool channel_local() const override { return true; }
+    void forward_channel(std::span<const float* const> inputs, const Shape& in,
+                         std::int64_t c, float* out) const override;
 
     [[nodiscard]] bool supports_backward() const override { return true; }
     void backward(std::span<const Tensor* const> inputs, const Tensor& output,

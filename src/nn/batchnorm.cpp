@@ -5,6 +5,15 @@
 
 namespace statfi::nn {
 
+namespace {
+/// One channel plane of the folded transform; forward() and
+/// forward_channel() share it, so a plane is the same floats either way.
+void affine_plane(const float* src, float* dst, std::size_t n, float s,
+                  float b) {
+    for (std::size_t i = 0; i < n; ++i) dst[i] = s * src[i] + b;
+}
+}  // namespace
+
 BatchNorm2d::BatchNorm2d(std::int64_t channels, float eps)
     : channels_(channels),
       eps_(eps),
@@ -29,16 +38,20 @@ void BatchNorm2d::forward(std::span<const Tensor* const> inputs,
     const auto& d = x.shape().dims();
     const std::int64_t N = d[0], C = d[1];
     const std::size_t plane = static_cast<std::size_t>(d[2] * d[3]);
-    for (std::int64_t n = 0; n < N; ++n) {
-        for (std::int64_t c = 0; c < C; ++c) {
-            const float s = scale_[static_cast<std::size_t>(c)];
-            const float b = shift_[static_cast<std::size_t>(c)];
-            const float* src =
-                x.data() + static_cast<std::size_t>(n * C + c) * plane;
-            float* dst = out.data() + static_cast<std::size_t>(n * C + c) * plane;
-            for (std::size_t i = 0; i < plane; ++i) dst[i] = s * src[i] + b;
-        }
-    }
+    for (std::int64_t n = 0; n < N; ++n)
+        for (std::int64_t c = 0; c < C; ++c)
+            affine_plane(x.data() + static_cast<std::size_t>(n * C + c) * plane,
+                         out.data() + static_cast<std::size_t>(n * C + c) * plane,
+                         plane, scale_[static_cast<std::size_t>(c)],
+                         shift_[static_cast<std::size_t>(c)]);
+}
+
+void BatchNorm2d::forward_channel(std::span<const float* const> inputs,
+                                  const Shape& in, std::int64_t c,
+                                  float* out) const {
+    affine_plane(inputs[0], out, static_cast<std::size_t>(in[2] * in[3]),
+                 scale_[static_cast<std::size_t>(c)],
+                 shift_[static_cast<std::size_t>(c)]);
 }
 
 std::unique_ptr<Layer> BatchNorm2d::clone() const {

@@ -1,5 +1,6 @@
 #include "nn/conv.hpp"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "kernels/registry.hpp"
@@ -102,35 +103,81 @@ Shape Conv2d::output_shape(std::span<const Shape> inputs) const {
                  conv_out_size(in[3], kernel_, stride_, padding_)};
 }
 
+void Conv2d::accumulate(std::int64_t H, std::int64_t W, std::size_t k0,
+                        std::size_t k1, const float* image, float* out) const {
+    // K=1, s=1, p=0 convolutions (MobileNetV2's pointwise layers) are plain
+    // GEMMs over the input as-is; every other conv is the kernel backend's
+    // conv2d_range.
+    const kernels::Kernels& k = kernels::active();
+    const auto M = static_cast<std::size_t>(out_channels_);
+    if (kernel_ == 1 && stride_ == 1 && padding_ == 0)
+        k.gemm_range(M, static_cast<std::size_t>(H * W),
+                     static_cast<std::size_t>(in_channels_), k0, k1,
+                     weight_.data(), image, out);
+    else
+        k.conv2d_range(
+            conv_geometry(in_channels_, H, W, kernel_, stride_, padding_), M,
+            k0, k1, weight_.data(), image, out, arena_);
+}
+
 void Conv2d::forward(std::span<const Tensor* const> inputs, Tensor& out) const {
     const Tensor& x = *inputs[0];
     const auto& in = x.shape();
     const Shape out_shape = output_shape(std::array{in});
     ensure_shape(out, out_shape);
+    out.zero();
 
-    const std::int64_t N = in[0], H = in[2], W = in[3];
-    const auto M = static_cast<std::size_t>(out_channels_);
-    const auto out_plane = static_cast<std::size_t>(out_shape[2] * out_shape[3]);
-
-    // K=1, s=1, p=0 convolutions (MobileNetV2's pointwise layers) are plain
-    // GEMMs over the input as-is; every other conv is the kernel backend's
-    // conv2d_image.
-    const bool pointwise = kernel_ == 1 && stride_ == 1 && padding_ == 0;
-    const kernels::ConvGeometry g =
-        conv_geometry(in_channels_, H, W, kernel_, stride_, padding_);
-    const kernels::Kernels& k = kernels::active();
-
+    const std::int64_t H = in[2], W = in[3];
     const std::size_t in_image = static_cast<std::size_t>(in_channels_ * H * W);
-    const std::size_t out_image = M * out_plane;
-    for (std::int64_t n = 0; n < N; ++n) {
-        const float* src = x.data() + static_cast<std::size_t>(n) * in_image;
-        float* dst = out.data() + static_cast<std::size_t>(n) * out_image;
-        if (pointwise)
-            gemm(M, out_plane, static_cast<std::size_t>(in_channels_),
-                 weight_.data(), src, dst);
+    const std::size_t out_image = out.numel() / static_cast<std::size_t>(in[0]);
+    const auto K = static_cast<std::size_t>(in_channels_ * kernel_ * kernel_);
+    for (std::int64_t n = 0; n < in[0]; ++n)
+        accumulate(H, W, 0, K,
+                   x.data() + static_cast<std::size_t>(n) * in_image,
+                   out.data() + static_cast<std::size_t>(n) * out_image);
+}
+
+void Conv2d::forward_resume(std::span<const Tensor* const> inputs,
+                            std::span<const ResumeLane> lanes,
+                            Tensor& out) const {
+    const Tensor& x = *inputs[0];
+    const auto& in = x.shape();
+    if (lanes.size() != static_cast<std::size_t>(in[0]))
+        throw std::invalid_argument("Conv2d::forward_resume: one lane per row");
+    const Shape out_shape = output_shape(std::array{in});
+    ensure_shape(out, out_shape);
+
+    const std::int64_t H = in[2], W = in[3];
+    const std::size_t in_image = static_cast<std::size_t>(in_channels_ * H * W);
+    const auto out_image =
+        static_cast<std::size_t>(out_shape[1] * out_shape[2] * out_shape[3]);
+    const auto taps = static_cast<std::size_t>(kernel_ * kernel_);
+    const std::size_t K = static_cast<std::size_t>(in_channels_) * taps;
+    const auto first_k = [&](std::size_t r) {
+        return static_cast<std::size_t>(lanes[r].channel) * taps;
+    };
+    // Row r first holds the golden sums over k < first_k(r): the row before
+    // it advanced over the golden input, when both share it, else a fresh
+    // golden sum. So one running sum per golden input is all the golden
+    // work, and it lives in the rows themselves.
+    for (std::size_t r = 0; r < lanes.size(); ++r) {
+        const std::size_t k = first_k(r);
+        const bool shared = r > 0 && lanes[r].golden == lanes[r - 1].golden;
+        if (k >= K || (shared && k < first_k(r - 1)))
+            throw std::invalid_argument(
+                "Conv2d::forward_resume: lanes out of channel order");
+        float* dst = out.data() + r * out_image;
+        if (shared)
+            std::memcpy(dst, dst - out_image, out_image * sizeof(float));
         else
-            k.conv2d_image(g, M, weight_.data(), src, dst, arena_);
+            std::fill_n(dst, out_image, 0.0f);
+        accumulate(H, W, shared ? first_k(r - 1) : 0, k,
+                   lanes[r].golden->data(), dst);
     }
+    // Then each row runs the rest on its own input.
+    for (std::size_t r = 0; r < lanes.size(); ++r)
+        accumulate(H, W, first_k(r), K, x.data() + r * in_image,
+                   out.data() + r * out_image);
 }
 
 void Conv2d::forward_row_cached(std::span<const Tensor* const> inputs,
@@ -275,19 +322,28 @@ void DepthwiseConv2d::forward_row_cached(std::span<const Tensor* const> inputs,
     const Shape out_shape = output_shape(std::array{in});
     ensure_shape(out, out_shape);
 
-    // Channel c's plane of every image, through the same kernel entry as
-    // forward() with channels = 1.
+    // Channel c's plane of every image.
+    const std::size_t in_plane = channel_plane(in);
+    const std::size_t out_plane = channel_plane(out_shape);
+    const std::int64_t c = row_of_weight(weight_index);
+    const auto C = static_cast<std::size_t>(channels_);
+    for (std::size_t n = 0; n < static_cast<std::size_t>(in[0]); ++n) {
+        const std::size_t at = n * C + static_cast<std::size_t>(c);
+        const float* plane = x.data() + at * in_plane;
+        forward_channel(std::span(&plane, 1), in, c,
+                        out.data() + at * out_plane);
+    }
+}
+
+void DepthwiseConv2d::forward_channel(std::span<const float* const> inputs,
+                                      const Shape& in, std::int64_t c,
+                                      float* out) const {
+    // The same kernel entry as forward(), with channels = 1.
     const kernels::ConvGeometry g =
         conv_geometry(1, in[2], in[3], kernel_, stride_, padding_);
-    const std::size_t in_plane = g.height * g.width;
-    const std::size_t out_plane = g.out_height * g.out_width;
-    const auto c = static_cast<std::size_t>(row_of_weight(weight_index));
-    const auto C = static_cast<std::size_t>(channels_);
-    const kernels::Kernels& k = kernels::active();
-    for (std::size_t n = 0; n < static_cast<std::size_t>(in[0]); ++n)
-        k.depthwise_conv2d(g, weight_.data() + c * g.kernel * g.kernel,
-                           x.data() + (n * C + c) * in_plane,
-                           out.data() + (n * C + c) * out_plane, arena_);
+    kernels::active().depthwise_conv2d(
+        g, weight_.data() + static_cast<std::size_t>(c) * g.kernel * g.kernel,
+        inputs[0], out, arena_);
 }
 
 std::unique_ptr<Layer> DepthwiseConv2d::clone() const {

@@ -1,5 +1,5 @@
 #pragma once
-// 2-D convolutions: standard (the kernel backend's conv2d_image — explicit
+// 2-D convolutions: standard (the kernel backend's conv2d_range — explicit
 // im2col + GEMM on the generic backend, GEMM panels packed straight from the
 // input on AVX2; a plain GEMM when pointwise) and depthwise (the kernel
 // backend's depthwise_conv2d — the direct loop nest on the generic backend,
@@ -69,6 +69,17 @@ public:
     void forward_row_cached(std::span<const Tensor* const> inputs,
                             std::uint64_t weight_index, Tensor& cache,
                             Tensor& out) const override;
+    /// Row r starts from the golden partial sums over k < channel * K * K
+    /// (the input channels before its own, where it equals golden) and
+    /// runs k >= channel * K * K on its own input: each output still gets
+    /// +0.0f, then one mul and one add per k in ascending k with the same
+    /// zero skips, so a row is forward()'s bit for bit. The rows sharing a
+    /// golden input advance one golden sum through their channels, handing
+    /// it from row to row in @p out.
+    /// @throws std::invalid_argument when the lanes are out of order.
+    void forward_resume(std::span<const Tensor* const> inputs,
+                        std::span<const ResumeLane> lanes,
+                        Tensor& out) const override;
 
     [[nodiscard]] bool supports_backward() const override { return true; }
     void backward(std::span<const Tensor* const> inputs, const Tensor& output,
@@ -87,10 +98,16 @@ public:
     [[nodiscard]] std::size_t workspace_bytes() const { return arena_.bytes(); }
 
 private:
+    /// out[Cout, OH*OW] += weight[:, k0:k1] * im2col(image)[k0:k1, :] for
+    /// one image of @p H x @p W: the kernel backend's gemm_range when
+    /// pointwise, its conv2d_range otherwise.
+    void accumulate(std::int64_t H, std::int64_t W, std::size_t k0,
+                    std::size_t k1, const float* image, float* out) const;
+
     std::int64_t in_channels_, out_channels_, kernel_, stride_, padding_;
     Tensor weight_;       // (Cout, Cin, K, K)
     Tensor weight_grad_;  // same shape
-    /// Grow-only workspace of conv2d_image, reused across forward calls and
+    /// Grow-only workspace of conv2d_range, reused across forward calls and
     /// images: the im2col matrix on the generic backend, the zero-bordered
     /// input copy on AVX2. Fault campaigns run ~10^5 forwards per layer, and
     /// a fresh buffer per call dominated the allocator profile. The arena
@@ -122,11 +139,15 @@ public:
         std::uint64_t weight_index) const override {
         return static_cast<std::int64_t>(weight_index) / (kernel_ * kernel_);
     }
-    /// Recomputes one channel plane per image (depthwise_conv2d with
-    /// channels = 1); nothing to cache.
+    /// Recomputes one channel plane per image (forward_channel); nothing
+    /// to cache.
     void forward_row_cached(std::span<const Tensor* const> inputs,
                             std::uint64_t weight_index, Tensor& cache,
                             Tensor& out) const override;
+    /// depthwise_conv2d with channels = 1 on channel c's plane and taps.
+    [[nodiscard]] bool channel_local() const override { return true; }
+    void forward_channel(std::span<const float* const> inputs, const Shape& in,
+                         std::int64_t c, float* out) const override;
 
     [[nodiscard]] bool supports_backward() const override { return true; }
     void backward(std::span<const Tensor* const> inputs, const Tensor& output,

@@ -26,6 +26,11 @@ void Add::forward(std::span<const Tensor* const> inputs, Tensor& out) const {
 
 std::unique_ptr<Layer> Add::clone() const { return std::make_unique<Add>(*this); }
 
+void Add::forward_channel(std::span<const float* const> inputs,
+                          const Shape& in, std::int64_t, float* out) const {
+    kernels::active().add(inputs[0], inputs[1], out, channel_plane(in));
+}
+
 void Add::backward(std::span<const Tensor* const> inputs, const Tensor&,
                    const Tensor& grad_out, std::vector<Tensor>& grad_inputs) {
     grad_inputs.resize(2);
@@ -69,12 +74,23 @@ void PadShortcut::forward(std::span<const Tensor* const> inputs,
         for (std::int64_t c = 0; c < in_channels_; ++c) {
             const float* src =
                 x.data() + static_cast<std::size_t>((n * in_channels_ + c) * H * W);
-            float* dst = out.data() + static_cast<std::size_t>(
-                                          (n * out_channels_ + c) * OH * OW);
-            for (std::int64_t y = 0; y < OH; ++y)
-                for (std::int64_t xx = 0; xx < OW; ++xx)
-                    dst[y * OW + xx] = src[(y * stride_) * W + (xx * stride_)];
+            const float* planes[] = {src};
+            forward_channel(planes, x.shape(), c,
+                            out.data() + static_cast<std::size_t>(
+                                             (n * out_channels_ + c) * OH * OW));
         }
+}
+
+void PadShortcut::forward_channel(std::span<const float* const> inputs,
+                                  const Shape& in, std::int64_t,
+                                  float* out) const {
+    const std::int64_t W = in[3];
+    const std::int64_t OH = (in[2] + stride_ - 1) / stride_;
+    const std::int64_t OW = (W + stride_ - 1) / stride_;
+    const float* src = inputs[0];
+    for (std::int64_t y = 0; y < OH; ++y)
+        for (std::int64_t xx = 0; xx < OW; ++xx)
+            out[y * OW + xx] = src[(y * stride_) * W + (xx * stride_)];
 }
 
 std::unique_ptr<Layer> PadShortcut::clone() const {

@@ -13,6 +13,9 @@ public:
     [[nodiscard]] Shape output_shape(std::span<const Shape> inputs) const override;
     void forward(std::span<const Tensor* const> inputs, Tensor& out) const override;
     [[nodiscard]] std::unique_ptr<Layer> clone() const override;
+    [[nodiscard]] bool channel_local() const override { return true; }
+    void forward_channel(std::span<const float* const> inputs, const Shape& in,
+                         std::int64_t c, float* out) const override;
 
     [[nodiscard]] bool supports_backward() const override { return true; }
     void backward(std::span<const Tensor* const> inputs, const Tensor& output,
@@ -31,6 +34,11 @@ public:
     [[nodiscard]] Shape output_shape(std::span<const Shape> inputs) const override;
     void forward(std::span<const Tensor* const> inputs, Tensor& out) const override;
     [[nodiscard]] std::unique_ptr<Layer> clone() const override;
+    /// Channel c of the output is channel c of the input, subsampled; the
+    /// zero channels past in_channels read nothing.
+    [[nodiscard]] bool channel_local() const override { return true; }
+    void forward_channel(std::span<const float* const> inputs, const Shape& in,
+                         std::int64_t c, float* out) const override;
 
     [[nodiscard]] bool supports_backward() const override { return true; }
     void backward(std::span<const Tensor* const> inputs, const Tensor& output,

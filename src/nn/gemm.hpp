@@ -1,7 +1,7 @@
 #pragma once
 // Small blocked single-precision GEMM. Backs pointwise convolutions, the
 // one-row conv recompute over a cached im2col matrix, and the conv gradients
-// in training; other conv forwards run kernels::Kernels::conv2d_image, which
+// in training; other conv forwards run kernels::Kernels::conv2d_range, which
 // follows the same per-element contract. Not a BLAS replacement — just
 // cache-blocked, vectorizer-friendly loops that are fast enough for fault
 // campaigns on CPU. The forward-pass entry points dispatch through
@@ -16,7 +16,7 @@
 // core/classification_core.cpp is bit-identical to per-image passes. The
 // same holds for the AVX2 backend's register tiles: a 6x16 tile of C (M >=
 // 2), whether its panel of B was copied from a matrix or packed from an
-// image (conv2d_image), and a single row (M == 1, Conv2d::forward_row_cached)
+// image (conv2d_range), and a single row (M == 1, Conv2d::forward_row_cached)
 // all give each element one mul then one add per k, in ascending k.
 
 #include <cstddef>

@@ -5,7 +5,9 @@
 // passes into caller-provided output tensors (so campaign executors can
 // reuse buffers), optionally expose an injectable weight tensor (conv / FC
 // weights — the fault targets of the paper) with forward_row_cached(), the
-// one-slice recompute that builds each fault's ensemble lane, and
+// one-slice recompute that builds each fault's ensemble lane, carry a lane
+// one channel at a time where they are channel-local (forward_channel),
+// resume a lane that differs in one input channel (forward_resume), and
 // optionally support backward passes for the built-in SGD trainer.
 
 #include <cstdint>
@@ -32,6 +34,18 @@ struct ParamRef {
 /// ones (the ensemble drops retired lanes that way); every other caller
 /// writes all of them or zeroes explicitly.
 void ensure_shape(Tensor& t, const Shape& shape);
+
+/// Floats in one channel plane of a tensor of shape @p s (N, C, ...):
+/// numel / (N * C), so one for an (N, C) tensor.
+[[nodiscard]] std::size_t channel_plane(const Shape& s);
+
+/// One row of a lane-stacked input to Layer::forward_resume: the golden
+/// input (batch 1) the row equals everywhere except in input channel
+/// @p channel.
+struct ResumeLane {
+    const Tensor* golden = nullptr;
+    std::int64_t channel = 0;
+};
 
 class Layer {
 public:
@@ -82,8 +96,10 @@ public:
 
     /// Recompute only the output slice affected by weight word
     /// @p weight_index, in the exact arithmetic order forward() uses for
-    /// that slice. @p out must already hold this layer's full output for
-    /// @p inputs (golden rows stay untouched). A layer may stash
+    /// that slice. @p out must have this layer's output shape for
+    /// @p inputs; only that slice is written, every other one is left as
+    /// it was (holding the full output, @p out becomes the faulty forward's
+    /// output). A layer may stash
     /// input-derived scratch in @p cache and reuse it on later calls with
     /// the SAME inputs — a conv caches its im2col matrix here, which the
     /// fault-batched ensemble would otherwise rebuild per lane from an
@@ -97,6 +113,38 @@ public:
                                     Tensor& out) const {
         (void)weight_index;
         (void)cache;
+        forward(inputs, out);
+    }
+
+    // -- channel-local propagation ------------------------------------------
+
+    /// True when output channel c depends only on channel c of each input
+    /// (BatchNorm2d, ReLU, ReLU6, AvgPool2d, GlobalAvgPool, DepthwiseConv2d,
+    /// Add, PadShortcut). A difference confined to one channel stays in it
+    /// through such a layer, so the ensemble carries a lane there as one
+    /// plane per node (Network::channel_region).
+    [[nodiscard]] virtual bool channel_local() const { return false; }
+
+    /// Channel @p c of forward() for one image: @p inputs holds channel c of
+    /// each input (one plane each), @p in is input 0's shape (batch 1), and
+    /// @p out receives channel c of the output — the floats forward()
+    /// writes there, bit for bit. A plane is numel / shape[1] floats (one
+    /// float for an (N, C) tensor).
+    /// @throws std::logic_error unless channel_local().
+    virtual void forward_channel(std::span<const float* const> inputs,
+                                 const Shape& in, std::int64_t c,
+                                 float* out) const;
+
+    /// forward() over a lane-stacked @p inputs whose row r equals
+    /// lanes[r].golden except in input channel lanes[r].channel, the rows
+    /// that share a golden input adjacent and in ascending channel. The
+    /// default runs forward(). Conv2d resumes each row from the golden
+    /// partial sums over the input channels before its own, advanced once
+    /// per golden input.
+    virtual void forward_resume(std::span<const Tensor* const> inputs,
+                                std::span<const ResumeLane> lanes,
+                                Tensor& out) const {
+        (void)lanes;
         forward(inputs, out);
     }
 

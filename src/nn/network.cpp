@@ -95,6 +95,26 @@ int Network::next_cut(int first) const {
     return cut;
 }
 
+Network::ChannelRegion Network::channel_region(int d) const {
+    std::vector<char> dirty(nodes_.size(), 0);
+    dirty[checked(d)] = 1;
+    ChannelRegion region;
+    for (int id = d + 1; id < node_count(); ++id) {
+        const Node& node = nodes_[static_cast<std::size_t>(id)];
+        if (std::none_of(node.inputs.begin(), node.inputs.end(), [&](int in) {
+                return in != kInputId && dirty[static_cast<std::size_t>(in)];
+            }))
+            continue;
+        if (!node.layer->channel_local()) {
+            region.resume = id;
+            break;
+        }
+        region.nodes.push_back(id);
+        dirty[static_cast<std::size_t>(id)] = 1;
+    }
+    return region;
+}
+
 const Tensor& Network::forward_from(int first_dirty, const Tensor& input,
                                     const std::vector<Tensor>& golden,
                                     std::vector<Tensor>& scratch,

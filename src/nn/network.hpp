@@ -109,6 +109,19 @@ public:
     /// @throws std::out_of_range if @p first is not a node id.
     [[nodiscard]] int next_cut(int first) const;
 
+    /// Where a difference confined to one channel of node d's output stays
+    /// in that channel: the nodes after d, in id order, that read d or an
+    /// earlier region node and are channel-local (Layer::channel_local),
+    /// up to the first such reader that is not, @p resume. Until resume,
+    /// each dirty output differs from golden in that channel alone.
+    struct ChannelRegion {
+        std::vector<int> nodes;  ///< region nodes, ascending
+        int resume = -1;         ///< -1 when the region runs to the end
+    };
+    /// The channel region of node @p d (see ChannelRegion).
+    /// @throws std::out_of_range if @p d is not a node id.
+    [[nodiscard]] ChannelRegion channel_region(int d) const;
+
     /// Deep copy (layers cloned). Used to give campaign workers private
     /// weight storage. The node hook is not copied.
     [[nodiscard]] Network clone() const;

@@ -45,6 +45,13 @@ std::unique_ptr<Layer> AvgPool2d::clone() const {
     return std::make_unique<AvgPool2d>(*this);
 }
 
+void AvgPool2d::forward_channel(std::span<const float* const> inputs,
+                                const Shape& in, std::int64_t,
+                                float* out) const {
+    kernels::active().avg_pool2d(
+        conv_geometry(1, in[2], in[3], kernel_, stride_, 0), inputs[0], out);
+}
+
 void AvgPool2d::backward(std::span<const Tensor* const> inputs, const Tensor&,
                          const Tensor& grad_out,
                          std::vector<Tensor>& grad_inputs) {
@@ -164,6 +171,13 @@ void GlobalAvgPool::forward(std::span<const Tensor* const> inputs,
 
 std::unique_ptr<Layer> GlobalAvgPool::clone() const {
     return std::make_unique<GlobalAvgPool>(*this);
+}
+
+void GlobalAvgPool::forward_channel(std::span<const float* const> inputs,
+                                    const Shape& in, std::int64_t,
+                                    float* out) const {
+    kernels::active().global_avg_pool(
+        1, static_cast<std::size_t>(in[2] * in[3]), inputs[0], out);
 }
 
 void GlobalAvgPool::backward(std::span<const Tensor* const> inputs, const Tensor&,

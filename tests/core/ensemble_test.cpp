@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 #include <string>
 #include <utility>
@@ -22,7 +23,12 @@
 #include "core/engine.hpp"
 #include "models/micronet.hpp"
 #include "models/registry.hpp"
+#include "nn/activations.hpp"
+#include "nn/conv.hpp"
+#include "nn/elementwise.hpp"
 #include "nn/init.hpp"
+#include "nn/linear.hpp"
+#include "nn/pooling.hpp"
 #include "nn/trainer.hpp"
 #include "../support/reference_classifier.hpp"
 
@@ -415,6 +421,143 @@ TEST(EnsembleForward, RetiresAtCuts) {
     EXPECT_GT(expect_stratum_identity(fx, "stuck-at", {},
                                       weight_layer(net, "conv1"), 0, 64),
               0u);
+}
+
+/// @p count faults spread evenly over the (@p layer, @p bit) stratum, so
+/// their lanes land in many channels rather than the first one.
+std::vector<fault::Fault> spread(const fault::FaultUniverse& universe,
+                                 int layer, int bit, std::uint64_t count) {
+    const std::uint64_t begin = universe.subpop_offset(layer, bit);
+    const std::uint64_t n = universe.bit_population(layer);
+    std::vector<fault::Fault> faults;
+    for (std::uint64_t i = 0; i < std::min(count, n); ++i)
+        faults.push_back(universe.decode(begin + i * n / std::min(count, n)));
+    return faults;
+}
+
+/// Node id of graph node @p name.
+int node_id(const nn::Network& net, const std::string& name) {
+    for (int id = 0; id < net.node_count(); ++id)
+        if (net.node_name(id) == name) return id;
+    throw std::invalid_argument("no node " + name);
+}
+
+TEST(EnsembleForward, MatchesUnderAClipInsideARegion) {
+    // relu2 is in conv2's channel region, where a lane's plane is clamped
+    // as the hook clamps the full output, and in conv1's suffix, where the
+    // hook itself runs. A clip narrower than most golden activations pulls
+    // many lanes back to golden inside the region.
+    auto fx = Fixture::make();
+    nn::Network net = fx.net.clone();
+    ExecutorConfig config;
+    config.policy = ClassificationPolicy::GoldenMismatch;
+    config.mitigation.clips.push_back(fault::ClipRule{"relu2", 0.0f, 0.5f});
+    const int conv2 = weight_layer(net, "conv2");
+    std::uint64_t retired = 0;
+    for (const int bit : {30, 23, 3})
+        retired += expect_stratum_identity(fx, "stuck-at", config, conv2, bit, 48);
+    EXPECT_GT(retired, 0u);
+    expect_stratum_identity(fx, "flip", config, weight_layer(net, "conv1"), 30,
+                            48);
+    const auto activations = universe_for(net, "activation");
+    for (const char* node : {"conv2", "relu2", "relu1"})
+        for (const int bit : {30, 22})
+            expect_group_identity(
+                fx.net, fx.eval,
+                spread(activations, node_id(net, node), bit, 32), config);
+}
+
+TEST(EnsembleForward, ActivationLanesThroughChannelRegions) {
+    // An activation fault's lane starts as one plane of its own image and
+    // crosses the region of the node it strikes: every MicroNet node, the
+    // logits included (no region, no resume).
+    auto fx = Fixture::make();
+    nn::Network net = fx.net.clone();
+    const auto activations = universe_for(net, "activation");
+    std::uint64_t retired = 0;
+    for (int node = 0; node < net.node_count(); ++node) {
+        SCOPED_TRACE(net.node_name(node));
+        for (const int bit : {30, 22, 0})
+            retired += expect_group_identity(
+                fx.net, fx.eval, spread(activations, node, bit, 24), {});
+    }
+    EXPECT_GT(retired, 0u);
+
+    // The deep nets: a residual Add reading a golden PadShortcut plane
+    // (ResNet-20 stage2.block1.bn2), the last block's region running into
+    // avgpool, MobileNetV2's expanded region through a depthwise conv, and
+    // a project BN whose region is the block's Add.
+    const std::pair<const char*, std::vector<std::string>> deep[] = {
+        {"resnet20",
+         {"conv1", "stage2.block1.bn2", "stage3.block3.conv2", "avgpool"}},
+        {"mobilenetv2", {"block15.bn1", "block14.bn3", "conv2"}}};
+    constexpr std::size_t kDeepWidths[] = {1, 8};
+    for (const auto& [model, nodes] : deep) {
+        SCOPED_TRACE(model);
+        auto dfx = deep_fixture(model);
+        const auto universe = universe_for(dfx.net, "activation");
+        for (const auto& name : nodes) {
+            SCOPED_TRACE(name);
+            expect_group_identity(
+                dfx.net, dfx.eval,
+                spread(universe, node_id(dfx.net, name), 30, 16), {},
+                kDeepWidths);
+        }
+    }
+}
+
+/// conv1 -> relu -> add(relu, conv1) -> gap -> fc: relu is in conv1's
+/// channel region while conv1's own plane is still live (the Add reads
+/// both), so a relu plane golden again must not retire the lane. Channel
+/// 0's weights are negative and the images positive, so its golden conv1
+/// plane is negative and its relu plane zero: a fault that keeps the conv1
+/// plane negative leaves the relu plane golden while the Add still sees it.
+Fixture skip_fixture() {
+    nn::Network net;
+    int id = net.add("conv1", std::make_unique<nn::Conv2d>(3, 4, 3, 1, 1),
+                     {nn::Network::kInputId});
+    const int relu = net.add("relu", std::make_unique<nn::ReLU>(), {id});
+    id = net.add("add", std::make_unique<nn::Add>(), {relu, id});
+    id = net.add("gap", std::make_unique<nn::GlobalAvgPool>(), {id});
+    net.add("fc", std::make_unique<nn::Linear>(4, 10), {id});
+    stats::Rng rng(77);
+    nn::init_network_kaiming(net, rng);
+    Tensor& w = *net.weight_layers().front().weight;
+    for (std::size_t i = 0; i < 27; ++i) w[i] = -std::fabs(w[i]) - 0.05f;
+    auto eval = data::make_synthetic({}, 4, "test");
+    for (std::size_t i = 0; i < eval.images.numel(); ++i)
+        eval.images[i] = std::fabs(eval.images[i]) + 0.01f;
+    return Fixture{std::move(net), std::move(eval)};
+}
+
+TEST(EnsembleForward, RegionComparesOnlyTheLastLiveDirtyPlane) {
+    auto fx = skip_fixture();
+    nn::Network net = fx.net.clone();
+    EXPECT_EQ(net.channel_region(0).nodes, (std::vector<int>{1, 2, 3}));
+    ExecutorConfig config;
+    config.policy = ClassificationPolicy::GoldenMismatch;
+    // Exponent flips of channel 0's weights: the conv1 plane explodes
+    // negative, relu zeroes it as golden does, the Add carries it on.
+    std::vector<fault::Fault> faults;
+    const auto flips = fault::FaultUniverse::bit_flip(net);
+    for (const int bit : {30, 29})
+        for (std::uint64_t w = 0; w < 27; ++w)
+            faults.push_back(flips.decode(flips.subpop_offset(0, bit) + w));
+    std::size_t critical = 0;
+    {
+        nn::Network oracle_net = fx.net.clone();
+        ReferenceClassifier oracle(oracle_net, fx.eval, config);
+        for (const auto& f : faults)
+            critical += oracle.evaluate(f) == FaultOutcome::Critical ? 1 : 0;
+    }
+    EXPECT_GT(critical, 0u);
+    expect_group_identity(fx.net, fx.eval, faults, config);
+    // Activation flips of conv1's channel-0 plane, the same story.
+    const auto activations = universe_for(net, "activation");
+    expect_group_identity(fx.net, fx.eval,
+                          stretch(activations,
+                                  activations.subpop_offset(0, 30), 64),
+                          config);
 }
 
 TEST(EnsembleForward, WorkspaceIsGrowOnly) {

@@ -136,8 +136,8 @@ std::vector<float> values(const Tensor& t) {
 
 TEST(Kernels, GenericAlwaysAvailable) {
     EXPECT_STREQ(generic_kernels().name, "generic");
-    ASSERT_NE(generic_kernels().gemm_accumulate, nullptr);
-    ASSERT_NE(generic_kernels().conv2d_image, nullptr);
+    ASSERT_NE(generic_kernels().gemm_range, nullptr);
+    ASSERT_NE(generic_kernels().conv2d_range, nullptr);
     ASSERT_NE(generic_kernels().depthwise_conv2d, nullptr);
     ASSERT_NE(generic_kernels().avg_pool2d, nullptr);
     ASSERT_NE(generic_kernels().global_avg_pool, nullptr);
@@ -418,6 +418,98 @@ TEST(Kernels, ConvForwardBitIdenticalKernel3) {
 TEST(Kernels, ConvForwardBitIdenticalKernel5) {
     SKIP_WITHOUT_NATIVE();
     expect_conv_identity(5, 5505);
+}
+
+// -- k-ranges: a split call equals the whole one --------------------------
+// gemm_range and conv2d_range accumulate rows [k0, k1) of the product, so a
+// conv resumed from a golden partial sum (Conv2d::forward_resume) runs one
+// range over the golden input and the rest over the lane's. Each element's
+// sum must come out as one whole call's: split at every input-channel
+// boundary (each k of a pointwise GEMM, each k*k taps of a conv) and around
+// the 256-row k-block. NaN payloads follow the registry's carve-out: the
+// AVX2 tile's checked and branch-free instantiations may order NaN + NaN
+// differently, and a split can change which one a block takes.
+
+/// Split points in (0, K): multiples of @p step and kBlockK +/- 1 (and
+/// twice that), then 0 and K themselves (an empty range on either side).
+std::vector<std::size_t> split_points(std::size_t K, std::size_t step) {
+    std::vector<std::size_t> at{0, K};
+    for (std::size_t s = step; s < K; s += step) at.push_back(s);
+    for (const std::size_t block : {256u, 512u})
+        for (const std::size_t s : {block - 1, block, block + 1})
+            if (s < K) at.push_back(s);
+    return at;
+}
+
+TEST(Kernels, GemmRangeSplitsEqualOneWholeCall) {
+    stats::Rng rng(8801);
+    const GemmShape shapes[] = {{1, 33, 290},  {2, 17, 300}, {6, 16, 257},
+                                {13, 48, 520}, {7, 20, 24},  {144, 64, 24}};
+    for (const std::string& backend : backends()) {
+        select(backend);
+        const Kernels& k = active();
+        for (const auto& [M, N, K] : shapes) {
+            const auto A = awkward(M * K, rng, 40);
+            const auto B = awkward(K * N, rng, 40);
+            std::vector<float> whole(M * N, 0.0f);
+            k.gemm_accumulate(M, N, K, A.data(), B.data(), whole.data());
+            for (const std::size_t s : split_points(K, K <= 24 ? 1 : 9)) {
+                std::vector<float> split(M * N, 0.0f);
+                k.gemm_range(M, N, K, 0, s, A.data(), B.data(), split.data());
+                k.gemm_range(M, N, K, s, K, A.data(), B.data(), split.data());
+                EXPECT_TRUE(same_bits_modulo_nan_payload(whole, split))
+                    << backend << " M=" << M << " N=" << N << " K=" << K
+                    << " split at " << s;
+            }
+        }
+    }
+    select("auto");
+}
+
+TEST(Kernels, ConvRangeSplitsEqualOneWholeCall) {
+    stats::Rng rng(8802);
+    struct Case {
+        std::size_t c, hw, kernel, stride, padding, M;
+    };
+    // MicroNet's conv2 and conv3, a ResNet-20 downsampler, k-blocks of 256
+    // split mid-channel (29 and 64 channels of 9 taps), a 5x5 kernel, and
+    // the one-row recompute's M = 1.
+    const Case cases[] = {{6, 16, 3, 1, 1, 10}, {10, 8, 3, 1, 1, 14},
+                          {16, 16, 3, 2, 1, 32}, {29, 9, 3, 1, 1, 7},
+                          {64, 8, 3, 1, 1, 16}, {3, 17, 5, 2, 2, 6},
+                          {6, 16, 3, 1, 1, 1}};
+    ScratchArena arena;
+    for (const std::string& backend : backends()) {
+        select(backend);
+        const Kernels& k = active();
+        for (const Case& c : cases) {
+            const ConvGeometry g{
+                c.c,        c.hw,      c.hw,
+                c.kernel,   c.stride,  c.padding,
+                (c.hw + 2 * c.padding - c.kernel) / c.stride + 1,
+                (c.hw + 2 * c.padding - c.kernel) / c.stride + 1};
+            const std::size_t taps = c.kernel * c.kernel;
+            const std::size_t K = c.c * taps;
+            const std::size_t N = g.out_height * g.out_width;
+            const auto image = awkward(c.c * c.hw * c.hw, rng, 40);
+            const auto weight = awkward(c.M * K, rng, 40);
+            std::vector<float> whole(c.M * N);
+            k.conv2d_image(g, c.M, weight.data(), image.data(), whole.data(),
+                           arena);
+            for (const std::size_t s : split_points(K, taps)) {
+                std::vector<float> split(c.M * N, 0.0f);
+                k.conv2d_range(g, c.M, 0, s, weight.data(), image.data(),
+                               split.data(), arena);
+                k.conv2d_range(g, c.M, s, K, weight.data(), image.data(),
+                               split.data(), arena);
+                EXPECT_TRUE(same_bits_modulo_nan_payload(whole, split))
+                    << backend << " C=" << c.c << " hw=" << c.hw
+                    << " k=" << c.kernel << " s=" << c.stride
+                    << " M=" << c.M << " split at " << s;
+            }
+        }
+    }
+    select("auto");
 }
 
 TEST(Kernels, ConvPaddingTapsAreMultipliedNotSkipped) {

@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "kernels/registry.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
@@ -431,6 +436,189 @@ TEST(EnsureShape, KeepsTheAllocationWhileItFitsAndGrowsExactly) {
     ensure_shape(t, Shape{9, 4, 5, 5});
     EXPECT_EQ(t.numel(), 900u);
     EXPECT_EQ(t.capacity(), 900u);
+}
+
+// -- channel-local propagation ------------------------------------------------
+
+/// The backends this CPU can select, reference first.
+std::vector<std::string> backends() {
+    std::vector<std::string> names{"generic"};
+    if (kernels::native_kernels() != nullptr) names.push_back("native");
+    return names;
+}
+
+/// Normal draws with the values that expose order and sign slips salted in:
+/// zeros of either sign, infinities, NaN and a denormal, one in ten each.
+Tensor awkward_tensor(const Shape& shape, stats::Rng& rng) {
+    Tensor t = random_tensor(shape, rng);
+    const float salt[] = {0.0f, -0.0f, std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN(), 1e-40f};
+    for (std::size_t i = 0; i < t.numel(); ++i)
+        if (rng.uniform_below(10) == 0) t[i] = salt[rng.uniform_below(6)];
+    return t;
+}
+
+/// Bytewise equality modulo NaN payloads, the kernel registry's contract:
+/// every non-NaN element matches bit for bit (sign of zero included) and
+/// NaNs sit in the same slots. Which payload survives NaN + NaN is the
+/// compiler's choice of operand order, and it may differ between two
+/// instantiations of one backend's loop (kernels/registry.hpp).
+bool same_bits(const float* a, const float* b, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+        if (std::isnan(a[i]) || std::isnan(b[i])) {
+            if (!std::isnan(a[i]) || !std::isnan(b[i])) return false;
+            continue;
+        }
+        if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) return false;
+    }
+    return true;
+}
+
+/// forward_channel of every input channel c against channel c of
+/// forward() on one image, bit for bit, on every backend.
+void expect_channels_match(const Layer& layer,
+                           const std::vector<Tensor>& inputs) {
+    ASSERT_TRUE(layer.channel_local()) << layer.kind();
+    std::vector<const Tensor*> ptrs;
+    for (const auto& t : inputs) ptrs.push_back(&t);
+    for (const std::string& backend : backends()) {
+        SCOPED_TRACE(layer.kind() + " on " + backend + ", input " +
+                     inputs[0].shape().to_string());
+        kernels::select(backend);
+        Tensor full;
+        layer.forward(ptrs, full);
+        const std::size_t out_plane = channel_plane(full.shape());
+        std::vector<float> plane(out_plane);
+        for (std::int64_t c = 0; c < inputs[0].shape()[1]; ++c) {
+            std::vector<const float*> planes;
+            for (const auto& t : inputs)
+                planes.push_back(t.data() + static_cast<std::size_t>(c) *
+                                                channel_plane(t.shape()));
+            layer.forward_channel(planes, inputs[0].shape(), c, plane.data());
+            EXPECT_TRUE(same_bits(plane.data(),
+                                  full.data() +
+                                      static_cast<std::size_t>(c) * out_plane,
+                                  out_plane))
+                << "channel " << c;
+        }
+    }
+    kernels::select("auto");
+}
+
+TEST(ChannelLocal, PerChannelForwardEqualsForward) {
+    stats::Rng rng(2025);
+    const auto one = [&](const Shape& shape) {
+        return std::vector<Tensor>{awkward_tensor(shape, rng)};
+    };
+    for (const Shape& shape : {Shape{1, 5, 7, 9}, Shape{1, 12, 16, 16}}) {
+        BatchNorm2d bn(shape[1]);
+        const Shape c{shape[1]};
+        Tensor var = random_tensor(c, rng);
+        for (std::size_t i = 0; i < var.numel(); ++i) var[i] = std::fabs(var[i]);
+        bn.set_statistics(random_tensor(c, rng), random_tensor(c, rng),
+                          random_tensor(c, rng), var);
+        expect_channels_match(bn, one(shape));
+        expect_channels_match(ReLU(), one(shape));
+        expect_channels_match(ReLU6(), one(shape));
+        expect_channels_match(Add(), {awkward_tensor(shape, rng),
+                                      awkward_tensor(shape, rng)});
+        for (const std::int64_t stride : {1, 2}) {
+            DepthwiseConv2d dw(shape[1], 3, stride, 1);
+            const Tensor w = awkward_tensor(dw.weight().shape(), rng);
+            std::copy(w.data(), w.data() + w.numel(), dw.weight().data());
+            expect_channels_match(dw, one(shape));
+        }
+        expect_channels_match(PadShortcut(shape[1], 2 * shape[1], 2),
+                              one(shape));
+    }
+    // Rows of at least 8 outputs take the vector pooling on AVX2, and 8 or
+    // more planes its gathered global pool: one channel never does.
+    expect_channels_match(AvgPool2d(2), one(Shape{1, 3, 32, 32}));
+    expect_channels_match(AvgPool2d(3, 2), one(Shape{1, 3, 35, 35}));
+    expect_channels_match(GlobalAvgPool(), one(Shape{1, 20, 8, 8}));
+    expect_channels_match(GlobalAvgPool(), one(Shape{1, 3, 4, 4}));
+}
+
+TEST(ChannelLocal, MixingLayersAreNot) {
+    const Conv2d conv(3, 4, 3, 1, 1);
+    EXPECT_FALSE(conv.channel_local());
+    EXPECT_FALSE(Linear(4, 2).channel_local());
+    EXPECT_FALSE(MaxPool2d(2).channel_local());
+    EXPECT_FALSE(Softmax().channel_local());
+    const float x = 0.0f;
+    const float* planes[] = {&x};
+    float y = 0.0f;
+    EXPECT_THROW(conv.forward_channel(planes, Shape{1, 3, 1, 1}, 0, &y),
+                 std::logic_error);
+}
+
+/// Conv2d::forward_resume over lanes that each differ from one of two
+/// golden images in one input channel, against forward() on the same
+/// lane-stacked input, bit for bit, on every backend.
+void expect_resume_matches(std::int64_t cin, std::int64_t cout,
+                           std::int64_t kernel, std::int64_t stride,
+                           std::int64_t padding, std::int64_t hw) {
+    SCOPED_TRACE("k=" + std::to_string(kernel) + " s=" +
+                 std::to_string(stride) + " p=" + std::to_string(padding) +
+                 " cin=" + std::to_string(cin));
+    stats::Rng rng(static_cast<std::uint64_t>(cin * 131 + kernel * 7 + stride));
+    Conv2d conv(cin, cout, kernel, stride, padding);
+    const Tensor w = awkward_tensor(conv.weight().shape(), rng);
+    std::copy(w.data(), w.data() + w.numel(), conv.weight().data());
+    const Shape image{1, cin, hw, hw};
+    const Tensor golden[] = {awkward_tensor(image, rng),
+                             awkward_tensor(image, rng)};
+    // Sorted by (image, channel): every channel of image 0, a repeated
+    // channel and the last one of image 1.
+    std::vector<ResumeLane> lanes;
+    for (std::int64_t c = 0; c < cin; ++c) lanes.push_back({&golden[0], c});
+    lanes.push_back({&golden[1], 0});
+    lanes.push_back({&golden[1], cin - 1});
+    lanes.push_back({&golden[1], cin - 1});
+    const std::size_t size = image.numel();
+    const std::size_t plane = channel_plane(image);
+    Tensor x(Shape{static_cast<std::int64_t>(lanes.size()), cin, hw, hw});
+    for (std::size_t r = 0; r < lanes.size(); ++r) {
+        float* row = x.data() + r * size;
+        std::memcpy(row, lanes[r].golden->data(), size * sizeof(float));
+        const Tensor noise = awkward_tensor(Shape{1, 1, hw, hw}, rng);
+        std::memcpy(row + static_cast<std::size_t>(lanes[r].channel) * plane,
+                    noise.data(), plane * sizeof(float));
+    }
+    const Tensor* in = &x;
+    for (const std::string& backend : backends()) {
+        SCOPED_TRACE(backend);
+        kernels::select(backend);
+        Tensor full, resumed;
+        conv.forward(std::span(&in, 1), full);
+        conv.forward_resume(std::span(&in, 1), lanes, resumed);
+        ASSERT_EQ(resumed.shape(), full.shape());
+        EXPECT_TRUE(same_bits(resumed.data(), full.data(), full.numel()));
+    }
+    kernels::select("auto");
+}
+
+TEST(Conv2dResume, EqualsForwardBitForBit) {
+    expect_resume_matches(6, 10, 3, 1, 1, 16);   // MicroNet's conv2
+    expect_resume_matches(10, 14, 3, 1, 1, 8);   // its conv3
+    expect_resume_matches(16, 32, 3, 2, 1, 16);  // a ResNet-20 downsampler
+    expect_resume_matches(29, 7, 3, 1, 1, 9);    // k-blocks of 256 split
+    expect_resume_matches(24, 144, 1, 1, 0, 8);  // MobileNetV2 pointwise
+}
+
+TEST(Conv2dResume, RejectsLanesOutOfOrder) {
+    Conv2d conv(3, 2, 3, 1, 1);
+    const Tensor golden(Shape{1, 3, 4, 4}, 1.0f);
+    const Tensor x(Shape{2, 3, 4, 4}, 1.0f);
+    const Tensor* in = &x;
+    Tensor out;
+    const ResumeLane backwards[] = {{&golden, 2}, {&golden, 1}};
+    EXPECT_THROW(conv.forward_resume(std::span(&in, 1), backwards, out),
+                 std::invalid_argument);
+    const ResumeLane one[] = {{&golden, 0}};
+    EXPECT_THROW(conv.forward_resume(std::span(&in, 1), one, out),
+                 std::invalid_argument);
 }
 
 }  // namespace

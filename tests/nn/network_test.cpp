@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "models/registry.hpp"
 #include "nn/activations.hpp"
@@ -212,6 +214,82 @@ TEST(Network, ForwardResumesFromACutAlone) {
         EXPECT_LT(cuts, net.node_count());
         expect_cuts_carry_the_forward(net, Shape{1, 3, 32, 32}, 0, rng);
     }
+}
+
+/// Node @p d's channel region by name: "a b -> t", "-> end" when it runs
+/// to the end of the graph.
+std::string region_of(const Network& net, const std::string& name) {
+    int d = 0;
+    while (net.node_name(d) != name) ++d;
+    const Network::ChannelRegion region = net.channel_region(d);
+    std::string out;
+    for (int id : region.nodes) out += net.node_name(id) + " ";
+    return out + "-> " +
+           (region.resume < 0 ? "end" : net.node_name(region.resume));
+}
+
+TEST(Network, ChannelRegionsOfTheRegisteredModels) {
+    // The nodes a one-channel fault stays in, up to the first node that
+    // mixes channels: pinned for every weight layer of the three models.
+    const Network micronet = models::build_model("micronet");
+    EXPECT_EQ(region_of(micronet, "conv1"), "relu1 pool1 -> conv2");
+    EXPECT_EQ(region_of(micronet, "conv2"), "relu2 pool2 -> conv3");
+    EXPECT_EQ(region_of(micronet, "conv3"), "relu3 avgpool -> fc");
+    EXPECT_EQ(region_of(micronet, "fc"), "-> end");
+
+    const Network resnet = models::build_model("resnet20");
+    EXPECT_EQ(region_of(resnet, "conv1"), "bn1 relu1 -> stage1.block1.conv1");
+    std::vector<std::string> blocks;
+    for (int stage = 1; stage <= 3; ++stage)
+        for (int block = 1; block <= 3; ++block)
+            blocks.push_back("stage" + std::to_string(stage) + ".block" +
+                             std::to_string(block));
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        const std::string& p = blocks[b];
+        EXPECT_EQ(region_of(resnet, p + ".conv1"),
+                  p + ".bn1 " + p + ".relu1 -> " + p + ".conv2");
+        EXPECT_EQ(region_of(resnet, p + ".conv2"),
+                  p + ".bn2 " + p + ".add " + p + ".relu2 " +
+                      (b + 1 < blocks.size()
+                           ? "-> " + blocks[b + 1] + ".conv1"
+                           : std::string("avgpool -> fc")));
+    }
+    EXPECT_EQ(region_of(resnet, "fc"), "-> end");
+
+    const Network mobilenet = models::build_model("mobilenetv2");
+    EXPECT_EQ(region_of(mobilenet, "conv1"), "bn1 relu1 -> block0.expand");
+    for (int b = 0; b <= 16; ++b) {
+        const std::string p = "block" + std::to_string(b);
+        EXPECT_EQ(region_of(mobilenet, p + ".expand"),
+                  p + ".bn1 " + p + ".relu1 " + p + ".depthwise " + p +
+                      ".bn2 " + p + ".relu2 -> " + p + ".project");
+        EXPECT_EQ(region_of(mobilenet, p + ".depthwise"),
+                  p + ".bn2 " + p + ".relu2 -> " + p + ".project");
+        // Blocks whose input and output shapes match end in a residual Add.
+        const bool residual = b == 2 || b == 4 || b == 5 || b == 7 ||
+                              b == 8 || b == 9 || b == 11 || b == 12 ||
+                              b == 14 || b == 15;
+        EXPECT_EQ(region_of(mobilenet, p + ".project"),
+                  p + ".bn3 " + (residual ? p + ".add " : std::string()) +
+                      "-> " +
+                      (b < 16 ? "block" + std::to_string(b + 1) + ".expand"
+                              : std::string("conv2")));
+    }
+    EXPECT_EQ(region_of(mobilenet, "conv2"), "bn2 relu2 avgpool -> fc");
+    EXPECT_EQ(region_of(mobilenet, "fc"), "-> end");
+}
+
+TEST(Network, ChannelRegionFollowsEveryDirtyReader) {
+    stats::Rng rng(12);
+    const Network net = make_residual_net(rng);
+    // relu1 is read by conv2, where the region ends, and by the Add after
+    // it: a dirty node past the resume node stays outside the region.
+    EXPECT_EQ(region_of(net, "conv1"), "relu1 -> conv2");
+    EXPECT_EQ(region_of(net, "conv2"), "add relu2 gap -> fc");
+    EXPECT_EQ(region_of(net, "gap"), "-> fc");
+    EXPECT_THROW((void)net.channel_region(net.node_count()), std::out_of_range);
+    EXPECT_FALSE(net.layer(0).channel_local());
+    EXPECT_TRUE(net.layer(1).channel_local());
 }
 
 TEST(Network, AddEnforcesTopologicalOrder) {
